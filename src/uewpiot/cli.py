@@ -243,6 +243,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
 
 
 def _sweep_distances(config: RunConfig) -> list[float]:
+    if not config.sweep_distance_step_m > 0:
+        raise ConfigurationError("sweep.distance_step_m must be > 0")
     distances = []
     d = config.sweep_distance_start_m
     while d <= config.sweep_distance_stop_m + 1e-9:
@@ -370,6 +372,8 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
     ``summary.csv`` per-strategy lengths, savings, and Monte-Carlo means
     over ``plan.mc_seeds`` seeded fields.
     """
+    if config.plan_mc_seeds < 1:
+        raise ConfigurationError(f"plan.mc_seeds must be >= 1, got {config.plan_mc_seeds}")
     d_eh = _resolve_d_eh(config)
     node_field = _field(config)
     comparison = planner.compare_strategies(

@@ -56,7 +56,7 @@ def watts_to_dbm(power_w: float) -> float:
 
 
 def dbm_to_watts(power_dbm: float) -> float:
-    return 10.0 ** (power_dbm / 10.0) * 1e-3
+    return 10.0 ** ((power_dbm - 30.0) / 10.0)
 
 
 @dataclass(frozen=True)

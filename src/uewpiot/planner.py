@@ -1,13 +1,11 @@
 """Coverage-aware UAV tour planning over a field of IoT nodes.
 
-Builds on a simple geometric fact: a UAV hovering at height H with
-powering range d_EH covers a ground disk of radius R = sqrt(d_EH^2 - H^2).
-Nodes are grouped into disks anchored at node positions (greedy maximum
-coverage), one node per group is the traversal point, and the UAV flies
-a closed shortest tour over the traversal points.
-
-Tour construction is nearest-neighbor followed by 2-opt improvement; an
-exact dynamic-programming solver is available for up to 12 points.
+A UAV hovering at height H with powering range d_EH covers a ground disk of
+radius R = sqrt(d_EH^2 - H^2). Greedy maximum coverage (gains updated
+incrementally) puts the nodes into node-anchored disks, and the UAV flies a
+closed tour over the anchors: nearest-neighbor plus first-improvement 2-opt
+that prices all moves from one edge in one numpy scan, or exact dynamic
+programming for up to 12 points.
 """
 from __future__ import annotations
 
@@ -114,20 +112,18 @@ def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
         raise ConfigurationError("coverage radius must be >= 0")
     pts = node_field.positions
     n = len(pts)
-    if n == 0:
-        return []
     diff = pts[:, None, :] - pts[None, :, :]
     covered = (diff**2).sum(axis=-1) <= (radius_m + MEMBERSHIP_SLACK_M) ** 2
 
     uncovered = np.ones(n, dtype=bool)
+    gains = covered.sum(axis=1)  # uncovered nodes in each disk, kept current below
     groups: list[WpcGroup] = []
     while uncovered.any():
-        gains = (covered & uncovered[None, :]).sum(axis=1)
-        gains[~uncovered] = -1  # only uncovered nodes may anchor a disk
-        best = int(np.argmax(gains))  # argmax returns the lowest index on ties
+        best = int(np.argmax(np.where(uncovered, gains, -1)))  # lowest index wins ties
         members = np.flatnonzero(covered[best] & uncovered)
         groups.append(WpcGroup(best, frozenset(int(i) for i in members)))
         uncovered[members] = False
+        gains -= covered[:, members].sum(axis=1)
     return groups
 
 
@@ -188,33 +184,33 @@ def _nearest_neighbor_order(points: np.ndarray) -> list[int]:
 
 def _two_opt(points: np.ndarray, order: list[int]) -> list[int]:
     """First-improvement 2-opt on a closed tour; position 0 stays fixed."""
-    order = list(order)
     n = len(order)
     if n < 4:
-        return order
-    passes = 0
-    improved = True
-    while improved and passes < TWO_OPT_MAX_PASSES:
+        return list(order)
+    order = np.array(order)
+    P = points[np.append(order, order[0])]  # row n closes the tour at the fixed start
+    x, y = P[:, 0], P[:, 1]  # column views: they follow the reversals of P below
+    for _ in range(TWO_OPT_MAX_PASSES):
         improved = False
-        passes += 1
         for i in range(1, n - 1):
-            a = points[order[i - 1]]
-            b = points[order[i]]
-            for j in range(i + 1, n):
-                c = points[order[j]]
-                d = points[order[(j + 1) % n]]
-                delta = (
-                    math.hypot(c[0] - a[0], c[1] - a[1])
-                    + math.hypot(d[0] - b[0], d[1] - b[1])
-                    - math.hypot(b[0] - a[0], b[1] - a[1])
-                    - math.hypot(d[0] - c[0], d[1] - c[1])
-                )
-                if delta < -1e-12:
-                    order[i : j + 1] = reversed(order[i : j + 1])
-                    improved = True
-                    a = points[order[i - 1]]
-                    b = points[order[i]]
-    return order
+            # Reversing i..j leaves later positions alone, so each rescan resumes at j + 1.
+            j0 = i + 1
+            while j0 < n:
+                # Edges (a, b) = (i-1, i) and (c, d) = (j, j+1), for every j >= j0 at once.
+                ax, ay, bx, by = x[i - 1], y[i - 1], x[i], y[i]
+                cx, cy, dx, dy = x[j0:n], y[j0:n], x[j0 + 1 :], y[j0 + 1 :]
+                delta = (np.hypot(cx - ax, cy - ay) + np.hypot(dx - bx, dy - by)
+                         - np.hypot(bx - ax, by - ay) - np.hypot(dx - cx, dy - cy))
+                improving = np.nonzero(delta < -1e-12)[0]  # the first one is taken
+                if not improving.size:
+                    break
+                j0 += int(improving[0]) + 1  # one past the reversed block i..j
+                P[i:j0] = P[i:j0][::-1]
+                order[i:j0] = order[i:j0][::-1]
+                improved = True
+        if not improved:
+            break
+    return order.tolist()
 
 
 def _held_karp_order(points: np.ndarray) -> list[int]:

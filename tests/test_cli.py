@@ -226,3 +226,19 @@ def test_main_seed_override(tmp_path):
     assert cli.main(["--config", str(config), "--seed", "5", "--out", str(a), "plan"]) == 0
     assert cli.main(["--config", str(config), "--seed", "6", "--out", str(b), "plan"]) == 0
     assert (a / "tour.csv").read_bytes() != (b / "tour.csv").read_bytes()
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "nan"])
+def test_main_nonpositive_distance_step_exit_2(tmp_path, capsys, step):
+    config = write_config(tmp_path, f"sweep.distance_step_m = {step}\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), "sweep-eh"]) == 2
+    assert "sweep.distance_step_m" in capsys.readouterr().err
+    assert not (tmp_path / "eh_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
+    config = write_config(tmp_path, f"plan.mc_seeds = {seeds}\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), "plan"]) == 2
+    assert "plan.mc_seeds" in capsys.readouterr().err
+    assert not (tmp_path / "tour.csv").exists()

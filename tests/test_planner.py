@@ -2,14 +2,19 @@
 
 Tour lengths are checked against an exhaustive-permutation oracle and
 grouping against a brute-force minimum disk cover, both implemented here
-independently of the planner.
+independently of the planner. The vectorized 2-opt and the incremental
+greedy grouping are checked move for move and group for group against
+the straightforward scalar versions kept below as reference oracles.
 """
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uewpiot import planner
 from uewpiot import (
     CapabilityError,
     ConfigurationError,
@@ -55,6 +60,67 @@ def brute_force_min_cover(points, radius):
             if set().union(*(covers[c] for c in centers)) == set(range(n)):
                 return k
     return n
+
+
+def reference_two_opt(points, order):
+    """Scalar first-improvement 2-opt: one candidate move at a time."""
+    order = list(order)
+    n = len(order)
+    if n < 4:
+        return order
+    passes = 0
+    improved = True
+    while improved and passes < planner.TWO_OPT_MAX_PASSES:
+        improved = False
+        passes += 1
+        for i in range(1, n - 1):
+            a = points[order[i - 1]]
+            b = points[order[i]]
+            for j in range(i + 1, n):
+                c = points[order[j]]
+                d = points[order[(j + 1) % n]]
+                delta = (
+                    math.hypot(c[0] - a[0], c[1] - a[1])
+                    + math.hypot(d[0] - b[0], d[1] - b[1])
+                    - math.hypot(b[0] - a[0], b[1] - a[1])
+                    - math.hypot(d[0] - c[0], d[1] - c[1])
+                )
+                if delta < -1e-12:
+                    order[i : j + 1] = reversed(order[i : j + 1])
+                    improved = True
+                    a = points[order[i - 1]]
+                    b = points[order[i]]
+    return order
+
+
+def reference_groups(points, radius):
+    """Greedy max coverage that recounts every gain from scratch each round."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    diff = pts[:, None, :] - pts[None, :, :]
+    covered = (diff**2).sum(axis=-1) <= (radius + planner.MEMBERSHIP_SLACK_M) ** 2
+    uncovered = np.ones(n, dtype=bool)
+    groups = []
+    while uncovered.any():
+        gains = (covered & uncovered[None, :]).sum(axis=1)
+        gains[~uncovered] = -1
+        best = int(np.argmax(gains))
+        members = np.flatnonzero(covered[best] & uncovered)
+        groups.append((best, frozenset(int(i) for i in members)))
+        uncovered[members] = False
+    return groups
+
+
+def assert_matches_references(field, radius):
+    groups = form_wpc_groups(field, radius)
+    assert [(g.traversal_index, g.member_indices) for g in groups] == reference_groups(
+        field.positions, radius
+    )
+    for pts in (field.positions, field.positions[[g.traversal_index for g in groups]]):
+        start = planner._nearest_neighbor_order(pts)
+        expected = reference_two_opt(pts, start)
+        assert planner._two_opt(pts, start) == expected
+        assert plan_tour(pts).visit_order == tuple(expected)
 
 
 # --- coverage radius ---------------------------------------------------------
@@ -175,6 +241,33 @@ def test_greedy_tie_break_lowest_index():
     field = NodeField(20.0, 20.0, pts, seed=0)
     groups = form_wpc_groups(field, 1.5)
     assert [g.traversal_index for g in groups] == [0, 2]
+
+
+# --- equivalence with the scalar references ------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    radius=st.sampled_from([0.0, 3.0, 8.3066, 12.0, 25.0]),
+)
+def test_vectorized_planner_matches_scalar_references(n, seed, radius):
+    side = 20.0 * math.sqrt(n)  # the default density of 0.25 nodes per 10 m x 10 m
+    assert_matches_references(generate_nodes(side, side, 0.0, seed, count=n), radius)
+
+
+@pytest.mark.parametrize("spacing", [5.0, 8.3066])
+def test_vectorized_planner_matches_references_on_lattice(spacing):
+    # Spacing = R gives every interior node the same gain and many zero-delta
+    # 2-opt moves, so the lowest-index tie-break decides almost every pick.
+    k = 9
+    grid = np.array([(x, y) for y in range(k) for x in range(k)], dtype=float) * spacing
+    side = spacing * (k - 1)
+    assert_matches_references(NodeField(side, side, grid, seed=0), spacing)
+    shuffled = grid[np.random.default_rng(3).permutation(len(grid))]
+    assert_matches_references(NodeField(side, side, shuffled, seed=0), spacing)
+    # Node 10 at (1, 1) is the first of the 49 interior nodes, which all tie on gain 5.
+    assert form_wpc_groups(NodeField(side, side, grid, seed=0), spacing)[0].traversal_index == 10
 
 
 # --- tours -----------------------------------------------------------------------
