@@ -14,16 +14,12 @@ keys (``link.frequency_hz = 400e6``). Unknown keys are rejected. All
 floating-point output uses a fixed %.10g format so reruns are
 byte-identical. Exit codes: 0 ok, 2 configuration error, 3 infeasible
 request, 4 I/O error.
-
-``UEWPIOT_THREADS`` caps sweep/Monte-Carlo parallelism (0 or unset: one
-worker per CPU).
 """
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -88,24 +84,36 @@ def _attr_to_key(attr: str) -> str:
 
 def _parse_value(attr: str, raw: str, template: RunConfig):
     raw = raw.strip()
+    key = _attr_to_key(attr)
     default = getattr(template, attr)
-    if attr in ("circuit_threshold_dbm", "plan_d_eh_m"):
-        return None if raw.lower() == "auto" else float(raw)
     if attr == "plan_mode":
         if raw not in ("heuristic", "exact"):
             raise ConfigurationError(f"plan.mode must be heuristic or exact, got {raw!r}")
         return raw
+    if attr in ("circuit_threshold_dbm", "plan_d_eh_m") and raw.lower() == "auto":
+        return None
     if isinstance(default, tuple):
-        items = [part for part in raw.split(",") if part.strip()]
+        items = [part.strip() for part in raw.split(",") if part.strip()]
         if not items:
-            raise ConfigurationError(f"{_attr_to_key(attr)} needs at least one value")
-        caster = int if default and isinstance(default[0], int) else float
-        return tuple(caster(float(part)) if caster is int else caster(part) for part in items)
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(default, int):
-        return int(float(raw))
-    return float(raw)
+            raise ConfigurationError(f"{key} needs at least one value")
+        integral = isinstance(default[0], int)
+        return tuple(_parse_number(key, part, integral) for part in items)
+    return _parse_number(key, raw, isinstance(default, int))
+
+
+def _parse_number(key: str, raw: str, integral: bool) -> float | int:
+    """A finite float, or an int when ``integral``; errors name ``key``."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigurationError(f"{key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{key} must be finite, got {raw!r}")
+    if not integral:
+        return value
+    if not value.is_integer():
+        raise ConfigurationError(f"{key} must be an integer, got {raw!r}")
+    return int(value)
 
 
 def _format_value(value) -> str:
@@ -172,20 +180,20 @@ def _circuit(config: RunConfig, frequency_hz: float) -> lb.EhCircuit:
     return lb.EhCircuit.for_band(frequency_hz, config.circuit_efficiency)
 
 
-def _field(config: RunConfig) -> planner.NodeField:
+def _field(config: RunConfig, seed: int) -> planner.NodeField:
     return planner.generate_nodes(
         config.field_width_m,
         config.field_height_m,
         config.field_density,
-        config.field_seed,
+        seed,
         count=config.field_count or None,
     )
 
 
-def build_scenario(config: RunConfig, height_m: float | None = None) -> missionsim.MissionScenario:
+def build_scenario(config: RunConfig) -> missionsim.MissionScenario:
     frequency = config.link_frequency_hz
     return missionsim.MissionScenario(
-        field=_field(config),
+        field=_field(config, config.field_seed),
         env=_environment(config, frequency),
         array=lb.AntennaArray.with_elements(
             config.array_elements, config.array_spacing_wavelengths
@@ -202,31 +210,10 @@ def build_scenario(config: RunConfig, height_m: float | None = None) -> missions
         cost_weight_time=config.mission_cost_weight_time,
         hover_power_w=config.mission_hover_power_w,
         cruise_speed_mps=config.mission_cruise_speed_mps,
-        height_m=config.plan_heights_m[0] if height_m is None else height_m,
+        height_m=config.plan_heights_m[0],
         wake_duration_s=config.mission_wake_duration_s,
         eh_distance_m=config.plan_d_eh_m,
     )
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("UEWPIOT_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"UEWPIOT_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise ConfigurationError("UEWPIOT_THREADS must be >= 0")
-    return value or (os.cpu_count() or 1)
-
-
-def _parallel_map(func, items):
-    """Order-preserving map, fanned out over the configured worker cap."""
-    items = list(items)
-    workers = min(_max_workers(), max(len(items), 1))
-    if workers <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
@@ -243,124 +230,81 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
 
 
 def _sweep_distances(config: RunConfig) -> list[float]:
-    if not config.sweep_distance_step_m > 0:
+    start, step = config.sweep_distance_start_m, config.sweep_distance_step_m
+    if not step > 0:
         raise ConfigurationError("sweep.distance_step_m must be > 0")
-    distances = []
-    d = config.sweep_distance_start_m
-    while d <= config.sweep_distance_stop_m + 1e-9:
-        distances.append(d)
-        d += config.sweep_distance_step_m
-    if not distances:
+    if not start > 0:
+        raise ConfigurationError("sweep.distance_start_m must be > 0")
+    count = math.floor((config.sweep_distance_stop_m + 1e-9 - start) / step) + 1
+    if count < 1:
         raise ConfigurationError("empty distance grid")
-    return distances
+    return [start + i * step for i in range(count)]
+
+
+def _sweep(config: RunConfig, path: Path, columns: list[str], point) -> Path:
+    """Write one row per (frequency, elements, distance) grid point.
+
+    The node sits directly below the UAV, so the slant range equals the
+    grid distance. ``point(geom, env, array, circuit)`` returns the
+    values that follow the three grid columns.
+    """
+    distances = _sweep_distances(config)
+    rows = []
+    for frequency in config.sweep_frequencies_hz:
+        env = _environment(config, frequency)
+        circuit = _circuit(config, frequency)
+        for elements in config.sweep_elements:
+            array = lb.AntennaArray.with_elements(elements, config.array_spacing_wavelengths)
+            rows.extend(
+                [d, frequency, elements, *point(lb.LinkGeometry.overhead(d), env, array, circuit)]
+                for d in distances
+            )
+    return _write_csv(path, ["distance_m", "freq_hz", "elements", *columns], rows)
 
 
 def sweep_eh(config: RunConfig, out_dir: Path) -> Path:
-    """Received/harvested power over the (distance, frequency, elements) grid.
+    """Received/harvested power over the (distance, frequency, elements) grid."""
+    power_w = config.mission_wpt_power_w
 
-    The node sits directly below the UAV, so the slant range equals the
-    grid distance.
-    """
-    distances = _sweep_distances(config)
+    def point(geom, env, array, circuit):
+        return (
+            lb.received_power_dbm(power_w, array, env, geom),
+            lb.harvested_power_dbm(power_w, array, circuit, env, geom),
+            circuit.input_threshold_dbm,
+        )
 
-    def one_series(args):
-        frequency, elements = args
-        env = _environment(config, frequency)
-        circuit = _circuit(config, frequency)
-        array = lb.AntennaArray.with_elements(elements, config.array_spacing_wavelengths)
-        rows = []
-        for d in distances:
-            geom = lb.LinkGeometry.overhead(d)
-            received = lb.received_power_dbm(config.mission_wpt_power_w, array, env, geom)
-            harvested = lb.harvested_power_dbm(
-                config.mission_wpt_power_w, array, circuit, env, geom
-            )
-            rows.append(
-                [d, frequency, elements, received, harvested, circuit.input_threshold_dbm]
-            )
-        return rows
-
-    grid = [(f, n) for f in config.sweep_frequencies_hz for n in config.sweep_elements]
-    rows = [row for series in _parallel_map(one_series, grid) for row in series]
-    return _write_csv(
-        out_dir / "eh_sweep.csv",
-        ["distance_m", "freq_hz", "elements", "received_dbm", "harvested_dbm", "threshold_dbm"],
-        rows,
+    return _sweep(
+        config, out_dir / "eh_sweep.csv", ["received_dbm", "harvested_dbm", "threshold_dbm"], point
     )
 
 
 def sweep_rate(config: RunConfig, out_dir: Path) -> Path:
     """Achievable uplink rate over the same grid as sweep_eh."""
-    distances = _sweep_distances(config)
 
-    def one_series(args):
-        frequency, elements = args
-        env = _environment(config, frequency)
-        circuit = _circuit(config, frequency)
-        array = lb.AntennaArray.with_elements(elements, config.array_spacing_wavelengths)
-        rows = []
-        for d in distances:
-            rate = lb.achievable_data_rate_bps(
-                lb.LinkGeometry.overhead(d),
-                env,
-                array,
-                circuit,
-                config.link_bandwidth_hz,
-                config.link_noise_figure_db,
-                wpt_power_w=config.mission_wpt_power_w,
-            )
-            rows.append([d, frequency, elements, rate])
-        return rows
-
-    grid = [(f, n) for f in config.sweep_frequencies_hz for n in config.sweep_elements]
-    rows = [row for series in _parallel_map(one_series, grid) for row in series]
-    return _write_csv(
-        out_dir / "rate_sweep.csv",
-        ["distance_m", "freq_hz", "elements", "rate_bps"],
-        rows,
-    )
-
-
-def _resolve_d_eh(config: RunConfig) -> float:
-    if config.plan_d_eh_m is not None:
-        return config.plan_d_eh_m
-    frequency = config.link_frequency_hz
-    d_eh = lb.achievable_eh_distance_m(
-        config.mission_wpt_power_w,
-        lb.AntennaArray.with_elements(config.array_elements, config.array_spacing_wavelengths),
-        _circuit(config, frequency),
-        _environment(config, frequency),
-        config.plan_heights_m[0],
-    )
-    if d_eh is None:
-        raise InfeasibilityError(
-            "harvester threshold unreachable at the first configured height; "
-            "set plan.d_eh_m explicitly"
+    def point(geom, env, array, circuit):
+        rate = lb.achievable_data_rate_bps(
+            geom,
+            env,
+            array,
+            circuit,
+            config.link_bandwidth_hz,
+            config.link_noise_figure_db,
+            wpt_power_w=config.mission_wpt_power_w,
         )
-    return d_eh
+        return (rate,)
+
+    return _sweep(config, out_dir / "rate_sweep.csv", ["rate_bps"], point)
 
 
 def _mc_lengths(config: RunConfig, d_eh: float) -> dict[str, list[float]]:
     """Per-strategy tour lengths over the Monte-Carlo seed range."""
-
-    def one_seed(seed: int):
-        field = planner.generate_nodes(
-            config.field_width_m,
-            config.field_height_m,
-            config.field_density,
-            seed,
-            count=config.field_count or None,
-        )
-        comparison = planner.compare_strategies(
-            field, d_eh, list(config.plan_heights_m), mode=config.plan_mode
-        )
-        return {result.name: result.length_m for result in comparison.results}
-
-    seeds = [config.field_seed + i for i in range(config.plan_mc_seeds)]
     lengths: dict[str, list[float]] = {}
-    for per_seed in _parallel_map(one_seed, seeds):
-        for name, value in per_seed.items():
-            lengths.setdefault(name, []).append(value)
+    for seed in range(config.field_seed, config.field_seed + config.plan_mc_seeds):
+        comparison = planner.compare_strategies(
+            _field(config, seed), d_eh, list(config.plan_heights_m), mode=config.plan_mode
+        )
+        for result in comparison.results:
+            lengths.setdefault(result.name, []).append(result.length_m)
     return lengths
 
 
@@ -374,8 +318,12 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
     """
     if config.plan_mc_seeds < 1:
         raise ConfigurationError(f"plan.mc_seeds must be >= 1, got {config.plan_mc_seeds}")
-    d_eh = _resolve_d_eh(config)
-    node_field = _field(config)
+    if not all(height > 0 for height in config.plan_heights_m):
+        raise ConfigurationError(f"plan.heights_m must all be > 0, got {config.plan_heights_m}")
+    scenario = build_scenario(config)
+    d_eh = missionsim.resolve_eh_distance_m(scenario)
+    scenario = replace(scenario, eh_distance_m=d_eh)
+    node_field = scenario.field
     comparison = planner.compare_strategies(
         node_field, d_eh, list(config.plan_heights_m), mode=config.plan_mode
     )
@@ -398,7 +346,6 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
     ]
 
     if with_report:
-        scenario = build_scenario(config)
         report = missionsim.simulate_mission(scenario)
         report_rows = []
         for node in report.nodes:

@@ -302,11 +302,6 @@ def harvested_power_dbm(
     return received + 10.0 * math.log10(circuit.conversion_efficiency)
 
 
-def eh_input_threshold_dbm(circuit: EhCircuit) -> float:
-    """Harvester input-power threshold for the circuit's band."""
-    return circuit.input_threshold_dbm
-
-
 def achievable_eh_distance_m(
     transmit_power_w: float,
     array: AntennaArray,

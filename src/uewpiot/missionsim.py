@@ -306,6 +306,53 @@ class MissionReport:
         return sum(node.bits_delivered for node in self.nodes)
 
 
+def resolve_eh_distance_m(scenario: MissionScenario) -> float:
+    """The scenario's EH distance d_EH: the explicit value when given,
+    else the link-budget range at the hover height.
+    """
+    if scenario.eh_distance_m is not None:
+        return scenario.eh_distance_m
+    eh_distance = lb.achievable_eh_distance_m(
+        scenario.wpt_power_w,
+        scenario.array,
+        scenario.circuit,
+        scenario.env,
+        scenario.height_m,
+    )
+    if eh_distance is None:
+        raise InfeasibilityError(
+            "harvester threshold is unreachable even directly overhead "
+            f"at height {scenario.height_m} m; set eh_distance_m (plan.d_eh_m) explicitly"
+        )
+    return eh_distance
+
+
+def _group_outcome(
+    scenario: MissionScenario,
+    group_id: int,
+    group: planner.WpcGroup,
+    activated_count: int,
+    solution: PoweringSolution,
+    diagnostic: str,
+) -> GroupOutcome:
+    """Outcome of one hover stop; an empty diagnostic marks a served group."""
+    return GroupOutcome(
+        group_id=group_id,
+        traversal_index=group.traversal_index,
+        member_count=len(group.member_indices),
+        activated_count=activated_count,
+        feasible=not diagnostic,
+        diagnostic=diagnostic,
+        schedule=solution.schedule,
+        powering_s=solution.tau_s,
+        data_s=solution.data_s,
+        latency_s=solution.tau_s + solution.data_s,
+        supplied_energy_j=scenario.wur_power_w * scenario.wake_duration_s
+        + scenario.wpt_power_w * solution.tau_s,
+        cost=solution.cost,
+    )
+
+
 def simulate_mission(scenario: MissionScenario) -> MissionReport:
     """Run the full wake/power/transmit mission over the scenario's field.
 
@@ -314,20 +361,7 @@ def simulate_mission(scenario: MissionScenario) -> MissionReport:
     nodes deliver nothing; the mission continues. Deterministic given the
     scenario, including the field's seed.
     """
-    eh_distance = scenario.eh_distance_m
-    if eh_distance is None:
-        eh_distance = lb.achievable_eh_distance_m(
-            scenario.wpt_power_w,
-            scenario.array,
-            scenario.circuit,
-            scenario.env,
-            scenario.height_m,
-        )
-        if eh_distance is None:
-            raise InfeasibilityError(
-                "harvester threshold is unreachable even directly overhead "
-                f"at height {scenario.height_m} m"
-            )
+    eh_distance = resolve_eh_distance_m(scenario)
     radius = planner.coverage_radius_m(scenario.height_m, eh_distance)
     groups = planner.form_wpc_groups(scenario.field, radius)
     traversal_points = scenario.field.positions[[g.traversal_index for g in groups]]
@@ -335,6 +369,14 @@ def simulate_mission(scenario: MissionScenario) -> MissionReport:
 
     visit_order = tour.visit_order
 
+    # A skipped group spends only its wake-up phase and serves no node.
+    skipped = PoweringSolution(
+        tau_s=0.0,
+        data_s=0.0,
+        cost=0.0,
+        schedule=PhaseSchedule(scenario.wake_duration_s, 0.0, ()),
+        services=(),
+    )
     # Group ids are the planner's formation indices; the outcome list is in
     # tour visit order.
     node_outcomes: dict[int, NodeOutcome] = {}
@@ -343,68 +385,25 @@ def simulate_mission(scenario: MissionScenario) -> MissionReport:
         group = groups[group_id]
         uav_xy = scenario.field.positions[group.traversal_index]
         activated = wake_up(scenario, uav_xy, group)
-        empty_schedule = PhaseSchedule(scenario.wake_duration_s, 0.0, ())
-        wake_energy = scenario.wur_power_w * scenario.wake_duration_s
-
-        if not activated:
-            outcome = GroupOutcome(
-                group_id=group_id,
-                traversal_index=group.traversal_index,
-                member_count=len(group.member_indices),
-                activated_count=0,
-                feasible=False,
-                diagnostic="no nodes activated by the wake-up signal",
-                schedule=empty_schedule,
-                powering_s=0.0,
-                data_s=0.0,
-                latency_s=0.0,
-                supplied_energy_j=wake_energy,
-                cost=0.0,
-            )
-        else:
+        solution, diagnostic = skipped, "no nodes activated by the wake-up signal"
+        if activated:
             try:
-                solution = optimize_powering(scenario, uav_xy, activated)
+                solution, diagnostic = optimize_powering(scenario, uav_xy, activated), ""
             except InfeasibilityError as exc:
-                outcome = GroupOutcome(
-                    group_id=group_id,
-                    traversal_index=group.traversal_index,
-                    member_count=len(group.member_indices),
-                    activated_count=len(activated),
-                    feasible=False,
-                    diagnostic=str(exc),
-                    schedule=empty_schedule,
-                    powering_s=0.0,
-                    data_s=0.0,
-                    latency_s=0.0,
-                    supplied_energy_j=wake_energy,
-                    cost=0.0,
-                )
-            else:
-                outcome = GroupOutcome(
-                    group_id=group_id,
-                    traversal_index=group.traversal_index,
-                    member_count=len(group.member_indices),
-                    activated_count=len(activated),
-                    feasible=True,
-                    diagnostic="",
-                    schedule=solution.schedule,
-                    powering_s=solution.tau_s,
-                    data_s=solution.data_s,
-                    latency_s=solution.tau_s + solution.data_s,
-                    supplied_energy_j=wake_energy + scenario.wpt_power_w * solution.tau_s,
-                    cost=solution.cost,
-                )
-                for svc in solution.services:
-                    node_outcomes[svc.node_index] = NodeOutcome(
-                        node_index=svc.node_index,
-                        group_id=group_id,
-                        slant_m=svc.slant_m,
-                        harvested_energy_j=svc.harvested_power_w * solution.tau_s,
-                        tx_power_w=svc.tx_power_w,
-                        tx_time_s=svc.tx_time_s,
-                        bits_delivered=scenario.payload_bits,
-                    )
-        group_outcomes.append(outcome)
+                diagnostic = str(exc)
+        group_outcomes.append(
+            _group_outcome(scenario, group_id, group, len(activated), solution, diagnostic)
+        )
+        for svc in solution.services:
+            node_outcomes[svc.node_index] = NodeOutcome(
+                node_index=svc.node_index,
+                group_id=group_id,
+                slant_m=svc.slant_m,
+                harvested_energy_j=svc.harvested_power_w * solution.tau_s,
+                tx_power_w=svc.tx_power_w,
+                tx_time_s=svc.tx_time_s,
+                bits_delivered=scenario.payload_bits,
+            )
         for index in sorted(group.member_indices):
             if index not in node_outcomes:
                 node_outcomes[index] = NodeOutcome(

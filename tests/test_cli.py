@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from uewpiot import cli
+from uewpiot import cli, linkbudget
 from uewpiot.errors import ConfigurationError
 
 
@@ -173,19 +173,6 @@ def test_rerun_byte_identical(tmp_path, fast_config):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
 
-def test_thread_cap_does_not_change_output(tmp_path, fast_config, monkeypatch):
-    monkeypatch.setenv("UEWPIOT_THREADS", "1")
-    cli.plan_and_simulate(fast_config, tmp_path / "serial", with_report=False)
-    monkeypatch.setenv("UEWPIOT_THREADS", "4")
-    cli.plan_and_simulate(fast_config, tmp_path / "parallel", with_report=False)
-    assert (tmp_path / "serial" / "tour.csv").read_bytes() == (
-        tmp_path / "parallel" / "tour.csv"
-    ).read_bytes()
-    assert (tmp_path / "serial" / "summary.csv").read_bytes() == (
-        tmp_path / "parallel" / "summary.csv"
-    ).read_bytes()
-
-
 def test_reproduce_emits_five_files(tmp_path, fast_config):
     paths = cli.reproduce(fast_config, tmp_path)
     assert [p.name for p in paths] == [
@@ -242,3 +229,47 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
     assert cli.main(["--config", str(config), "--out", str(tmp_path), "plan"]) == 2
     assert "plan.mc_seeds" in capsys.readouterr().err
     assert not (tmp_path / "tour.csv").exists()
+
+
+@pytest.mark.parametrize(
+    ("line", "key"),
+    [
+        ("array.elements = 1.9", "array.elements"),
+        ("field.count = 2.5", "field.count"),
+        ("sweep.elements = 1,16.5", "sweep.elements"),
+        ("link.frequency_hz = nan", "link.frequency_hz"),
+        ("mission.cruise_speed_mps = inf", "mission.cruise_speed_mps"),
+        ("sweep.frequencies_hz = 4e8,-inf", "sweep.frequencies_hz"),
+        ("plan.d_eh_m = nan", "plan.d_eh_m"),
+        ("array.elements = abc", "array.elements"),
+        ("sweep.distance_start_m = 0", "sweep.distance_start_m"),
+        ("sweep.distance_start_m = -2", "sweep.distance_start_m"),
+    ],
+)
+def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
+    config = write_config(tmp_path, line + "\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), "sweep-eh"]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "eh_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("heights", ["0", "10,0", "-5"])
+def test_main_nonpositive_height_exit_2(tmp_path, capsys, heights):
+    config = write_config(tmp_path, f"plan.heights_m = {heights}\nplan.mc_seeds = 1\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 2
+    assert "plan.heights_m" in capsys.readouterr().err
+    assert not (tmp_path / "tour.csv").exists()
+
+
+def test_simulate_resolves_eh_distance_once(tmp_path, monkeypatch):
+    calls = []
+    bisect = linkbudget.achievable_eh_distance_m
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(linkbudget, "achievable_eh_distance_m", counted)
+    config = write_config(tmp_path, "plan.mc_seeds = 1\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 0
+    assert len(calls) == 1

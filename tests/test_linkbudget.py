@@ -19,7 +19,6 @@ from uewpiot import (
     achievable_data_rate_bps,
     achievable_eh_distance_m,
     array_gain_db,
-    eh_input_threshold_dbm,
     expected_path_loss_db,
     free_space_path_loss_db,
     harvested_power_dbm,
@@ -279,9 +278,9 @@ def test_frequency_ordering_over_configured_bands():
 # --- thresholds and EH distance -------------------------------------------------
 
 def test_band_thresholds():
-    assert eh_input_threshold_dbm(EhCircuit.for_band(400e6)) == -20.0
-    assert eh_input_threshold_dbm(EhCircuit.for_band(900e6)) == -23.0
-    assert eh_input_threshold_dbm(EhCircuit.for_band(2.4e9)) == -50.0
+    assert EhCircuit.for_band(400e6).input_threshold_dbm == -20.0
+    assert EhCircuit.for_band(900e6).input_threshold_dbm == -23.0
+    assert EhCircuit.for_band(2.4e9).input_threshold_dbm == -50.0
 
 
 def test_unknown_band_rejected():

@@ -358,6 +358,22 @@ def test_mission_infeasible_group_skipped_not_fatal():
     assert report.wur_energy_j > 0.0
 
 
+def test_mission_no_nodes_activated():
+    # A wake threshold no node can reach skips every stop before powering.
+    scenario = full_scenario(seed=7, wur_wake_threshold_dbm=100.0)
+    report = simulate_mission(scenario)
+    wake_energy = scenario.wur_power_w * scenario.wake_duration_s
+    for group in report.groups:
+        assert group.activated_count == 0
+        assert not group.feasible
+        assert group.diagnostic == "no nodes activated by the wake-up signal"
+        assert group.supplied_energy_j == wake_energy
+        assert group.cost == 0.0
+        assert group.latency_s == 0.0
+    assert report.total_bits_delivered == 0.0
+    assert [n.node_index for n in report.nodes] == list(range(25))
+
+
 def test_mission_derived_range_matches_explicit():
     implicit = simulate_mission(full_scenario(seed=8))
     explicit = simulate_mission(
