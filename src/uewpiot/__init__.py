@@ -10,6 +10,7 @@ from .errors import (
 from .linkbudget import (
     AntennaArray,
     EhCircuit,
+    LinkBudget,
     LinkGeometry,
     RadioEnvironment,
     achievable_data_rate_bps,
@@ -18,6 +19,7 @@ from .linkbudget import (
     expected_path_loss_db,
     free_space_path_loss_db,
     harvested_power_dbm,
+    link_budget,
     los_probability,
     noise_power_dbm,
     received_power_dbm,
@@ -51,47 +53,3 @@ from .planner import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AntennaArray",
-    "CapabilityError",
-    "ConfigurationError",
-    "EhCircuit",
-    "GeometryError",
-    "InfeasibilityError",
-    "LinkGeometry",
-    "MissionReport",
-    "MissionScenario",
-    "NodeField",
-    "PhaseSchedule",
-    "RadioEnvironment",
-    "StrategyComparison",
-    "TdmaSlot",
-    "TourPlan",
-    "UewpiotError",
-    "WpcGroup",
-    "achievable_data_rate_bps",
-    "achievable_eh_distance_m",
-    "array_gain_db",
-    "compare_strategies",
-    "coverage_radius_m",
-    "expected_path_loss_db",
-    "form_wpc_groups",
-    "free_space_path_loss_db",
-    "generate_nodes",
-    "harvested_power_dbm",
-    "los_probability",
-    "noise_power_dbm",
-    "optimize_powering",
-    "plan_tour",
-    "powering_phase",
-    "received_power_dbm",
-    "required_tx",
-    "shannon_rate_bps",
-    "simulate_mission",
-    "tdma_schedule",
-    "tour_length_m",
-    "upa_physical_size_m",
-    "wake_up",
-    "wavelength_m",
-]

@@ -23,11 +23,16 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import linkbudget as lb
 from . import missionsim, planner
 from .errors import ConfigurationError, InfeasibilityError, UewpiotError
 
-FLOAT_FMT = "{:.10g}"
+FLOAT_FMT = "%.10g"
+
+# Distance points per sweep series; a finer grid is a configuration error.
+MAX_SWEEP_POINTS = 1_000_000
 
 REPRODUCE_FREQUENCIES_HZ = (400e6, 900e6, 2.4e9)
 REPRODUCE_ELEMENTS = (1, 16, 32)
@@ -216,91 +221,98 @@ def build_scenario(config: RunConfig) -> missionsim.MissionScenario:
     )
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    def cell(value) -> str:
-        if isinstance(value, float):
-            return FLOAT_FMT.format(value)
-        return "" if value is None else str(value)
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return FLOAT_FMT % value
+    return "" if value is None else str(value)
 
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+
+def _write_csv(path: Path, header: list[str], lines) -> Path:
+    """Write the header, then ``lines`` (text ending in newlines); the file
+    is moved into place once complete, so an error leaves no partial file."""
+    partial = path.with_name(path.name + ".partial")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    try:
+        with partial.open("w", encoding="utf-8", newline="\n") as out:
+            out.write(",".join(header) + "\n")
+            out.writelines(lines)
+        partial.replace(path)
+    finally:
+        partial.unlink(missing_ok=True)
     return path
 
 
-def _sweep_distances(config: RunConfig) -> list[float]:
+def _rows(rows: list[list]):
+    return (",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def _sweep_distances(config: RunConfig) -> np.ndarray:
     start, step = config.sweep_distance_start_m, config.sweep_distance_step_m
     if not step > 0:
         raise ConfigurationError("sweep.distance_step_m must be > 0")
     if not start > 0:
         raise ConfigurationError("sweep.distance_start_m must be > 0")
-    count = math.floor((config.sweep_distance_stop_m + 1e-9 - start) / step) + 1
-    if count < 1:
-        raise ConfigurationError("empty distance grid")
-    return [start + i * step for i in range(count)]
+    span = (config.sweep_distance_stop_m + 1e-9 - start) / step
+    if span < 0:
+        raise ConfigurationError("empty distance grid: sweep.distance_stop_m is below the start")
+    if not span < MAX_SWEEP_POINTS:
+        raise ConfigurationError(f"sweep.distance_step_m gives over {MAX_SWEEP_POINTS} points")
+    return start + np.arange(math.floor(span) + 1) * step
 
 
-def _sweep(config: RunConfig, path: Path, columns: list[str], point) -> Path:
+def _sweep(config: RunConfig, path: Path, columns: list[str], values, **uplink) -> Path:
     """Write one row per (frequency, elements, distance) grid point.
 
-    The node sits directly below the UAV, so the slant range equals the
-    grid distance. ``point(geom, env, array, circuit)`` returns the
-    values that follow the three grid columns.
+    The node sits directly below the UAV, so slant range equals distance.
+    Each (frequency, elements) series is one ``lb.link_budget`` call over
+    the grid, given ``uplink`` for the rate stage. ``values(budget, circuit)``
+    gives the remaining columns: each an array over the grid or one number.
     """
     distances = _sweep_distances(config)
-    rows = []
-    for frequency in config.sweep_frequencies_hz:
-        env = _environment(config, frequency)
-        circuit = _circuit(config, frequency)
-        for elements in config.sweep_elements:
-            array = lb.AntennaArray.with_elements(elements, config.array_spacing_wavelengths)
-            rows.extend(
-                [d, frequency, elements, *point(lb.LinkGeometry.overhead(d), env, array, circuit)]
-                for d in distances
-            )
-    return _write_csv(path, ["distance_m", "freq_hz", "elements", *columns], rows)
+
+    def series():
+        for frequency in config.sweep_frequencies_hz:
+            env, circuit = _environment(config, frequency), _circuit(config, frequency)
+            for elements in config.sweep_elements:
+                array = lb.AntennaArray.with_elements(elements, config.array_spacing_wavelengths)
+                budget = lb.link_budget(
+                    env, distances, distances, config.mission_wpt_power_w, array, circuit, **uplink
+                )
+                cells, arrays = [FLOAT_FMT, _cell(frequency), _cell(elements)], [distances]
+                for value in values(budget, circuit):
+                    is_array = isinstance(value, np.ndarray)
+                    cells.append(FLOAT_FMT if is_array else _cell(value))
+                    arrays += [value] if is_array else []
+                row = ",".join(cells) + "\n"
+                yield "".join([row % point for point in zip(*(a.tolist() for a in arrays))])
+
+    return _write_csv(path, ["distance_m", "freq_hz", "elements", *columns], series())
 
 
 def sweep_eh(config: RunConfig, out_dir: Path) -> Path:
     """Received/harvested power over the (distance, frequency, elements) grid."""
-    power_w = config.mission_wpt_power_w
-
-    def point(geom, env, array, circuit):
-        return (
-            lb.received_power_dbm(power_w, array, env, geom),
-            lb.harvested_power_dbm(power_w, array, circuit, env, geom),
-            circuit.input_threshold_dbm,
-        )
-
     return _sweep(
-        config, out_dir / "eh_sweep.csv", ["received_dbm", "harvested_dbm", "threshold_dbm"], point
+        config, out_dir / "eh_sweep.csv", ["received_dbm", "harvested_dbm", "threshold_dbm"],
+        lambda budget, circuit: (
+            budget.received_dbm, budget.harvested_dbm, circuit.input_threshold_dbm
+        ),
     )
 
 
 def sweep_rate(config: RunConfig, out_dir: Path) -> Path:
     """Achievable uplink rate over the same grid as sweep_eh."""
-
-    def point(geom, env, array, circuit):
-        rate = lb.achievable_data_rate_bps(
-            geom,
-            env,
-            array,
-            circuit,
-            config.link_bandwidth_hz,
-            config.link_noise_figure_db,
-            wpt_power_w=config.mission_wpt_power_w,
-        )
-        return (rate,)
-
-    return _sweep(config, out_dir / "rate_sweep.csv", ["rate_bps"], point)
+    return _sweep(
+        config, out_dir / "rate_sweep.csv", ["rate_bps"], lambda budget, _: (budget.rate_bps,),
+        bandwidth_hz=config.link_bandwidth_hz, noise_figure_db=config.link_noise_figure_db,
+    )
 
 
-def _mc_lengths(config: RunConfig, d_eh: float) -> dict[str, list[float]]:
-    """Per-strategy tour lengths over the Monte-Carlo seed range."""
+def _mc_lengths(config: RunConfig, d_eh: float, first) -> dict[str, list[float]]:
+    """Per-strategy tour lengths over the Monte-Carlo seed range; ``first``
+    is the comparison already made on the field at ``field.seed``."""
     lengths: dict[str, list[float]] = {}
     for seed in range(config.field_seed, config.field_seed + config.plan_mc_seeds):
-        comparison = planner.compare_strategies(
+        comparison = first if seed == config.field_seed else planner.compare_strategies(
             _field(config, seed), d_eh, list(config.plan_heights_m), mode=config.plan_mode
         )
         for result in comparison.results:
@@ -341,7 +353,7 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
         _write_csv(
             out_dir / "tour.csv",
             ["strategy", "visit_order", "x_m", "y_m", "group_id", "group_size"],
-            tour_rows,
+            _rows(tour_rows),
         )
     ]
 
@@ -360,11 +372,11 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
                 out_dir / "report.csv",
                 ["node", "x_m", "y_m", "group_id", "slant_m", "harvested_energy_j",
                  "tx_power_w", "tx_time_s", "bits_delivered"],
-                report_rows,
+                _rows(report_rows),
             )
         )
 
-    mc = _mc_lengths(config, d_eh)
+    mc = _mc_lengths(config, d_eh, comparison)
     baseline_lengths = mc["one-by-one"]
     summary_rows = []
     for result in comparison.results:
@@ -391,7 +403,7 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
             out_dir / "summary.csv",
             ["strategy", "height_m", "radius_m", "groups", "tour_length_m",
              "saving_pct", "mc_seeds", "mc_mean_length_m", "mc_mean_saving_pct"],
-            summary_rows,
+            _rows(summary_rows),
         )
     )
     return paths

@@ -16,11 +16,18 @@ sigmoid. Two parameter presets ship with the package:
   400 MHz, 10 W downlink at 10 m hover height reaches its -20 dBm
   harvester threshold at ~13 m slant range, and the matching 900 MHz
   uplink at 10 m delivers ~65 Mbps in 15 MHz.
+
+``link_budget``, one numpy kernel, maps arrays of (height, slant) to all
+of these. The per-link functions are scalar wrappers over it, so each
+formula is written once and a wrapper equals the kernel element exactly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConfigurationError, GeometryError
 
@@ -248,58 +255,88 @@ def array_gain_db(array: AntennaArray) -> float:
     return 10.0 * math.log10(array.elements_n)
 
 
-def los_probability(env: RadioEnvironment, geom: LinkGeometry) -> float:
-    """Line-of-sight probability 1 / (1 + a*exp(-b*(theta - a))).
+class LinkBudget(NamedTuple):
+    """``link_budget`` arrays; a stage whose inputs were not given is None."""
 
-    ``theta`` is the elevation angle in degrees; the sigmoid rises from
-    near the NLoS regime at grazing angles toward 1 overhead.
+    los_probability: np.ndarray
+    path_loss_db: np.ndarray
+    received_dbm: np.ndarray | None
+    harvested_dbm: np.ndarray | None
+    rate_bps: np.ndarray | None
+
+
+def link_budget(
+    env: RadioEnvironment, height_m, slant_m, transmit_power_w: float | None = None,
+    array: AntennaArray | None = None, circuit: EhCircuit | None = None,
+    bandwidth_hz: float | None = None, noise_figure_db: float = 9.0,
+) -> LinkBudget:
+    """The link budget, elementwise over arrays of hover height and slant range.
+
+    P_LoS = 1 / (1 + a*exp(-b*(theta - a))) at elevation ``theta`` (degrees);
+    PL = FSPL(d, f) + P_LoS * eta_LoS + (1 - P_LoS) * eta_NLoS rises strictly
+    with d at fixed height. received = P_tx + array gain - PL needs
+    ``transmit_power_w`` and ``array``; harvested = received +
+    10*log10(efficiency) needs ``circuit``; rate = B*log2(1 + SNR) needs
+    ``bandwidth_hz``, with the node sending at its harvested power over the
+    same path loss and array gain (energy neutral, reciprocal channel).
     """
-    theta = geom.elevation_angle_deg
-    return 1.0 / (1.0 + env.los_a * math.exp(-env.los_b * (theta - env.los_a)))
+    height, slant = np.asarray(height_m, dtype=float), np.asarray(slant_m, dtype=float)
+    bad = (height < 0) | (slant < height) | (slant == 0)
+    if bad.any():
+        heights, slants = np.broadcast_arrays(height, slant)
+        LinkGeometry(float(heights[bad][0]), float(slants[bad][0]))  # raises unless zero slant
+        raise GeometryError("zero slant distance: path loss is singular")
+    theta = np.degrees(np.arcsin(height / slant))
+    p_los = 1.0 / (1.0 + env.los_a * np.exp(-env.los_b * (theta - env.los_a)))
+    fspl = free_space_path_loss_db(slant, env.carrier_frequency_hz)
+    path_loss = fspl + p_los * env.excess_loss_los_db + (1.0 - p_los) * env.excess_loss_nlos_db
+    received = harvested = rate = None
+    if transmit_power_w is not None and array is not None:
+        gain = array_gain_db(array)
+        received = watts_to_dbm(transmit_power_w) + gain - path_loss
+        if circuit is not None:
+            harvested = received + 10.0 * math.log10(circuit.conversion_efficiency)
+            if bandwidth_hz is not None:
+                noise_dbm = noise_power_dbm(bandwidth_hz, noise_figure_db)
+                snr_db = harvested + gain - path_loss - noise_dbm
+                # np.power, not **: a 0-d input must take the array loop, not scalar pow.
+                rate = shannon_rate_bps(bandwidth_hz, np.power(10.0, snr_db / 10.0))
+    return LinkBudget(p_los, path_loss, received, harvested, rate)
 
 
-def free_space_path_loss_db(distance_m: float, frequency_hz: float) -> float:
-    """FSPL(dB) = 20*log10(4*pi*d*f/c)."""
-    if distance_m <= 0:
-        raise GeometryError(f"distance must be positive, got {distance_m} m")
-    return 20.0 * math.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
+def free_space_path_loss_db(distance_m, frequency_hz: float):
+    """FSPL(dB) = 20*log10(4*pi*d*f/c), elementwise over an array of distances."""
+    if np.less_equal(distance_m, 0).any():
+        raise GeometryError(f"distance must be positive, got {np.min(distance_m)} m")
+    return 20.0 * np.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
+
+
+def los_probability(env: RadioEnvironment, geom: LinkGeometry) -> float:
+    """Line-of-sight probability at the link's elevation angle."""
+    return float(link_budget(env, geom.uav_height_m, geom.slant_distance_m).los_probability)
 
 
 def expected_path_loss_db(env: RadioEnvironment, geom: LinkGeometry) -> float:
-    """Expected path loss: FSPL plus the probability-blended excess loss.
-
-    PL = FSPL(d, f) + P_LoS * eta_LoS + (1 - P_LoS) * eta_NLoS
-
-    Strictly increasing in slant distance at fixed hover height, since
-    FSPL grows and the LoS probability falls with d.
-    """
-    if geom.slant_distance_m == 0:
-        raise GeometryError("zero slant distance: path loss is singular")
-    p_los = los_probability(env, geom)
-    fspl = free_space_path_loss_db(geom.slant_distance_m, env.carrier_frequency_hz)
-    return fspl + p_los * env.excess_loss_los_db + (1.0 - p_los) * env.excess_loss_nlos_db
+    """Expected path loss: FSPL plus the probability-blended excess loss."""
+    return float(link_budget(env, geom.uav_height_m, geom.slant_distance_m).path_loss_db)
 
 
 def received_power_dbm(
-    transmit_power_w: float,
-    array: AntennaArray,
-    env: RadioEnvironment,
-    geom: LinkGeometry,
+    transmit_power_w: float, array: AntennaArray, env: RadioEnvironment, geom: LinkGeometry
 ) -> float:
     """RF power arriving at the node input: P_tx + array gain - path loss."""
-    return watts_to_dbm(transmit_power_w) + array_gain_db(array) - expected_path_loss_db(env, geom)
+    budget = link_budget(env, geom.uav_height_m, geom.slant_distance_m, transmit_power_w, array)
+    return float(budget.received_dbm)
 
 
 def harvested_power_dbm(
-    transmit_power_w: float,
-    array: AntennaArray,
-    circuit: EhCircuit,
-    env: RadioEnvironment,
+    transmit_power_w: float, array: AntennaArray, circuit: EhCircuit, env: RadioEnvironment,
     geom: LinkGeometry,
 ) -> float:
     """DC power after RF-to-DC conversion: received + 10*log10(efficiency)."""
-    received = received_power_dbm(transmit_power_w, array, env, geom)
-    return received + 10.0 * math.log10(circuit.conversion_efficiency)
+    return float(link_budget(
+        env, geom.uav_height_m, geom.slant_distance_m, transmit_power_w, array, circuit
+    ).harvested_dbm)
 
 
 def achievable_eh_distance_m(
@@ -316,15 +353,11 @@ def achievable_eh_distance_m(
     height. Returns None when the threshold is already missed at the
     closest approach (directly overhead).
     """
-    if uav_height_m < 0:
-        raise GeometryError("hover height must be >= 0")
     if threshold_dbm is None:
         threshold_dbm = circuit.input_threshold_dbm
 
     def harvested(d: float) -> float:
-        return harvested_power_dbm(
-            transmit_power_w, array, circuit, env, LinkGeometry(uav_height_m, d)
-        )
+        return link_budget(env, uav_height_m, d, transmit_power_w, array, circuit).harvested_dbm
 
     lo = max(uav_height_m, 1e-3)
     if harvested(lo) < threshold_dbm:
@@ -350,31 +383,21 @@ def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 9.0) -> float:
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
-def shannon_rate_bps(bandwidth_hz: float, snr_linear: float) -> float:
-    """Shannon capacity B*log2(1 + SNR)."""
+def shannon_rate_bps(bandwidth_hz: float, snr_linear):
+    """Shannon capacity B*log2(1 + SNR), elementwise over an array of SNRs."""
     if bandwidth_hz <= 0:
         raise ConfigurationError(f"bandwidth must be positive, got {bandwidth_hz}")
-    if snr_linear < 0:
+    if np.less(snr_linear, 0).any():
         raise ConfigurationError("SNR must be >= 0")
-    return bandwidth_hz * math.log2(1.0 + snr_linear)
+    return bandwidth_hz * np.log2(1.0 + snr_linear)
 
 
 def achievable_data_rate_bps(
-    geom: LinkGeometry,
-    env: RadioEnvironment,
-    array: AntennaArray,
-    circuit: EhCircuit,
-    bandwidth_hz: float,
-    noise_figure_db: float,
-    wpt_power_w: float = 10.0,
+    geom: LinkGeometry, env: RadioEnvironment, array: AntennaArray, circuit: EhCircuit,
+    bandwidth_hz: float, noise_figure_db: float, wpt_power_w: float = 10.0,
 ) -> float:
-    """Uplink rate when the node transmits at its harvested power.
-
-    The node's transmit power equals the power it harvests from the
-    downlink (energy-neutral operation); the uplink reuses the same
-    expected path loss and array gain by reciprocity.
-    """
-    node_tx_dbm = harvested_power_dbm(wpt_power_w, array, circuit, env, geom)
-    uplink_rx_dbm = node_tx_dbm + array_gain_db(array) - expected_path_loss_db(env, geom)
-    snr_db = uplink_rx_dbm - noise_power_dbm(bandwidth_hz, noise_figure_db)
-    return shannon_rate_bps(bandwidth_hz, 10.0 ** (snr_db / 10.0))
+    """Uplink rate when the node transmits at its harvested power."""
+    return float(link_budget(
+        env, geom.uav_height_m, geom.slant_distance_m, wpt_power_w, array, circuit,
+        bandwidth_hz, noise_figure_db,
+    ).rate_bps)

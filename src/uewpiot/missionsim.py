@@ -176,19 +176,13 @@ def tdma_schedule(tx_times: dict[int, float]) -> tuple[TdmaSlot, ...]:
 
 def _node_service(scenario: MissionScenario, uav_xy, index: int) -> NodeService:
     geom = scenario.node_geometry(uav_xy, index)
-    harvested_dbm = lb.harvested_power_dbm(
-        scenario.wpt_power_w, scenario.array, scenario.circuit, scenario.env, geom
+    budget = lb.link_budget(
+        scenario.env, geom.uav_height_m, geom.slant_distance_m, scenario.wpt_power_w,
+        scenario.array, scenario.circuit, scenario.bandwidth_hz, scenario.noise_figure_db,
     )
+    harvested_dbm = float(budget.harvested_dbm)
     harvested_w = lb.dbm_to_watts(harvested_dbm)
-    rate = lb.achievable_data_rate_bps(
-        geom,
-        scenario.env,
-        scenario.array,
-        scenario.circuit,
-        scenario.bandwidth_hz,
-        scenario.noise_figure_db,
-        wpt_power_w=scenario.wpt_power_w,
-    )
+    rate = float(budget.rate_bps)
     tx_power_w = harvested_w  # energy-neutral node
     tx_time, energy = required_tx(scenario.payload_bits, rate, tx_power_w)
     return NodeService(

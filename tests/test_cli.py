@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from uewpiot import cli, linkbudget
+from uewpiot import cli, linkbudget, planner
 from uewpiot.errors import ConfigurationError
 
 
@@ -244,6 +244,8 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("array.elements = abc", "array.elements"),
         ("sweep.distance_start_m = 0", "sweep.distance_start_m"),
         ("sweep.distance_start_m = -2", "sweep.distance_start_m"),
+        ("sweep.distance_stop_m = 0.5", "sweep.distance_stop_m"),
+        ("sweep.distance_stop_m = 1e308\nsweep.distance_step_m = 1e-300", "sweep.distance_step_m"),
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
@@ -273,3 +275,45 @@ def test_simulate_resolves_eh_distance_once(tmp_path, monkeypatch):
     config = write_config(tmp_path, "plan.mc_seeds = 1\n")
     assert cli.main(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 0
     assert len(calls) == 1
+
+
+def test_sweep_grid_point_cap():
+    step = 0.5
+    at_cap = cli.RunConfig(sweep_distance_stop_m=1.0 + (cli.MAX_SWEEP_POINTS - 1) * step,
+                           sweep_distance_step_m=step)
+    assert len(cli._sweep_distances(at_cap)) == cli.MAX_SWEEP_POINTS
+    over = cli.RunConfig(sweep_distance_stop_m=1.0 + cli.MAX_SWEEP_POINTS * step,
+                         sweep_distance_step_m=step)
+    with pytest.raises(ConfigurationError, match="sweep.distance_step_m"):
+        cli._sweep_distances(over)
+
+
+@pytest.mark.parametrize(
+    ("line", "command"),
+    [
+        ("sweep.frequencies_hz = 4e8,5.8e9", "sweep-eh"),  # second band has no threshold
+        ("sweep.elements = 16,0", "sweep-eh"),
+        ("link.bandwidth_hz = 0", "sweep-rate"),
+    ],
+)
+def test_sweep_error_leaves_no_file(tmp_path, line, command):
+    # Sweeps stream series by series; a failing series must not leave a partial CSV.
+    config = write_config(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out), command]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_plan_compares_strategies_once_per_mc_seed(tmp_path, monkeypatch):
+    # The Monte-Carlo summary reuses the comparison made on field.seed.
+    calls = []
+    compare = planner.compare_strategies
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compare(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "compare_strategies", counted)
+    config = write_config(tmp_path, "plan.mc_seeds = 3\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), "plan"]) == 0
+    assert len(calls) == 3

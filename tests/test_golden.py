@@ -1,6 +1,6 @@
 """Golden-output regression: ``reproduce`` at the default config emits
 exactly the reference bytes, also when it is run again in the same process
-over its own earlier outputs."""
+over its own earlier outputs; so do both sweeps at design scale."""
 import hashlib
 
 import pytest
@@ -25,3 +25,28 @@ def test_reproduce_matches_golden_hashes(tmp_path, runs):
         for name in GOLDEN_SHA256_PREFIXES
     }
     assert prefixes == GOLDEN_SHA256_PREFIXES
+
+
+# Three bands x elements 1..64 x a 0.1 m grid: 94,272 rows per sweep file.
+DESIGN_CONFIG = (
+    "sweep.frequencies_hz = 4e8,9e8,2.4e9\n"
+    f"sweep.elements = {','.join(str(n) for n in range(1, 65))}\n"
+    "sweep.distance_step_m = 0.1\n"
+)
+DESIGN_SHA256_PREFIXES = {
+    "eh_sweep.csv": "a0e113bae6da67f6",
+    "rate_sweep.csv": "009b2ea503738b53",
+}
+
+
+def test_design_sweeps_match_golden_hashes(tmp_path):
+    # Exact bytes: a last-digit drift that a relative tolerance would pass fails here.
+    config = tmp_path / "design.cfg"
+    config.write_text(DESIGN_CONFIG, encoding="utf-8")
+    for command in ("sweep-eh", "sweep-rate"):
+        assert cli.main(["--config", str(config), "--out", str(tmp_path), command]) == 0
+    prefixes = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+        for name in DESIGN_SHA256_PREFIXES
+    }
+    assert prefixes == DESIGN_SHA256_PREFIXES

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uewpiot import (
     AntennaArray,
@@ -22,6 +24,7 @@ from uewpiot import (
     expected_path_loss_db,
     free_space_path_loss_db,
     harvested_power_dbm,
+    link_budget,
     los_probability,
     noise_power_dbm,
     received_power_dbm,
@@ -380,3 +383,78 @@ def test_rate_monotonicities():
     assert all(b > a for a, b in zip(rates_n, rates_n[1:]))
     rates_b = [rate(bw=bw) for bw in (1e6, 5e6, 15e6, 40e6)]
     assert all(b > a for a, b in zip(rates_b, rates_b[1:]))
+
+
+# --- array kernel -----------------------------------------------------------------
+
+BANDS_HZ = st.sampled_from([400e6, 900e6, 2.4e9])
+ELEMENTS = st.integers(min_value=1, max_value=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    band=BANDS_HZ,
+    n=ELEMENTS,
+    eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    power_w=st.floats(min_value=0.1, max_value=50.0),
+    points=st.lists(
+        st.tuples(st.floats(min_value=0.01, max_value=100.0),
+                  st.floats(min_value=0.0, max_value=200.0)),
+        min_size=1, max_size=40,
+    ),
+)
+def test_kernel_equals_scalar_wrappers(band, n, eta, power_w, points):
+    # Every element of one array call equals the scalar wrapper for that link.
+    env = RadioEnvironment.calibrated(band)
+    array = AntennaArray.with_elements(n)
+    circuit = EhCircuit(band, -20.0, conversion_efficiency=eta)
+    heights = np.array([h for h, _ in points])
+    slants = heights + np.array([extra for _, extra in points])
+    budget = link_budget(env, heights, slants, power_w, array, circuit, 15e6, 5.0)
+    for i, (h, d) in enumerate(zip(heights.tolist(), slants.tolist())):
+        geom = LinkGeometry(h, d)
+        assert budget.los_probability[i] == los_probability(env, geom)
+        assert budget.path_loss_db[i] == expected_path_loss_db(env, geom)
+        assert budget.received_dbm[i] == received_power_dbm(power_w, array, env, geom)
+        assert budget.harvested_dbm[i] == harvested_power_dbm(power_w, array, circuit, env, geom)
+        assert budget.rate_bps[i] == achievable_data_rate_bps(
+            geom, env, array, circuit, 15e6, 5.0, wpt_power_w=power_w
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    band=BANDS_HZ,
+    n=ELEMENTS,
+    eta=st.floats(min_value=0.05, max_value=1.0),
+    height=st.floats(min_value=0.0, max_value=50.0),
+    gaps=st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=2, max_size=30),
+)
+def test_kernel_monotone_in_slant(band, n, eta, height, gaps):
+    # At a fixed height, a longer slant range loses more and delivers less.
+    env = RadioEnvironment.calibrated(band)
+    circuit = EhCircuit(band, -20.0, conversion_efficiency=eta)
+    slants = height + np.cumsum(gaps)
+    budget = link_budget(env, height, slants, 10.0, AntennaArray.with_elements(n), circuit,
+                         15e6, 5.0)
+    assert np.all(np.diff(budget.path_loss_db) > 0)
+    assert np.all(np.diff(budget.harvested_dbm) < 0)
+    assert np.all(np.diff(budget.rate_bps) < 0)
+
+
+def test_kernel_stages_follow_inputs():
+    budget = link_budget(CALIBRATED_400, 10.0, [10.0, 20.0])
+    assert budget.received_dbm is budget.harvested_dbm is budget.rate_bps is None
+    budget = link_budget(CALIBRATED_400, 10.0, [10.0, 20.0], 10.0, ARRAY_32, CIRCUIT_400)
+    assert budget.harvested_dbm.shape == (2,) and budget.rate_bps is None
+
+
+def test_kernel_rejects_bad_geometry_and_bandwidth():
+    with pytest.raises(GeometryError, match="zero slant"):
+        link_budget(SUBURBAN_400, [10.0, 0.0], [12.0, 0.0])
+    with pytest.raises(GeometryError, match="slant distance 9.0 m is below hover height 10.0 m"):
+        link_budget(SUBURBAN_400, 10.0, [12.0, 9.0])
+    with pytest.raises(GeometryError, match="hover height"):
+        link_budget(SUBURBAN_400, [-1.0], [5.0])
+    with pytest.raises(ConfigurationError, match="bandwidth"):
+        link_budget(SUBURBAN_400, 10.0, [12.0], 10.0, ARRAY_32, CIRCUIT_400, 0.0, 5.0)

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from uewpiot import linkbudget
 from uewpiot import (
     AntennaArray,
     ConfigurationError,
@@ -253,6 +254,21 @@ def test_optimizer_feasibility_monotone_in_latency_cap():
         relaxed = make_scenario(positions, latency_cap_s=cap)
         widened = optimize_powering(relaxed, uav_xy, {0, 1, 2})
         assert widened.tau_s == pytest.approx(solution.tau_s, rel=1e-12)
+
+
+def test_optimizer_evaluates_link_budget_once_per_node(monkeypatch):
+    calls = []
+    kernel = linkbudget.link_budget
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(linkbudget, "link_budget", counted)
+    scenario = make_scenario([[50.0, 50.0], [55.0, 50.0], [58.0, 53.0], [47.0, 46.0]])
+    solution = optimize_powering(scenario, scenario.field.positions[0], {0, 1, 2, 3})
+    assert len(solution.services) == 4
+    assert len(calls) == 4
 
 
 def test_optimizer_rejects_empty_group():
