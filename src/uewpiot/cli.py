@@ -132,7 +132,7 @@ def _format_value(value) -> str:
 
 
 def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Load a config file (optional) and apply CLI overrides."""
+    """Load a config file (optional), apply CLI overrides, and check the field."""
     config = RunConfig()
     known = {f.name for f in fields(RunConfig)}
     if path is not None:
@@ -155,7 +155,33 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
                 raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
     for attr, value in (overrides or {}).items():
         setattr(config, attr, value)
+    _check_field(config)
     return config
+
+
+def _check_field(config: RunConfig) -> None:
+    """Reject field.* values that cannot make a node field, naming the key."""
+    for attr in ("field_width_m", "field_height_m"):
+        value = getattr(config, attr)
+        if not value > 0:
+            raise ConfigurationError(f"{_attr_to_key(attr)} must be > 0, got {value:g}")
+    if config.field_count < 0:
+        raise ConfigurationError(
+            f"field.count must be >= 0 (0: use field.density), got {config.field_count}"
+        )
+    if config.field_seed < 0:
+        raise ConfigurationError(f"field.seed must be >= 0, got {config.field_seed}")
+    if config.field_count == 0:
+        if not config.field_density > 0:
+            raise ConfigurationError(
+                f"field.density must be > 0 when field.count is 0, got {config.field_density:g}"
+            )
+        width, height = config.field_width_m, config.field_height_m
+        if planner.density_node_count(width, height, config.field_density) < 1:
+            raise ConfigurationError(
+                f"field.density = {config.field_density:g} gives no nodes on a {width:g} m x "
+                f"{height:g} m field; raise it or set field.count"
+            )
 
 
 def default_lines() -> list[str]:

@@ -67,6 +67,10 @@ class MissionScenario:
         ground = math.hypot(node[0] - uav_xy[0], node[1] - uav_xy[1])
         return lb.LinkGeometry.from_ground(self.height_m, ground)
 
+    def slants_m(self, uav_xy, node_indices) -> list[float]:
+        """Slant ranges from the hover point above ``uav_xy`` to each node."""
+        return [self.node_geometry(uav_xy, i).slant_distance_m for i in node_indices]
+
 
 @dataclass(frozen=True)
 class TdmaSlot:
@@ -123,14 +127,13 @@ def wake_up(scenario: MissionScenario, uav_xy, group: planner.WpcGroup) -> froze
     The wake-up radio is omnidirectional (no array gain); activation uses
     a >= comparison, so a node exactly at the threshold wakes.
     """
-    activated = set()
-    wur_tx_dbm = lb.watts_to_dbm(scenario.wur_power_w)
-    for index in sorted(group.member_indices):
-        geom = scenario.node_geometry(uav_xy, index)
-        received = wur_tx_dbm - lb.expected_path_loss_db(scenario.env, geom)
-        if received >= scenario.wur_wake_threshold_dbm:
-            activated.add(index)
-    return frozenset(activated)
+    members = sorted(group.member_indices)
+    budget = lb.link_budget(scenario.env, scenario.height_m, scenario.slants_m(uav_xy, members))
+    received = lb.watts_to_dbm(scenario.wur_power_w) - budget.path_loss_db
+    return frozenset(
+        index for index, dbm in zip(members, received.tolist())
+        if dbm >= scenario.wur_wake_threshold_dbm
+    )
 
 
 def powering_phase(
@@ -174,27 +177,31 @@ def tdma_schedule(tx_times: dict[int, float]) -> tuple[TdmaSlot, ...]:
     return tuple(slots)
 
 
-def _node_service(scenario: MissionScenario, uav_xy, index: int) -> NodeService:
-    geom = scenario.node_geometry(uav_xy, index)
+def _node_services(scenario: MissionScenario, uav_xy, members) -> tuple[NodeService, ...]:
+    """Link-budget snapshots of ``members``, from one kernel call over all of them."""
+    slants = scenario.slants_m(uav_xy, members)
     budget = lb.link_budget(
-        scenario.env, geom.uav_height_m, geom.slant_distance_m, scenario.wpt_power_w,
-        scenario.array, scenario.circuit, scenario.bandwidth_hz, scenario.noise_figure_db,
+        scenario.env, scenario.height_m, slants, scenario.wpt_power_w, scenario.array,
+        scenario.circuit, scenario.bandwidth_hz, scenario.noise_figure_db,
     )
-    harvested_dbm = float(budget.harvested_dbm)
-    harvested_w = lb.dbm_to_watts(harvested_dbm)
-    rate = float(budget.rate_bps)
-    tx_power_w = harvested_w  # energy-neutral node
-    tx_time, energy = required_tx(scenario.payload_bits, rate, tx_power_w)
-    return NodeService(
-        node_index=index,
-        slant_m=geom.slant_distance_m,
-        harvested_power_dbm=harvested_dbm,
-        harvested_power_w=harvested_w,
-        rate_bps=rate,
-        tx_power_w=tx_power_w,
-        tx_time_s=tx_time,
-        required_energy_j=energy,
-    )
+    services = []
+    for index, slant, harvested_dbm, rate in zip(
+        members, slants, budget.harvested_dbm.tolist(), budget.rate_bps.tolist()
+    ):
+        harvested_w = lb.dbm_to_watts(harvested_dbm)
+        tx_power_w = harvested_w  # energy-neutral node
+        tx_time, energy = required_tx(scenario.payload_bits, rate, tx_power_w)
+        services.append(NodeService(
+            node_index=index,
+            slant_m=slant,
+            harvested_power_dbm=harvested_dbm,
+            harvested_power_w=harvested_w,
+            rate_bps=rate,
+            tx_power_w=tx_power_w,
+            tx_time_s=tx_time,
+            required_energy_j=energy,
+        ))
+    return tuple(services)
 
 
 def powering_cost(scenario: MissionScenario, tau_s: float, data_s: float) -> float:
@@ -222,7 +229,7 @@ def optimize_powering(
     members = sorted(activated)
     if not members:
         raise ConfigurationError("cannot optimize powering for an empty group")
-    services = tuple(_node_service(scenario, uav_xy, i) for i in members)
+    services = _node_services(scenario, uav_xy, members)
 
     tau = 0.0
     binding = members[0]

@@ -3,9 +3,12 @@
 A UAV hovering at height H with powering range d_EH covers a ground disk of
 radius R = sqrt(d_EH^2 - H^2). Greedy maximum coverage (gains updated
 incrementally) puts the nodes into node-anchored disks, and the UAV flies a
-closed tour over the anchors: nearest-neighbor plus first-improvement 2-opt
-that prices all moves from one edge in one numpy scan, or exact dynamic
-programming for up to 12 points.
+closed tour over the anchors: nearest-neighbor plus first-improvement 2-opt,
+or exact dynamic programming for up to 12 points. The 2-opt search prices a
+block of candidate moves in one numpy call and makes the first improving
+one in lexicographic order. Tour positions change only when a move is
+made, so that is the move a loop trying one candidate at a time would make
+next, with bit-identical deltas, and the tours are the same.
 """
 from __future__ import annotations
 
@@ -21,6 +24,10 @@ MEMBERSHIP_SLACK_M = 1e-9
 
 EXACT_SOLVER_MAX_POINTS = 12
 TWO_OPT_MAX_PASSES = 10_000
+# Elements (rows x columns) priced by one 2-opt scan: the floor lets a small
+# tour search its whole remaining triangle at once, the cap bounds memory.
+TWO_OPT_BLOCK_MIN = 2_048
+TWO_OPT_BLOCK_MAX = 1 << 16
 
 
 def coverage_radius_m(uav_height_m: float, eh_distance_m: float) -> float:
@@ -62,6 +69,11 @@ class NodeField:
         return len(self.positions)
 
 
+def density_node_count(width_m: float, height_m: float, density_per_cell: float) -> int:
+    """Nodes on a width x height field at ``density_per_cell`` per 10 m x 10 m cell."""
+    return round(density_per_cell * width_m * height_m / 100.0)
+
+
 def generate_nodes(
     width_m: float,
     height_m: float,
@@ -80,7 +92,7 @@ def generate_nodes(
     if count is None:
         if density_per_cell <= 0:
             raise ConfigurationError("node density must be positive")
-        count = round(density_per_cell * width_m * height_m / 100.0)
+        count = density_node_count(width_m, height_m, density_per_cell)
     if count < 1:
         raise ConfigurationError(f"field would contain {count} nodes; need at least 1")
     rng = np.random.default_rng(seed)
@@ -172,42 +184,68 @@ def tour_length_m(plan: TourPlan) -> float:
 
 def _nearest_neighbor_order(points: np.ndarray) -> list[int]:
     n = len(points)
+    x, y = points[:, 0], points[:, 1]
+    visited = np.zeros(n, dtype=bool)
+    visited[0] = True
     order = [0]
-    remaining = list(range(1, n))
-    while remaining:
-        current = points[order[-1]]
-        dists = np.linalg.norm(points[remaining] - current, axis=1)
+    for _ in range(n - 1):
+        dx, dy = x - x[order[-1]], y - y[order[-1]]
+        dists = np.sqrt(dx * dx + dy * dy)
+        dists[visited] = np.inf
         pick = int(np.argmin(dists))  # lowest index wins ties
-        order.append(remaining.pop(pick))
+        visited[pick] = True
+        order.append(pick)
     return order
 
 
 def _two_opt(points: np.ndarray, order: list[int]) -> list[int]:
-    """First-improvement 2-opt on a closed tour; position 0 stays fixed."""
+    """First-improvement 2-opt on a closed tour; position 0 stays fixed.
+
+    Move (i, j) reverses positions i..j; moves are tried in lexicographic
+    order and the first with delta < -1e-12 is made. No position changes
+    between two moves, so all moves from (i, j0) up to the next one can be
+    priced at once: each scan takes a block of rows i.. against every
+    column j, and its first hit in row-major order is that next move. The
+    block grows after each scan without a hit and shrinks back after a
+    move, between TWO_OPT_BLOCK_MIN and TWO_OPT_BLOCK_MAX elements.
+    """
     n = len(order)
     if n < 4:
         return list(order)
     order = np.array(order)
     P = points[np.append(order, order[0])]  # row n closes the tour at the fixed start
     x, y = P[:, 0], P[:, 1]  # column views: they follow the reversals of P below
+    index = np.arange(n)
     for _ in range(TWO_OPT_MAX_PASSES):
         improved = False
-        for i in range(1, n - 1):
-            # Reversing i..j leaves later positions alone, so each rescan resumes at j + 1.
-            j0 = i + 1
-            while j0 < n:
-                # Edges (a, b) = (i-1, i) and (c, d) = (j, j+1), for every j >= j0 at once.
-                ax, ay, bx, by = x[i - 1], y[i - 1], x[i], y[i]
-                cx, cy, dx, dy = x[j0:n], y[j0:n], x[j0 + 1 :], y[j0 + 1 :]
-                delta = (np.hypot(cx - ax, cy - ay) + np.hypot(dx - bx, dy - by)
-                         - np.hypot(bx - ax, by - ay) - np.hypot(dx - cx, dy - cy))
-                improving = np.nonzero(delta < -1e-12)[0]  # the first one is taken
-                if not improving.size:
-                    break
-                j0 += int(improving[0]) + 1  # one past the reversed block i..j
-                P[i:j0] = P[i:j0][::-1]
-                order[i:j0] = order[i:j0][::-1]
-                improved = True
+        i, j0, size = 1, 2, TWO_OPT_BLOCK_MIN
+        while i < n - 1:
+            rows = min(max(size // (n - i), 1), n - 1 - i)
+            lo = j0 if rows == 1 else i + 1  # first column
+            width = n - lo
+            # Edges (a, b) = (row-1, row) and (c, d) = (j, j+1). |c - a| and |d - b|
+            # are one table of tour points i-1.. against lo.., shifted by a row and
+            # a column; seg[k] is the edge from point i-1+k to i+k.
+            ax, ay = x[i - 1 : i + rows, None], y[i - 1 : i + rows, None]
+            table = np.hypot(x[lo:] - ax, y[lo:] - ay)
+            seg = np.hypot(x[i:] - x[i - 1 : -1], y[i:] - y[i - 1 : -1])
+            delta = table[:-1, :-1] + table[1:, 1:] - seg[:rows, None] - seg[lo - i + 1 :]
+            hit = delta < -1e-12
+            if rows > 1:
+                hit &= index[:width] >= index[:rows, None]  # j > row
+                hit[0, : j0 - lo] = False  # j >= j0 on the first row
+            first = int(hit.argmax())
+            if not hit.flat[first]:
+                i, j0, size = i + rows, i + rows + 1, min(2 * size, TWO_OPT_BLOCK_MAX)
+                continue
+            row, j = i + first // width, lo + first % width
+            P[row : j + 1] = P[row : j + 1][::-1]
+            order[row : j + 1] = order[row : j + 1][::-1]
+            improved = True
+            # Reversing row..j leaves later positions alone, so the search resumes at j + 1.
+            i, j0, size = row, j + 1, TWO_OPT_BLOCK_MIN
+            if j0 == n:
+                i, j0 = row + 1, row + 2
         if not improved:
             break
     return order.tolist()

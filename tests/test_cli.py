@@ -215,6 +215,13 @@ def test_main_seed_override(tmp_path):
     assert (a / "tour.csv").read_bytes() != (b / "tour.csv").read_bytes()
 
 
+def test_main_negative_seed_flag_exit_2(tmp_path, capsys):
+    # --seed overrides field.seed; numpy's generator rejects a negative seed.
+    assert cli.main(["--seed", "-1", "--out", str(tmp_path), "plan"]) == 2
+    assert "field.seed" in capsys.readouterr().err
+    assert not (tmp_path / "tour.csv").exists()
+
+
 @pytest.mark.parametrize("step", ["0", "-1", "nan"])
 def test_main_nonpositive_distance_step_exit_2(tmp_path, capsys, step):
     config = write_config(tmp_path, f"sweep.distance_step_m = {step}\n")
@@ -246,6 +253,12 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("sweep.distance_start_m = -2", "sweep.distance_start_m"),
         ("sweep.distance_stop_m = 0.5", "sweep.distance_stop_m"),
         ("sweep.distance_stop_m = 1e308\nsweep.distance_step_m = 1e-300", "sweep.distance_step_m"),
+        ("field.count = -5", "field.count"),
+        ("field.width_m = -5", "field.width_m"),
+        ("field.height_m = 0", "field.height_m"),
+        ("field.density = 0", "field.density"),
+        ("field.density = 0.001", "field.density"),  # 0.1 nodes on 100 m x 100 m rounds to 0
+        ("field.seed = -2", "field.seed"),
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):

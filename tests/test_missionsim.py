@@ -256,7 +256,7 @@ def test_optimizer_feasibility_monotone_in_latency_cap():
         assert widened.tau_s == pytest.approx(solution.tau_s, rel=1e-12)
 
 
-def test_optimizer_evaluates_link_budget_once_per_node(monkeypatch):
+def count_link_budget_calls(monkeypatch):
     calls = []
     kernel = linkbudget.link_budget
 
@@ -265,10 +265,27 @@ def test_optimizer_evaluates_link_budget_once_per_node(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(linkbudget, "link_budget", counted)
-    scenario = make_scenario([[50.0, 50.0], [55.0, 50.0], [58.0, 53.0], [47.0, 46.0]])
+    return calls
+
+
+FOUR_NODES = [[50.0, 50.0], [55.0, 50.0], [58.0, 53.0], [47.0, 46.0]]
+
+
+def test_optimizer_evaluates_link_budget_once_per_node(monkeypatch):
+    # One kernel call prices every node of the group.
+    calls = count_link_budget_calls(monkeypatch)
+    scenario = make_scenario(FOUR_NODES)
     solution = optimize_powering(scenario, scenario.field.positions[0], {0, 1, 2, 3})
     assert len(solution.services) == 4
-    assert len(calls) == 4
+    assert len(calls) == 1
+
+
+def test_wake_up_evaluates_link_budget_once(monkeypatch):
+    calls = count_link_budget_calls(monkeypatch)
+    scenario = make_scenario(FOUR_NODES)
+    group = WpcGroup(0, frozenset(range(4)))
+    assert wake_up(scenario, scenario.field.positions[0], group) == frozenset(range(4))
+    assert len(calls) == 1
 
 
 def test_optimizer_rejects_empty_group():

@@ -2,12 +2,16 @@
 
 Tour lengths are checked against an exhaustive-permutation oracle and
 grouping against a brute-force minimum disk cover, both implemented here
-independently of the planner. The vectorized 2-opt and the incremental
-greedy grouping are checked move for move and group for group against
-the straightforward scalar versions kept below as reference oracles.
+independently of the planner. The blocked 2-opt search and the
+incremental greedy grouping are checked move for move and group for
+group against the straightforward scalar versions kept below as
+reference oracles. The 2-opt and nearest-neighbour builds are also
+checked against their earlier numpy forms, a one-row scan and a
+list-based build, which share the planner's arithmetic bit for bit.
 """
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +97,54 @@ def reference_two_opt(points, order):
     return order
 
 
+def scan_two_opt(points, order):
+    """First-improvement 2-opt that prices every j for one i per numpy scan."""
+    n = len(order)
+    if n < 4:
+        return list(order)
+    order = np.array(order)
+    P = points[np.append(order, order[0])]
+    x, y = P[:, 0], P[:, 1]
+    for _ in range(planner.TWO_OPT_MAX_PASSES):
+        improved = False
+        for i in range(1, n - 1):
+            j0 = i + 1
+            while j0 < n:
+                ax, ay, bx, by = x[i - 1], y[i - 1], x[i], y[i]
+                cx, cy, dx, dy = x[j0:n], y[j0:n], x[j0 + 1 :], y[j0 + 1 :]
+                delta = (np.hypot(cx - ax, cy - ay) + np.hypot(dx - bx, dy - by)
+                         - np.hypot(bx - ax, by - ay) - np.hypot(dx - cx, dy - cy))
+                improving = np.nonzero(delta < -1e-12)[0]
+                if not improving.size:
+                    break
+                j0 += int(improving[0]) + 1
+                P[i:j0] = P[i:j0][::-1]
+                order[i:j0] = order[i:j0][::-1]
+                improved = True
+        if not improved:
+            break
+    return order.tolist()
+
+
+def reference_nearest_neighbor(points):
+    """Nearest-neighbour build over a shrinking list of remaining indices."""
+    order = [0]
+    remaining = list(range(1, len(points)))
+    while remaining:
+        dists = np.linalg.norm(points[remaining] - points[order[-1]], axis=1)
+        order.append(remaining.pop(int(np.argmin(dists))))
+    return order
+
+
+def assert_matches_scan(points, order=None):
+    """The block search makes the one-row scan's moves; NN matches the list build."""
+    start = planner._nearest_neighbor_order(points)
+    assert start == reference_nearest_neighbor(points)
+    start = start if order is None else list(order)
+    assert planner._two_opt(points, start) == scan_two_opt(points, start)
+    return start
+
+
 def reference_groups(points, radius):
     """Greedy max coverage that recounts every gain from scratch each round."""
     pts = np.asarray(points, dtype=float)
@@ -118,6 +170,7 @@ def assert_matches_references(field, radius):
     )
     for pts in (field.positions, field.positions[[g.traversal_index for g in groups]]):
         start = planner._nearest_neighbor_order(pts)
+        assert start == reference_nearest_neighbor(pts)
         expected = reference_two_opt(pts, start)
         assert planner._two_opt(pts, start) == expected
         assert plan_tour(pts).visit_order == tuple(expected)
@@ -268,6 +321,79 @@ def test_vectorized_planner_matches_references_on_lattice(spacing):
     assert_matches_references(NodeField(side, side, shuffled, seed=0), spacing)
     # Node 10 at (1, 1) is the first of the 49 interior nodes, which all tie on gain 5.
     assert form_wpc_groups(NodeField(side, side, grid, seed=0), spacing)[0].traversal_index == 10
+
+
+def test_block_search_matches_scan_across_capped_blocks():
+    # At n = 640 one pass prices ~2e5 moves, several blocks at the element cap.
+    n = 640
+    assert n * n // 2 > 3 * planner.TWO_OPT_BLOCK_MAX
+    side = 20.0 * math.sqrt(n)
+    assert_matches_scan(generate_nodes(side, side, 0.0, seed=5, count=n).positions)
+
+
+@pytest.mark.parametrize(
+    ("points", "expected"),
+    [
+        # A crossed square: the only improving move reverses positions 2..3.
+        ([[0, 0], [1, 0], [0, 1], [1, 1]], [0, 1, 3, 2]),
+        # Moves (2, 4), (3, 4), (2, 3): two of them end at the last position.
+        ([[3, 2], [3, 1], [1, 2], [1, 3], [0, 2]], [0, 1, 2, 4, 3]),
+    ],
+)
+def test_block_search_moves_ending_at_last_position(points, expected):
+    pts = np.array(points, dtype=float)
+    identity = list(range(len(pts)))
+    assert planner._two_opt(pts, identity) == expected
+    assert reference_two_opt(pts, identity) == expected
+    assert_matches_scan(pts, identity)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_block_search_matches_references_on_tiny_tours(n):
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+        order = [0, *(rng.permutation(n - 1) + 1).tolist()]
+        start = assert_matches_scan(pts, order)
+        assert planner._two_opt(pts, start) == reference_two_opt(pts, start)
+
+
+def degenerate_point_sets():
+    rng = np.random.default_rng(11)
+    line = np.linspace(0.0, 30.0, 31)
+    lattice = np.array([(x, y) for y in range(10) for x in range(10)], dtype=float)
+    yield pytest.param(np.repeat(rng.uniform(0.0, 50.0, size=(12, 2)), 3, axis=0), id="duplicates")
+    yield pytest.param(np.full((20, 2), 7.5), id="identical")
+    yield pytest.param(np.c_[line, 2.0 * line], id="collinear")
+    yield pytest.param(np.c_[rng.permutation(line), np.zeros(31)], id="collinear-shuffled")
+    # Spacing 0.1 is inexact in binary, so many zero-gain moves price at a
+    # few ulp either side of 0 and must stay above the -1e-12 threshold.
+    for spacing in (1.0, 0.1):
+        yield pytest.param(lattice * spacing, id=f"lattice-{spacing}")
+        shuffled = lattice[rng.permutation(100)] * spacing
+        yield pytest.param(shuffled, id=f"lattice-{spacing}-shuffled")
+
+
+@pytest.mark.parametrize("points", degenerate_point_sets())
+def test_block_search_matches_references_on_degenerate_points(points):
+    start = assert_matches_scan(points)
+    assert planner._two_opt(points, start) == reference_two_opt(points, start)
+
+
+def test_plan_tour_memory_stays_linear():
+    # 2,000 points in convex (circle) order: one 2-opt pass, no move. A dense
+    # n x n float64 table would be 32 MB; the block cap keeps far below that.
+    n = 2000
+    angles = 2.0 * math.pi * np.arange(n) / n
+    pts = np.c_[np.cos(angles), np.sin(angles)] * 100.0
+    tracemalloc.start()
+    try:
+        plan = plan_tour(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(plan.visit_order) == list(range(n))
+    assert peak < n * n * 8 / 4
 
 
 # --- tours -----------------------------------------------------------------------
