@@ -165,9 +165,10 @@ def _check_field(config: RunConfig) -> None:
         value = getattr(config, attr)
         if not value > 0:
             raise ConfigurationError(f"{_attr_to_key(attr)} must be > 0, got {value:g}")
-    if config.field_count < 0:
+    if not 0 <= config.field_count <= planner.MAX_FIELD_NODES:
         raise ConfigurationError(
-            f"field.count must be >= 0 (0: use field.density), got {config.field_count}"
+            f"field.count must be in 0..{planner.MAX_FIELD_NODES} (0: use field.density), "
+            f"got {config.field_count}"
         )
     if config.field_seed < 0:
         raise ConfigurationError(f"field.seed must be >= 0, got {config.field_seed}")
@@ -177,10 +178,19 @@ def _check_field(config: RunConfig) -> None:
                 f"field.density must be > 0 when field.count is 0, got {config.field_density:g}"
             )
         width, height = config.field_width_m, config.field_height_m
-        if planner.density_node_count(width, height, config.field_density) < 1:
+        try:
+            count = planner.density_node_count(width, height, config.field_density)
+        except OverflowError:  # density x area beyond the float range
+            count = math.inf
+        if count < 1:
             raise ConfigurationError(
                 f"field.density = {config.field_density:g} gives no nodes on a {width:g} m x "
                 f"{height:g} m field; raise it or set field.count"
+            )
+        if count > planner.MAX_FIELD_NODES:
+            raise ConfigurationError(
+                f"field.density = {config.field_density:g} gives {count} nodes on a {width:g} m x "
+                f"{height:g} m field, over the {planner.MAX_FIELD_NODES}-node limit"
             )
 
 
@@ -384,7 +394,8 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
     ]
 
     if with_report:
-        report = missionsim.simulate_mission(scenario)
+        # results[0] is the one-by-one baseline, results[1] the first height.
+        report = missionsim.simulate_mission(scenario, comparison.results[1])
         report_rows = []
         for node in report.nodes:
             x, y = node_field.positions[node.node_index]

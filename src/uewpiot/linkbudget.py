@@ -288,7 +288,7 @@ def link_budget(
         raise GeometryError("zero slant distance: path loss is singular")
     theta = np.degrees(np.arcsin(height / slant))
     p_los = 1.0 / (1.0 + env.los_a * np.exp(-env.los_b * (theta - env.los_a)))
-    fspl = free_space_path_loss_db(slant, env.carrier_frequency_hz)
+    fspl = _fspl_db(slant, env.carrier_frequency_hz)  # slant > 0, checked above
     path_loss = fspl + p_los * env.excess_loss_los_db + (1.0 - p_los) * env.excess_loss_nlos_db
     received = harvested = rate = None
     if transmit_power_w is not None and array is not None:
@@ -300,15 +300,20 @@ def link_budget(
                 noise_dbm = noise_power_dbm(bandwidth_hz, noise_figure_db)
                 snr_db = harvested + gain - path_loss - noise_dbm
                 # np.power, not **: a 0-d input must take the array loop, not scalar pow.
-                rate = shannon_rate_bps(bandwidth_hz, np.power(10.0, snr_db / 10.0))
+                # noise_power_dbm has checked the bandwidth, and 10**x is never negative.
+                rate = _shannon_bps(bandwidth_hz, np.power(10.0, snr_db / 10.0))
     return LinkBudget(p_los, path_loss, received, harvested, rate)
+
+
+def _fspl_db(distance_m, frequency_hz: float):
+    return 20.0 * np.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
 
 
 def free_space_path_loss_db(distance_m, frequency_hz: float):
     """FSPL(dB) = 20*log10(4*pi*d*f/c), elementwise over an array of distances."""
     if np.less_equal(distance_m, 0).any():
         raise GeometryError(f"distance must be positive, got {np.min(distance_m)} m")
-    return 20.0 * np.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
+    return _fspl_db(distance_m, frequency_hz)
 
 
 def los_probability(env: RadioEnvironment, geom: LinkGeometry) -> float:
@@ -389,6 +394,10 @@ def shannon_rate_bps(bandwidth_hz: float, snr_linear):
         raise ConfigurationError(f"bandwidth must be positive, got {bandwidth_hz}")
     if np.less(snr_linear, 0).any():
         raise ConfigurationError("SNR must be >= 0")
+    return _shannon_bps(bandwidth_hz, snr_linear)
+
+
+def _shannon_bps(bandwidth_hz: float, snr_linear):
     return bandwidth_hz * np.log2(1.0 + snr_linear)
 
 

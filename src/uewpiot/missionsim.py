@@ -354,19 +354,34 @@ def _group_outcome(
     )
 
 
-def simulate_mission(scenario: MissionScenario) -> MissionReport:
+def simulate_mission(
+    scenario: MissionScenario, planned: planner.StrategyResult | None = None
+) -> MissionReport:
     """Run the full wake/power/transmit mission over the scenario's field.
 
     Groups whose latency requirement cannot be met are skipped with a
     diagnostic (their wake attempt still costs time and energy) and their
     nodes deliver nothing; the mission continues. Deterministic given the
     scenario, including the field's seed.
+
+    ``planned``, a strategy already planned on this field (for instance by
+    ``planner.compare_strategies``), gives the groups and tour to fly; it
+    must be for the scenario's height and coverage radius. Without it the
+    mission forms the groups and plans a heuristic tour itself.
     """
     eh_distance = resolve_eh_distance_m(scenario)
     radius = planner.coverage_radius_m(scenario.height_m, eh_distance)
-    groups = planner.form_wpc_groups(scenario.field, radius)
-    traversal_points = scenario.field.positions[[g.traversal_index for g in groups]]
-    tour = planner.plan_tour(traversal_points, mode="heuristic")
+    if planned is None:
+        groups = planner.form_wpc_groups(scenario.field, radius)
+        traversal_points = scenario.field.positions[[g.traversal_index for g in groups]]
+        tour = planner.plan_tour(traversal_points, mode="heuristic")
+    elif (planned.height_m, planned.radius_m) != (scenario.height_m, radius):
+        raise ConfigurationError(
+            f"planned strategy {planned.name} does not match height {scenario.height_m} m "
+            f"and radius {radius} m"
+        )
+    else:
+        groups, tour = planned.groups, planned.plan
 
     visit_order = tour.visit_order
 

@@ -1,17 +1,20 @@
 """Coverage-aware UAV tour planning over a field of IoT nodes.
 
 A UAV hovering at height H with powering range d_EH covers a ground disk of
-radius R = sqrt(d_EH^2 - H^2). Greedy maximum coverage (gains updated
-incrementally) puts the nodes into node-anchored disks, and the UAV flies a
-closed tour over the anchors: nearest-neighbor plus first-improvement 2-opt,
-or exact dynamic programming for up to 12 points. The 2-opt search prices a
-block of candidate moves in one numpy call and makes the first improving
-one in lexicographic order. Tour positions change only when a move is
-made, so that is the move a loop trying one candidate at a time would make
-next, with bit-identical deltas, and the tours are the same.
+radius R = sqrt(d_EH^2 - H^2). Greedy maximum coverage puts the nodes into
+node-anchored disks: a grid hash finds the pairs within R as compressed
+sparse rows, in O(n + pairs) memory, and a lazy greedy heap picks each
+disk. The UAV flies a closed tour over the anchors: nearest-neighbor plus
+first-improvement 2-opt, or exact dynamic programming for up to 12
+points. The 2-opt search prices a block of candidate moves in one numpy
+call and makes the first improving one in lexicographic order. Tour
+positions change only when a move is made, so that is the move a loop
+trying one candidate at a time would make next, with bit-identical
+deltas, and the tours are the same.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +24,13 @@ from .errors import CapabilityError, ConfigurationError, InfeasibilityError
 
 # Nodes this close beyond the disk edge still count as covered.
 MEMBERSHIP_SLACK_M = 1e-9
+# Grid cells are this much (relative) wider than the coverage reach, and at
+# least this fraction of the field's extent; see form_wpc_groups.
+CELL_MARGIN = 2.0**-20
+
+# Largest node field the CLI accepts. Grouping and tours take linear memory,
+# tens of MB here; the tours' O(n^2) time is what makes such a field slow.
+MAX_FIELD_NODES = 100_000
 
 EXACT_SOLVER_MAX_POINTS = 12
 TWO_OPT_MAX_PASSES = 10_000
@@ -112,6 +122,38 @@ class WpcGroup:
             raise ConfigurationError("traversal point must belong to its own group")
 
 
+def _pairs_within(pts: np.ndarray, reach: float) -> tuple[list[int], list[int]]:
+    """CSR lists of every pair within ``reach``, each point with itself.
+
+    Row i, ``neighbours[start[i]:start[i + 1]]``, holds every j that passes
+    the dense test ``(d**2).sum(-1) <= reach**2``; only the 3 x 3 grid cells
+    around each point are priced. A key is ``column * (rows + 1) + row``,
+    so each neighbourhood column is one range of the sorted keys, and the
+    unused row ``rows`` keeps an edge range out of the next column.
+    """
+    n = len(pts)
+    origin = pts.min(axis=0)
+    extent = float((pts.max(axis=0) - origin).max())
+    cell = max(reach * (1.0 + CELL_MARGIN), extent * CELL_MARGIN)
+    cells = np.floor((pts - origin) / cell).astype(np.int64)
+    stride = int(cells[:, 1].max()) + 2
+    key = cells[:, 0] * stride + cells[:, 1]
+    by_key = np.argsort(key)
+    sorted_key = key[by_key]
+    centre = key[:, None] + np.array([-stride, 0, stride])  # the three columns
+    first = np.searchsorted(sorted_key, centre - 1, side="left").ravel()
+    counts = np.searchsorted(sorted_key, centre + 1, side="right").ravel() - first
+    rows = np.repeat(np.arange(n), counts.reshape(n, 3).sum(axis=1))
+    # Position k of range r is first[r] + (k - where range r starts in the output).
+    skip = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    cols = by_key[skip + np.arange(len(skip))]
+    d = pts[rows] - pts[cols]
+    keep = (d**2).sum(axis=-1) <= reach**2
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=start[1:])
+    return start.tolist(), cols[keep].tolist()
+
+
 def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
     """Greedy maximum-coverage grouping of the field's nodes.
 
@@ -119,23 +161,45 @@ def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
     the most still-uncovered nodes (ties broken by lowest node index),
     makes it a traversal point, and removes the covered nodes. The
     resulting groups partition the field.
+
+    The pairs within reach come from a fixed-radius grid hash (Bentley,
+    Stanat & Williams 1977), in O(n + pairs) memory. Cells are
+    ``CELL_MARGIN`` wider than the reach: at exactly the reach, rounding in
+    the floor division can put a pair within reach two cells apart. Cells
+    are also at least the field's extent times ``CELL_MARGIN``, which keeps
+    the cell index and its rounding error small. Picks follow Minoux's lazy
+    greedy (1978): gains only fall, so a heap entry (-gain, index) that is
+    still current when popped is the argmax, lowest index first. A pick
+    decrements gains only over the rows of the nodes it newly covers.
     """
-    if radius_m < 0:
+    if not radius_m >= 0:
         raise ConfigurationError("coverage radius must be >= 0")
     pts = node_field.positions
     n = len(pts)
-    diff = pts[:, None, :] - pts[None, :, :]
-    covered = (diff**2).sum(axis=-1) <= (radius_m + MEMBERSHIP_SLACK_M) ** 2
-
-    uncovered = np.ones(n, dtype=bool)
-    gains = covered.sum(axis=1)  # uncovered nodes in each disk, kept current below
+    if not n:
+        return []
+    start, neighbours = _pairs_within(pts, radius_m + MEMBERSHIP_SLACK_M)
+    gains = [start[i + 1] - start[i] for i in range(n)]  # uncovered nodes in each disk
+    heap = [(-gain, i) for i, gain in enumerate(gains)]
+    heapq.heapify(heap)
+    uncovered = [True] * n
+    left = n
     groups: list[WpcGroup] = []
-    while uncovered.any():
-        best = int(np.argmax(np.where(uncovered, gains, -1)))  # lowest index wins ties
-        members = np.flatnonzero(covered[best] & uncovered)
-        groups.append(WpcGroup(best, frozenset(int(i) for i in members)))
-        uncovered[members] = False
-        gains -= covered[:, members].sum(axis=1)
+    while left:
+        stored, best = heapq.heappop(heap)
+        if not uncovered[best]:
+            continue
+        if -stored != gains[best]:
+            heapq.heappush(heap, (-gains[best], best))
+            continue
+        members = [j for j in neighbours[start[best] : start[best + 1]] if uncovered[j]]
+        for j in members:
+            uncovered[j] = False
+        for j in members:
+            for k in neighbours[start[j] : start[j + 1]]:
+                gains[k] -= 1
+        left -= len(members)
+        groups.append(WpcGroup(best, frozenset(members)))
     return groups
 
 

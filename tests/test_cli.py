@@ -259,6 +259,8 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("field.density = 0", "field.density"),
         ("field.density = 0.001", "field.density"),  # 0.1 nodes on 100 m x 100 m rounds to 0
         ("field.seed = -2", "field.seed"),
+        ("field.count = 1000000000000", "field.count"),
+        ("field.width_m = 1e200\nfield.height_m = 1e200", "field.density"),  # area overflows
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
@@ -330,3 +332,47 @@ def test_plan_compares_strategies_once_per_mc_seed(tmp_path, monkeypatch):
     config = write_config(tmp_path, "plan.mc_seeds = 3\n")
     assert cli.main(["--config", str(config), "--out", str(tmp_path), "plan"]) == 0
     assert len(calls) == 3
+
+
+def test_simulate_plans_each_height_once_per_mc_seed(tmp_path, monkeypatch):
+    # The mission flies the first height's strategy from the comparison on
+    # field.seed: two fields x (one-by-one + two heights) tours, two heights
+    # grouped per field, and nothing planned again for the mission.
+    calls = {"form_wpc_groups": 0, "plan_tour": 0}
+    for name in calls:
+        original = getattr(planner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(planner, name, counted)
+    config = write_config(tmp_path, "plan.mc_seeds = 2\nplan.heights_m = 10,5\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 0
+    assert calls == {"form_wpc_groups": 4, "plan_tour": 6}
+
+
+@pytest.mark.parametrize(
+    ("line", "key"),
+    [
+        ("field.count = {cap}", "field.count"),
+        # density 1 per 10 m x 10 m cell on a {cap} m x 100 m field: {cap} nodes
+        ("field.density = 1\nfield.width_m = {cap}\nfield.height_m = 100", "field.density"),
+    ],
+)
+def test_field_node_cap(tmp_path, capsys, monkeypatch, line, key):
+    cap = planner.MAX_FIELD_NODES
+    at_cap = cli.parse_config(write_config(tmp_path, line.format(cap=cap) + "\n"))
+    assert (at_cap.field_count or planner.density_node_count(
+        at_cap.field_width_m, at_cap.field_height_m, at_cap.field_density)) == cap
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field over the cap must be rejected before it is generated")
+
+    monkeypatch.setattr(planner, "generate_nodes", no_field)
+    over = write_config(tmp_path, line.format(cap=cap + 1) + "\n")
+    with pytest.raises(ConfigurationError, match=key):
+        cli.parse_config(over)
+    assert cli.main(["--config", str(over), "--out", str(tmp_path), "simulate"]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "tour.csv").exists()

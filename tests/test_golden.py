@@ -1,6 +1,7 @@
 """Golden-output regression: ``reproduce`` at the default config emits
 exactly the reference bytes, also when it is run again in the same process
-over its own earlier outputs; so do both sweeps at design scale."""
+over its own earlier outputs; so do both sweeps at design scale and
+``simulate`` on a 400-node field."""
 import hashlib
 
 import pytest
@@ -50,3 +51,28 @@ def test_design_sweeps_match_golden_hashes(tmp_path):
         for name in DESIGN_SHA256_PREFIXES
     }
     assert prefixes == DESIGN_SHA256_PREFIXES
+
+
+# A 400 m x 400 m field at the default density: 400 nodes, two Monte-Carlo fields.
+FIELD_SCALE_CONFIG = (
+    "field.width_m = 400\n"
+    "field.height_m = 400\n"
+    "plan.mc_seeds = 2\n"
+)
+FIELD_SCALE_SHA256_PREFIXES = {
+    "report.csv": "6bee3e352d56134c",
+    "summary.csv": "d2bbb35113d5844d",
+    "tour.csv": "027c78494e84a54c",
+}
+
+
+def test_field_scale_simulate_matches_golden_hashes(tmp_path):
+    config = tmp_path / "field-scale.cfg"
+    config.write_text(FIELD_SCALE_CONFIG, encoding="utf-8")
+    args = ["--config", str(config), "--seed", "1", "--out", str(tmp_path), "simulate"]
+    assert cli.main(args) == 0
+    prefixes = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+        for name in FIELD_SCALE_SHA256_PREFIXES
+    }
+    assert prefixes == FIELD_SCALE_SHA256_PREFIXES

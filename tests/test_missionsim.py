@@ -21,6 +21,7 @@ from uewpiot import (
     RadioEnvironment,
     WpcGroup,
     achievable_data_rate_bps,
+    compare_strategies,
     expected_path_loss_db,
     generate_nodes,
     harvested_power_dbm,
@@ -31,6 +32,7 @@ from uewpiot import (
     tdma_schedule,
     wake_up,
 )
+from uewpiot.missionsim import resolve_eh_distance_m
 
 GRID_STEP_S = 1e-4
 
@@ -414,6 +416,27 @@ def test_mission_derived_range_matches_explicit():
     )
     assert explicit.tour.length_m == implicit.tour.length_m
     assert len(explicit.groups) == len(implicit.groups)
+
+
+def test_mission_flies_the_planned_strategy():
+    # 12 nodes, so the exact solver can also plan the one-by-one baseline.
+    scenario = full_scenario(field=generate_nodes(100.0, 100.0, 0.0, seed=8, count=12))
+    d_eh = resolve_eh_distance_m(scenario)
+    planned = compare_strategies(scenario.field, d_eh, [scenario.height_m]).results[1]
+    assert repr(simulate_mission(scenario, planned)) == repr(simulate_mission(scenario))
+    exact = compare_strategies(scenario.field, d_eh, [scenario.height_m], mode="exact")
+    report = simulate_mission(scenario, exact.results[1])
+    assert report.tour is exact.results[1].plan
+    assert report.nodes == simulate_mission(scenario).nodes  # visit order changes no node
+
+
+def test_mission_rejects_a_plan_for_another_height_or_range():
+    scenario = full_scenario(seed=8)
+    d_eh = resolve_eh_distance_m(scenario)
+    for field_d_eh, height in ((d_eh, 5.0), (d_eh + 1.0, scenario.height_m)):
+        planned = compare_strategies(scenario.field, field_d_eh, [height]).results[1]
+        with pytest.raises(ConfigurationError, match="does not match"):
+            simulate_mission(scenario, planned)
 
 
 def test_scenario_validation():

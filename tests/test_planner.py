@@ -2,12 +2,14 @@
 
 Tour lengths are checked against an exhaustive-permutation oracle and
 grouping against a brute-force minimum disk cover, both implemented here
-independently of the planner. The blocked 2-opt search and the
-incremental greedy grouping are checked move for move and group for
-group against the straightforward scalar versions kept below as
-reference oracles. The 2-opt and nearest-neighbour builds are also
-checked against their earlier numpy forms, a one-row scan and a
-list-based build, which share the planner's arithmetic bit for bit.
+independently of the planner. The blocked 2-opt search and the grid-hash,
+lazy-greedy grouping are checked move for move and group for group
+against the straightforward versions kept below as reference oracles:
+scalar 2-opt, and two dense n x n greedy coverings (one recounting every
+gain each round, one keeping the gains current). The 2-opt and
+nearest-neighbour builds are also checked against their earlier numpy
+forms, a one-row scan and a list-based build, which share the planner's
+arithmetic bit for bit.
 """
 import itertools
 import math
@@ -163,11 +165,34 @@ def reference_groups(points, radius):
     return groups
 
 
-def assert_matches_references(field, radius):
+def dense_groups(points, radius):
+    """Greedy max coverage over a dense n x n table, gains kept current per pick."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    diff = pts[:, None, :] - pts[None, :, :]
+    covered = (diff**2).sum(axis=-1) <= (radius + planner.MEMBERSHIP_SLACK_M) ** 2
+    uncovered = np.ones(n, dtype=bool)
+    gains = covered.sum(axis=1)
+    groups = []
+    while uncovered.any():
+        best = int(np.argmax(np.where(uncovered, gains, -1)))  # lowest index wins ties
+        members = np.flatnonzero(covered[best] & uncovered)
+        groups.append((best, frozenset(int(i) for i in members)))
+        uncovered[members] = False
+        gains -= covered[:, members].sum(axis=1)
+    return groups
+
+
+def assert_groups_match_oracles(field, radius):
     groups = form_wpc_groups(field, radius)
-    assert [(g.traversal_index, g.member_indices) for g in groups] == reference_groups(
-        field.positions, radius
-    )
+    got = [(g.traversal_index, g.member_indices) for g in groups]
+    assert got == dense_groups(field.positions, radius)
+    assert got == reference_groups(field.positions, radius)
+    return groups
+
+
+def assert_matches_references(field, radius):
+    groups = assert_groups_match_oracles(field, radius)
     for pts in (field.positions, field.positions[[g.traversal_index for g in groups]]):
         start = planner._nearest_neighbor_order(pts)
         assert start == reference_nearest_neighbor(pts)
@@ -288,6 +313,14 @@ def test_greedy_vs_exhaustive_cover_oracle():
     assert covered == set(range(len(pts)))
 
 
+def test_groups_reject_bad_radius_and_accept_empty_field():
+    field = generate_nodes(100.0, 100.0, 0.25, seed=5)
+    for radius in (-1.0, math.nan):
+        with pytest.raises(ConfigurationError):
+            form_wpc_groups(field, radius)
+    assert form_wpc_groups(NodeField(10.0, 10.0, np.empty((0, 2)), seed=0), 3.0) == []
+
+
 def test_greedy_tie_break_lowest_index():
     # Two disjoint pairs, all gains equal: the lowest index anchors first.
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
@@ -321,6 +354,63 @@ def test_vectorized_planner_matches_references_on_lattice(spacing):
     assert_matches_references(NodeField(side, side, shuffled, seed=0), spacing)
     # Node 10 at (1, 1) is the first of the 49 interior nodes, which all tie on gain 5.
     assert form_wpc_groups(NodeField(side, side, grid, seed=0), spacing)[0].traversal_index == 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    radius=st.sampled_from([0.0, 1e-300, 3.0, 8.3066, 12.0, 1e9]),
+    offset=st.sampled_from([0.0, 0.1, 1.0 / 3.0, 1e3, 1e6]),
+    copies=st.integers(min_value=1, max_value=3),
+)
+def test_grid_grouping_matches_dense_oracles(n, seed, radius, offset, copies):
+    # Area-scaled fields offset from the origin; with copies > 1 every point
+    # appears up to that many times, in a shuffled order.
+    side = 20.0 * math.sqrt(n)
+    rng = np.random.default_rng(seed)
+    distinct = rng.uniform(0.0, side, size=(-(-n // copies), 2))
+    pts = rng.permutation(np.repeat(distinct, copies, axis=0)[:n]) + offset
+    assert_groups_match_oracles(NodeField(side + offset, side + offset, pts, seed=0), radius)
+
+
+@pytest.mark.parametrize("below", [0.0, 1e-9])
+@pytest.mark.parametrize("offset", [0.0, 0.1, 1.0 / 3.0])
+@pytest.mark.parametrize("spacing", [5.0, 8.3066])
+def test_grid_grouping_matches_dense_oracles_on_lattice(spacing, offset, below):
+    # Neighbours sit right at the reach, so cell edges fall on or next to
+    # nodes. The lattice is shifted by ``offset`` spacings. At spacing 5,
+    # offset 1/3 and R = spacing - 1e-9, grid cells exactly as wide as the
+    # reach put 18 pairs within reach two cells apart, and the groups differ.
+    k = 9
+    grid = np.array([(x, y) for y in range(k) for x in range(k)], dtype=float)
+    side = spacing * (k - 1 + offset)
+    field = NodeField(side, side, (grid + offset) * spacing, seed=0)
+    assert_groups_match_oracles(field, spacing - below)
+
+
+@pytest.mark.parametrize(
+    ("side", "radius"),
+    [
+        (20.0 * math.sqrt(2000), 12.0),  # area-scaled, the default density
+        # Cells the width of the 1e-9 m reach would number ~1e21 per side, past
+        # int64; the cell floor of extent / 2**20 keeps them apart anyway.
+        (1e12, 0.0),
+    ],
+)
+def test_form_wpc_groups_memory_stays_linear(side, radius):
+    # 2,000 nodes: the dense n x n x 2 difference table alone is 64 MB; the
+    # grid hash keeps the peak near 1 MB.
+    n = 2000
+    field = generate_nodes(side, side, 0.0, seed=1, count=n)
+    tracemalloc.start()
+    try:
+        groups = form_wpc_groups(field, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(g.member_indices) for g in groups) == n
+    assert peak < 8e6
 
 
 def test_block_search_matches_scan_across_capped_blocks():
