@@ -33,7 +33,6 @@ from .missionsim import (
     PhaseSchedule,
     TdmaSlot,
     optimize_powering,
-    powering_phase,
     required_tx,
     simulate_mission,
     tdma_schedule,

@@ -180,7 +180,7 @@ def _check_field(config: RunConfig) -> None:
         width, height = config.field_width_m, config.field_height_m
         try:
             count = planner.density_node_count(width, height, config.field_density)
-        except OverflowError:  # density x area beyond the float range
+        except ConfigurationError:  # density x area beyond the float range
             count = math.inf
         if count < 1:
             raise ConfigurationError(

@@ -136,22 +136,6 @@ def wake_up(scenario: MissionScenario, uav_xy, group: planner.WpcGroup) -> froze
     )
 
 
-def powering_phase(
-    scenario: MissionScenario, uav_xy, members, powering_s: float
-) -> dict[int, float]:
-    """Energy harvested by each member over a powering phase of ``powering_s``."""
-    if powering_s < 0:
-        raise ConfigurationError("powering duration must be >= 0")
-    energies = {}
-    for index in sorted(members):
-        geom = scenario.node_geometry(uav_xy, index)
-        dbm = lb.harvested_power_dbm(
-            scenario.wpt_power_w, scenario.array, scenario.circuit, scenario.env, geom
-        )
-        energies[index] = lb.dbm_to_watts(dbm) * powering_s
-    return energies
-
-
 def required_tx(payload_bits: float, rate_bps: float, tx_power_w: float) -> tuple[float, float]:
     """Transmit time and energy for a payload: (bits/rate, power * time)."""
     if payload_bits == 0:

@@ -4,18 +4,19 @@ A UAV hovering at height H with powering range d_EH covers a ground disk of
 radius R = sqrt(d_EH^2 - H^2). Greedy maximum coverage puts the nodes into
 node-anchored disks: a grid hash finds the pairs within R as compressed
 sparse rows, in O(n + pairs) memory, and a lazy greedy heap picks each
-disk. The UAV flies a closed tour over the anchors: nearest-neighbor plus
-first-improvement 2-opt, or exact dynamic programming for up to 12
-points. The 2-opt search prices a block of candidate moves in one numpy
-call and makes the first improving one in lexicographic order. Tour
-positions change only when a move is made, so that is the move a loop
-trying one candidate at a time would make next, with bit-identical
-deltas, and the tours are the same.
+disk. The UAV flies a closed tour over the anchors, either heuristic or,
+for up to 12 points, exact by dynamic programming. The heuristic tour
+gives each point its TOUR_NEIGHBOURS nearest points from a grid, in
+O(n k) memory, starts from a greedy-edge tour over those candidate edges,
+and improves it by 2-opt and Or-opt moves over the candidates, driven by
+don't-look bits (Bentley 1992; Johnson & McGeoch 1997), until no candidate
+move shortens it.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,15 +30,20 @@ MEMBERSHIP_SLACK_M = 1e-9
 CELL_MARGIN = 2.0**-20
 
 # Largest node field the CLI accepts. Grouping and tours take linear memory,
-# tens of MB here; the tours' O(n^2) time is what makes such a field slow.
+# tens of MB here.
 MAX_FIELD_NODES = 100_000
 
 EXACT_SOLVER_MAX_POINTS = 12
-TWO_OPT_MAX_PASSES = 10_000
-# Elements (rows x columns) priced by one 2-opt scan: the floor lets a small
-# tour search its whole remaining triangle at once, the cap bounds memory.
-TWO_OPT_BLOCK_MIN = 2_048
-TWO_OPT_BLOCK_MAX = 1 << 16
+# Candidate neighbours per point in the heuristic tour search.
+TOUR_NEIGHBOURS = 10
+# The tour search stops after this many moves per point. Each move shortens
+# the tour by more than 1e-12 as priced, but where coordinates are so large
+# that rounding passes that, a run of moves could cycle.
+TOUR_MOVES_PER_POINT = 100
+# Up to this many points, candidate lists come from one n x n table.
+DENSE_NEIGHBOURS_MAX = 64
+# Candidate pairs priced per numpy call by the grid searches.
+GRID_CHUNK = 1 << 15
 
 
 def coverage_radius_m(uav_height_m: float, eh_distance_m: float) -> float:
@@ -64,6 +70,8 @@ class NodeField:
         pts = np.asarray(self.positions, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ConfigurationError("positions must have shape (n, 2)")
+        if not np.isfinite(pts).all():
+            raise ConfigurationError("node positions must be finite")
         if pts.size and (
             pts[:, 0].min() < 0
             or pts[:, 1].min() < 0
@@ -81,7 +89,13 @@ class NodeField:
 
 def density_node_count(width_m: float, height_m: float, density_per_cell: float) -> int:
     """Nodes on a width x height field at ``density_per_cell`` per 10 m x 10 m cell."""
-    return round(density_per_cell * width_m * height_m / 100.0)
+    nodes = density_per_cell * width_m * height_m / 100.0
+    if not math.isfinite(nodes):
+        raise ConfigurationError(
+            f"density {density_per_cell:g} on a {width_m:g} m x {height_m:g} m field "
+            "gives no finite node count"
+        )
+    return round(nodes)
 
 
 def generate_nodes(
@@ -122,36 +136,62 @@ class WpcGroup:
             raise ConfigurationError("traversal point must belong to its own group")
 
 
+def _grid(pts: np.ndarray, cell: float) -> tuple:
+    """Square cells of side ``cell`` from the lowest corner: each point's
+    cell and key, the points and keys in key order, and the key stride.
+
+    A key is ``column * stride + row``. With m the largest cell index, the
+    stride leaves 2m + 2 empty rows above the last one, so the rows within
+    2m + 2 of any point's row, in any one column, are one range of the
+    sorted keys that no other column's points fall in."""
+    cells = np.floor((pts - pts.min(axis=0)) / cell).astype(np.int64)
+    stride = int(cells[:, 1].max()) + 2 * int(cells.max()) + 3
+    key = cells[:, 0] * stride + cells[:, 1]
+    by_key = np.argsort(key)
+    return cells, key, by_key, key[by_key], stride
+
+
+def _block_pairs(grid, query: np.ndarray, r: int):
+    """Yield (rows, cols): every point in the (2r + 1) x (2r + 1) cells
+    around each ``query`` point, which is ``query[rows]``. Each chunk holds
+    whole rows, in order, and about GRID_CHUNK pairs."""
+    _, key, by_key, sorted_key, stride = grid
+    centre = key[query, None] + np.arange(-r * stride, (r + 1) * stride, stride)
+    first = np.searchsorted(sorted_key, centre - r)
+    counts = np.searchsorted(sorted_key, centre + r, "right") - first
+    per_query = counts.sum(axis=1)
+    ends = np.cumsum(per_query)
+    cuts = []
+    if ends[-1] > GRID_CHUNK:
+        cuts = np.searchsorted(ends, np.arange(GRID_CHUNK, ends[-1], GRID_CHUNK), "right").tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(query)]):
+        if lo < hi:
+            c, f = counts[lo:hi].ravel(), first[lo:hi].ravel()
+            # Position t of range s is f[s] + (t - where range s starts in the output).
+            skip = np.repeat(f - (np.cumsum(c) - c), c)
+            rows = np.repeat(np.arange(lo, hi), per_query[lo:hi])
+            yield rows, by_key[skip + np.arange(len(skip))]
+
+
 def _pairs_within(pts: np.ndarray, reach: float) -> tuple[list[int], list[int]]:
     """CSR lists of every pair within ``reach``, each point with itself.
 
     Row i, ``neighbours[start[i]:start[i + 1]]``, holds every j that passes
     the dense test ``(d**2).sum(-1) <= reach**2``; only the 3 x 3 grid cells
-    around each point are priced. A key is ``column * (rows + 1) + row``,
-    so each neighbourhood column is one range of the sorted keys, and the
-    unused row ``rows`` keeps an edge range out of the next column.
+    around each point are priced, GRID_CHUNK candidates at a time.
     """
     n = len(pts)
-    origin = pts.min(axis=0)
-    extent = float((pts.max(axis=0) - origin).max())
-    cell = max(reach * (1.0 + CELL_MARGIN), extent * CELL_MARGIN)
-    cells = np.floor((pts - origin) / cell).astype(np.int64)
-    stride = int(cells[:, 1].max()) + 2
-    key = cells[:, 0] * stride + cells[:, 1]
-    by_key = np.argsort(key)
-    sorted_key = key[by_key]
-    centre = key[:, None] + np.array([-stride, 0, stride])  # the three columns
-    first = np.searchsorted(sorted_key, centre - 1, side="left").ravel()
-    counts = np.searchsorted(sorted_key, centre + 1, side="right").ravel() - first
-    rows = np.repeat(np.arange(n), counts.reshape(n, 3).sum(axis=1))
-    # Position k of range r is first[r] + (k - where range r starts in the output).
-    skip = np.repeat(first - (np.cumsum(counts) - counts), counts)
-    cols = by_key[skip + np.arange(len(skip))]
-    d = pts[rows] - pts[cols]
-    keep = (d**2).sum(axis=-1) <= reach**2
+    extent = float((pts.max(axis=0) - pts.min(axis=0)).max())
+    grid = _grid(pts, max(reach * (1.0 + CELL_MARGIN), extent * CELL_MARGIN))
     start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=n), out=start[1:])
-    return start.tolist(), cols[keep].tolist()
+    kept = []
+    for rows, cols in _block_pairs(grid, np.arange(n), 1):
+        d = pts[rows] - pts[cols]
+        keep = (d**2).sum(axis=-1) <= reach**2
+        start[1:] += np.bincount(rows[keep], minlength=n)
+        kept += cols[keep].tolist()
+    np.cumsum(start, out=start)
+    return start.tolist(), kept
 
 
 def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
@@ -234,11 +274,8 @@ class TourPlan:
 def _path_length(points: np.ndarray, closed: bool) -> float:
     if len(points) < 2:
         return 0.0
-    legs = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    total = float(legs.sum())
-    if closed:
-        total += float(np.linalg.norm(points[-1] - points[0]))
-    return total
+    legs = np.diff(points, axis=0, append=points[:1] if closed else points[:0])
+    return float(np.hypot(legs[:, 0], legs[:, 1]).sum())
 
 
 def tour_length_m(plan: TourPlan) -> float:
@@ -246,73 +283,289 @@ def tour_length_m(plan: TourPlan) -> float:
     return _path_length(plan.ordered_points, plan.closed)
 
 
-def _nearest_neighbor_order(points: np.ndarray) -> list[int]:
-    n = len(points)
-    x, y = points[:, 0], points[:, 1]
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    order = [0]
-    for _ in range(n - 1):
-        dx, dy = x - x[order[-1]], y - y[order[-1]]
-        dists = np.sqrt(dx * dx + dy * dy)
-        dists[visited] = np.inf
-        pick = int(np.argmin(dists))  # lowest index wins ties
-        visited[pick] = True
-        order.append(pick)
-    return order
+def _neighbour_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's ``min(k, n - 1)`` nearest other points, nearest first.
 
-
-def _two_opt(points: np.ndarray, order: list[int]) -> list[int]:
-    """First-improvement 2-opt on a closed tour; position 0 stays fixed.
-
-    Move (i, j) reverses positions i..j; moves are tried in lexicographic
-    order and the first with delta < -1e-12 is made. No position changes
-    between two moves, so all moves from (i, j0) up to the next one can be
-    priced at once: each scan takes a block of rows i.. against every
-    column j, and its first hit in row-major order is that next move. The
-    block grows after each scan without a hit and shrinks back after a
-    move, between TWO_OPT_BLOCK_MIN and TWO_OPT_BLOCK_MAX elements.
+    Returns the neighbour indices and their distances ``np.hypot(dx, dy)``,
+    both of shape (n, k); equal distances rank by index. Up to
+    DENSE_NEIGHBOURS_MAX points, one n x n table is ranked. Larger sets use
+    a grid of about two points per cell, searched in blocks of
+    (2r + 1) x (2r + 1) cells around each point, r = 2, 4, 8, ... A point's
+    list is final once its k-th distance is within the nearest block edge
+    that has cells beyond it: every point outside the block is farther.
+    Memory is O(n k) plus GRID_CHUNK candidates at a time.
     """
-    n = len(order)
-    if n < 4:
-        return list(order)
-    order = np.array(order)
-    P = points[np.append(order, order[0])]  # row n closes the tour at the fixed start
-    x, y = P[:, 0], P[:, 1]  # column views: they follow the reversals of P below
-    index = np.arange(n)
-    for _ in range(TWO_OPT_MAX_PASSES):
-        improved = False
-        i, j0, size = 1, 2, TWO_OPT_BLOCK_MIN
-        while i < n - 1:
-            rows = min(max(size // (n - i), 1), n - 1 - i)
-            lo = j0 if rows == 1 else i + 1  # first column
-            width = n - lo
-            # Edges (a, b) = (row-1, row) and (c, d) = (j, j+1). |c - a| and |d - b|
-            # are one table of tour points i-1.. against lo.., shifted by a row and
-            # a column; seg[k] is the edge from point i-1+k to i+k.
-            ax, ay = x[i - 1 : i + rows, None], y[i - 1 : i + rows, None]
-            table = np.hypot(x[lo:] - ax, y[lo:] - ay)
-            seg = np.hypot(x[i:] - x[i - 1 : -1], y[i:] - y[i - 1 : -1])
-            delta = table[:-1, :-1] + table[1:, 1:] - seg[:rows, None] - seg[lo - i + 1 :]
-            hit = delta < -1e-12
-            if rows > 1:
-                hit &= index[:width] >= index[:rows, None]  # j > row
-                hit[0, : j0 - lo] = False  # j >= j0 on the first row
-            first = int(hit.argmax())
-            if not hit.flat[first]:
-                i, j0, size = i + rows, i + rows + 1, min(2 * size, TWO_OPT_BLOCK_MAX)
-                continue
-            row, j = i + first // width, lo + first % width
-            P[row : j + 1] = P[row : j + 1][::-1]
-            order[row : j + 1] = order[row : j + 1][::-1]
-            improved = True
-            # Reversing row..j leaves later positions alone, so the search resumes at j + 1.
-            i, j0, size = row, j + 1, TWO_OPT_BLOCK_MIN
-            if j0 == n:
-                i, j0 = row + 1, row + 2
-        if not improved:
-            break
-    return order.tolist()
+    n = len(pts)
+    k = min(k, n - 1)
+    if n <= DENSE_NEIGHBOURS_MAX or k < 1:
+        dist = np.hypot(pts[:, None, 0] - pts[:, 0], pts[:, None, 1] - pts[:, 1])
+        dist.flat[:: n + 1] = -1.0  # each point first, ahead of its duplicates
+        order = np.argsort(dist, axis=1, kind="stable")[:, 1 : k + 1]
+        return order, dist[np.arange(n)[:, None], order]
+    neighbours = np.zeros((n, k), dtype=np.int64)
+    dist = np.zeros((n, k))
+    extent = float((pts.max(axis=0) - pts.min(axis=0)).max())
+    cell = extent / math.ceil(math.sqrt(n / 2)) if extent > 0 else 1.0
+    grid = _grid(pts, cell)
+    cells = grid[0]
+    last = cells.max(axis=0)
+    inside = (pts - pts.min(axis=0)) / cell - cells  # offset within the cell, in cells
+    todo = np.arange(n)
+    r = 2
+    while todo.size:
+        c, f = cells[todo], inside[todo]
+        edge = np.minimum(np.where(c > r, r + f, np.inf), np.where(c + r < last, r + 1 - f, np.inf))
+        reach = (edge.min(axis=1) - CELL_MARGIN) * cell  # CELL_MARGIN covers rounding
+        done = np.zeros(len(todo), dtype=bool)
+        for rows, cols in _block_pairs(grid, todo, r):
+            query = todo[rows]
+            d = np.hypot(pts[query, 0] - pts[cols, 0], pts[query, 1] - pts[cols, 1])
+            keep = (cols != query) & (d <= reach[rows])
+            rows, cols, d = rows[keep], cols[keep], d[keep]
+            # Sort by (row, distance, index), the distance as its dense rank.
+            by_d = np.argsort(d)
+            rank = np.empty(len(d), dtype=np.int64)
+            rank[by_d] = np.cumsum(np.diff(d[by_d], prepend=d[by_d[:1]]) != 0)
+            key = rows * len(d) + rank
+            order = np.argsort(key)
+            if np.any(np.diff(key[order]) == 0):
+                order = np.lexsort((cols, key))
+            rows, cols, d = rows[order], cols[order], d[order]
+            first = np.flatnonzero(np.diff(rows, prepend=-1))
+            first = first[np.diff(first, append=len(rows)) >= k]
+            take = first[:, None] + np.arange(k)
+            neighbours[todo[rows[first]]] = cols[take]
+            dist[todo[rows[first]]] = d[take]
+            done[rows[first]] = True
+        todo = todo[~done]
+        r *= 2
+    return neighbours, dist
+
+
+def _greedy_edge_order(pts: np.ndarray, neighbours: np.ndarray, dist: np.ndarray) -> list[int]:
+    """Greedy-edge start tour over the candidate edges.
+
+    Edges are taken shortest first (equal lengths in candidate-list order)
+    while both ends have degree below 2 and no cycle forms. The resulting
+    paths are then chained end to end: from the tail of the tour so far, to
+    the nearest free end of another path.
+    """
+    n, k = neighbours.shape
+    by_length = np.argsort(dist.ravel(), kind="stable")
+    root = list(range(n))
+    degree = [0] * n
+    links: list[list[int]] = [[] for _ in range(n)]
+    added = 0
+    for a, b in zip((by_length // k).tolist(), neighbours.ravel()[by_length].tolist()):
+        if degree[a] < 2 and degree[b] < 2:
+            ra, rb = a, b
+            while root[ra] != ra:
+                root[ra] = ra = root[root[ra]]
+            while root[rb] != rb:
+                root[rb] = rb = root[root[rb]]
+            if ra != rb:
+                root[ra] = rb
+                degree[a] += 1
+                degree[b] += 1
+                links[a].append(b)
+                links[b].append(a)
+                added += 1
+                if added == n - 1:
+                    break
+    paths = []
+    done = [False] * n  # path ends already walked from the other end
+    for s in range(n):
+        if degree[s] < 2 and not done[s]:
+            path = [s]
+            if degree[s]:
+                prev, cur = s, links[s][0]
+                path.append(cur)
+                while degree[cur] == 2:
+                    prev, cur = cur, links[cur][links[cur][0] == prev]
+                    path.append(cur)
+                done[cur] = True
+            paths.append(path)
+    tour = paths[0]
+    if len(paths) > 1:
+        z = pts[:, 0] + 1j * pts[:, 1]
+        free_ends = z[[end for path in paths for end in (path[0], path[-1])]]
+        free_ends[:2] = np.inf  # path 0 starts the tour
+        for _ in range(len(paths) - 1):
+            e = int(np.argmin(np.abs(free_ends - z[tour[-1]])))
+            free_ends[e - e % 2 : e - e % 2 + 2] = np.inf
+            tour.extend(paths[e // 2] if e % 2 == 0 else paths[e // 2][::-1])
+    return tour
+
+
+def _local_search(
+    pts: np.ndarray, neighbours: np.ndarray, dist: np.ndarray, tour: list[int]
+) -> list[int]:
+    """2-opt and Or-opt over the candidate lists, first improvement.
+
+    For each point a and each tour neighbour x of a, a candidate move
+    replaces the edge (a, x) by an edge (a, c) to a candidate c of a that
+    is nearer than x:
+      - 2-opt: also replace (c, d) by (x, d), d being c's tour neighbour
+        on the side x is of a;
+      - Or-opt: move the segment of 1-3 points that starts at a and leads
+        away from x next to c, between c and either of c's tour neighbours.
+    A move is made when its delta is below -1e-12. The first pass tries
+    2-opt moves only, the second both kinds. Points wait in a queue
+    (Bentley's don't-look bits) and the ends of every changed edge rejoin
+    it. A point's search reads only the tour links of the point, of the
+    next two points on either side and of the candidates it tried, and
+    those candidates' direction. When the second pass's queue runs dry, every
+    point for which one of these changed since its last search is queued
+    again, so the search ends only when no candidate move improves the
+    tour, or after TOUR_MOVES_PER_POINT moves per point. Distances are
+    ``abs`` of complex differences, which is ``np.hypot``, as in the
+    candidate lists.
+    """
+    n = len(tour)
+    z = np.ascontiguousarray(pts).view(np.complex128).ravel().tolist()
+    near, near_d = neighbours.tolist(), dist.tolist()
+    pos = [0] * n
+    for i, c in enumerate(tour):
+        pos[c] = i
+    # el[i] is the length of the edge from tour position i to i + 1.
+    el = [abs(z[tour[i - 1]] - z[tour[i]]) for i in range(1 - n, 1)]
+    # Moves made so far; when each point's links or direction last changed;
+    # when each point's last search failed, and the points it read.
+    moves = 0
+    changed = [0] * n
+    searched = [-1] * n
+    read: list[list[int]] = [[]] * n
+    segs = min(3, n - 3)
+
+    def reverse(b: int, c: int) -> None:
+        """Reverse the tour from b forward to c, or the rest of it if shorter."""
+        i, j = pos[b], pos[c]
+        length = (j - i) % n + 1
+        if 2 * length > n:
+            i, j, length = (j + 1) % n, (i - 1) % n, n - length
+        if length < 2:
+            return
+        if i < j:
+            tour[i : j + 1] = tour[i : j + 1][::-1]
+            el[i:j] = el[i:j][::-1]
+            for p in range(i, j + 1):
+                pos[tour[p]] = p
+            ends = (i - 1, j)
+        else:  # the stretch wraps past the end of the list
+            for p, q in zip(range(i, i + length // 2), range(j, j - length // 2, -1)):
+                p, q = p % n, q % n
+                tour[p], tour[q] = tour[q], tour[p]
+                pos[tour[p]], pos[tour[q]] = p, q
+            ends = range(i - 1, i + length)
+        for p in ends:
+            p %= n
+            el[p] = abs(z[tour[p]] - z[tour[(p + 1) % n]])
+        for p in range(i - 1, i + length + 1):
+            changed[tour[p % n]] = moves + 1
+
+    def flip(a: int, b: int, c: int) -> None:
+        """Swap tour edges (a, b) and (c, c's far neighbour) for (a, c) and (b, that neighbour)."""
+        if tour[pos[a] + 1 - n] == b:
+            reverse(b, c)
+        else:
+            reverse(c, b)
+
+    # Per side of a: the offset from a position to its neighbour on x's side
+    # and to the other neighbour (as list indices, which may run negative),
+    # and the el index offsets for the edges that way and the other way.
+    sides = ((-1, 1 - n, -1, 0), (1 - n, -1, 0, -1))
+
+    def find_move(a: int, or_opt: bool) -> tuple[int, ...]:
+        """Make the first improving move at a; return the changed edges' ends."""
+        pa, za = pos[a], z[a]
+        seen = [a]
+        for toward, away, back, ahead in sides:
+            x = tour[pa + toward]
+            zx = z[x]
+            dax = el[pa + back]
+            chain = None
+            for c, dac in zip(near[a], near_d[a]):
+                if dac >= dax:
+                    break
+                seen.append(c)
+                pc = pos[c]
+                d = tour[pc + toward]
+                if d != a and dac + abs(zx - z[d]) - dax - el[pc + back] < -1e-12:
+                    flip(x, a, d)
+                    return a, x, c, d
+                if not or_opt:
+                    continue
+                if chain is None:  # a, then the next three points away from x
+                    q1 = tour[pa + away]
+                    p1 = pos[q1]
+                    q2 = tour[p1 + away]
+                    p2 = pos[q2]
+                    q3 = tour[p2 + away]
+                    chain = (a, q1, q2, q3)
+                    zs = (za, z[q1], z[q2], z[q3])
+                    gains = (
+                        dax + el[pa + ahead] - abs(zx - zs[1]),
+                        dax + el[p1 + ahead] - abs(zx - zs[2]),
+                        dax + el[p2 + ahead] - abs(zx - zs[3]),
+                    )
+                    most = max(gains[:segs])
+                    seen += chain
+                # Segment m is chain[:m + 1]; it moves between c and e next to q = chain[m + 1].
+                top = min(chain.index(c), segs) if c in chain else segs
+                for e, dce in ((tour[pc - 1], el[pc - 1]), (tour[pc + 1 - n], el[pc])):
+                    if dac - dce - most >= -1e-12:
+                        continue  # no segment gains: dac + |sm e| - dce - gain is larger
+                    ze = z[e]
+                    for m in range(min(top, chain.index(e)) if e in chain else top):
+                        if dac + abs(zs[m] - ze) - dce - gains[m] < -1e-12:
+                            # u -> v runs the way a -> sm does: cut (x, a) and (u, v),
+                            # turn the segment round next to v, then round again if c is u.
+                            sm, q = chain[m], chain[m + 1]
+                            u, v = (c, e) if tour[pc + away] == e else (e, c)
+                            flip(x, a, u)
+                            if u != q:
+                                flip(x, u, q)
+                            if c == u and sm != a:
+                                flip(u, sm, a)
+                            return a, x, sm, q, c, e
+        searched[a] = moves
+        read[a] = seen
+        return ()
+
+    cap = TOUR_MOVES_PER_POINT * n
+    for or_opt in (False, True):
+        searched = [-1] * n
+        queue = deque(tour)
+        queued = [True] * n
+        while queue:
+            while queue and moves < cap:
+                a = queue.popleft()
+                queued[a] = False
+                if searched[a] == moves:
+                    continue
+                touched = find_move(a, or_opt)
+                moves += bool(touched)
+                for c in touched:
+                    if not queued[c]:
+                        queued[c] = True
+                        queue.append(c)
+            if moves == cap or not or_opt:
+                break
+            for a in range(n):
+                if searched[a] < moves and max(map(changed.__getitem__, read[a])) > searched[a]:
+                    queued[a] = True
+                    queue.append(a)
+    return tour
+
+
+def _heuristic_order(pts: np.ndarray) -> list[int]:
+    """Greedy-edge start, then 2-opt and Or-opt; the tour starts at point 0."""
+    if len(pts) < 4:
+        return list(range(len(pts)))
+    neighbours, dist = _neighbour_lists(pts, TOUR_NEIGHBOURS)
+    tour = _local_search(pts, neighbours, dist, _greedy_edge_order(pts, neighbours, dist))
+    start = tour.index(0)
+    return tour[start:] + tour[:start]
 
 
 def _held_karp_order(points: np.ndarray) -> list[int]:
@@ -355,13 +608,17 @@ def _held_karp_order(points: np.ndarray) -> list[int]:
 def plan_tour(points, mode: str = "heuristic") -> TourPlan:
     """Closed tour over the given points, starting from the first point.
 
-    ``heuristic`` runs nearest-neighbor construction with 2-opt
-    improvement; ``exact`` solves optimally by dynamic programming and is
-    limited to 12 points.
+    ``heuristic`` builds a greedy-edge tour over each point's
+    TOUR_NEIGHBOURS nearest points and improves it by 2-opt and Or-opt
+    moves until no candidate move shortens it, in O(n k) memory;
+    ``exact`` solves optimally by dynamic programming and is limited to 12
+    points. Coordinates must be finite.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 1:
         raise ConfigurationError("a tour needs at least one point")
+    if not np.isfinite(pts).all():
+        raise ConfigurationError("tour points must be finite")
     if mode == "exact":
         if len(pts) > EXACT_SOLVER_MAX_POINTS:
             raise CapabilityError(
@@ -369,7 +626,7 @@ def plan_tour(points, mode: str = "heuristic") -> TourPlan:
             )
         order = _held_karp_order(pts)
     elif mode == "heuristic":
-        order = _two_opt(pts, _nearest_neighbor_order(pts))
+        order = _heuristic_order(pts)
     else:
         raise ConfigurationError(f"unknown tour mode {mode!r}")
     ordered = pts[order]

@@ -26,7 +26,6 @@ from uewpiot import (
     generate_nodes,
     harvested_power_dbm,
     optimize_powering,
-    powering_phase,
     required_tx,
     simulate_mission,
     tdma_schedule,
@@ -131,29 +130,42 @@ def test_wake_up_mixed_group_matches_per_node_oracle():
 
 # --- powering phase -------------------------------------------------------------
 
+# Three nodes within 11 m of node 0: one group around node 0 at an 18 m range.
+POWERING_NODES = [[50.0, 50.0], [56.0, 50.0], [50.0, 61.0]]
+
+
 def test_powering_phase_zero_duration():
-    scenario = make_scenario([[50.0, 50.0], [55.0, 50.0]])
-    energies = powering_phase(scenario, scenario.field.positions[0], {0, 1}, 0.0)
-    assert energies == {0: 0.0, 1: 0.0}
+    # No payload: no transmission to power, so every powering phase lasts 0 s
+    # and no node harvests anything.
+    scenario = make_scenario(POWERING_NODES, payload_bits=0.0, eh_distance_m=18.0)
+    report = simulate_mission(scenario)
+    outcomes = [(g.feasible, g.activated_count, g.powering_s) for g in report.groups]
+    assert outcomes == [(True, 3, 0.0)]
+    assert [n.harvested_energy_j for n in report.nodes] == [0.0, 0.0, 0.0]
 
 
 def test_powering_phase_linear_in_tau():
-    scenario = make_scenario([[50.0, 50.0], [55.0, 50.0], [58.0, 53.0]])
-    uav_xy = scenario.field.positions[0]
-    once = powering_phase(scenario, uav_xy, {0, 1, 2}, 2.0)
-    twice = powering_phase(scenario, uav_xy, {0, 1, 2}, 4.0)
-    for i in once:
-        assert twice[i] == pytest.approx(2.0 * once[i], rel=1e-12)
+    # Twice the payload needs twice the powering time, and each node harvests
+    # twice the energy over it.
+    once, twice = (
+        simulate_mission(make_scenario(POWERING_NODES, payload_bits=bits, eh_distance_m=18.0))
+        for bits in (1e6, 2e6)
+    )
+    assert twice.groups[0].powering_s == 2.0 * once.groups[0].powering_s > 0.0
+    for a, b in zip(once.nodes, twice.nodes):
+        assert a.harvested_energy_j > 0.0
+        assert b.harvested_energy_j == pytest.approx(2.0 * a.harvested_energy_j, rel=1e-12)
 
 
 def test_powering_phase_matches_link_oracle():
-    scenario = make_scenario([[50.0, 50.0], [56.0, 50.0], [50.0, 61.0]])
-    uav_xy = scenario.field.positions[0]
-    tau = 3.5
-    energies = powering_phase(scenario, uav_xy, {0, 1, 2}, tau)
-    for i in range(3):
-        harvested_w, _ = node_link(scenario, uav_xy, i)
-        assert energies[i] == pytest.approx(harvested_w * tau, rel=1e-12)
+    scenario = make_scenario(POWERING_NODES, eh_distance_m=18.0)
+    report = simulate_mission(scenario)
+    (group,) = report.groups
+    assert group.feasible and group.powering_s > 0.0
+    uav_xy = scenario.field.positions[group.traversal_index]
+    for node in report.nodes:
+        harvested_w, _ = node_link(scenario, uav_xy, node.node_index)
+        assert node.harvested_energy_j == pytest.approx(harvested_w * group.powering_s, rel=1e-12)
 
 
 # --- required transmission --------------------------------------------------------

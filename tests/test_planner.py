@@ -2,14 +2,13 @@
 
 Tour lengths are checked against an exhaustive-permutation oracle and
 grouping against a brute-force minimum disk cover, both implemented here
-independently of the planner. The blocked 2-opt search and the grid-hash,
-lazy-greedy grouping are checked move for move and group for group
-against the straightforward versions kept below as reference oracles:
-scalar 2-opt, and two dense n x n greedy coverings (one recounting every
-gain each round, one keeping the gains current). The 2-opt and
-nearest-neighbour builds are also checked against their earlier numpy
-forms, a one-row scan and a list-based build, which share the planner's
-arithmetic bit for bit.
+independently of the planner. The grid-hash, lazy-greedy grouping is
+checked group for group against two dense n x n greedy coverings kept
+below as reference oracles (one recounting every gain each round, one
+keeping the gains current). Heuristic tours are checked by properties: a
+permutation starting at point 0, a length equal to the recomputed one, and
+no improving candidate 2-opt or Or-opt move left, found by an enumerator
+written here from the move definitions and dense candidate lists.
 """
 import itertools
 import math
@@ -68,83 +67,78 @@ def brute_force_min_cover(points, radius):
     return n
 
 
-def reference_two_opt(points, order):
-    """Scalar first-improvement 2-opt: one candidate move at a time."""
-    order = list(order)
-    n = len(order)
-    if n < 4:
-        return order
-    passes = 0
-    improved = True
-    while improved and passes < planner.TWO_OPT_MAX_PASSES:
-        improved = False
-        passes += 1
-        for i in range(1, n - 1):
-            a = points[order[i - 1]]
-            b = points[order[i]]
-            for j in range(i + 1, n):
-                c = points[order[j]]
-                d = points[order[(j + 1) % n]]
-                delta = (
-                    math.hypot(c[0] - a[0], c[1] - a[1])
-                    + math.hypot(d[0] - b[0], d[1] - b[1])
-                    - math.hypot(b[0] - a[0], b[1] - a[1])
-                    - math.hypot(d[0] - c[0], d[1] - c[1])
-                )
-                if delta < -1e-12:
-                    order[i : j + 1] = reversed(order[i : j + 1])
-                    improved = True
-                    a = points[order[i - 1]]
-                    b = points[order[i]]
-    return order
+def candidate_lists(points, k=planner.TOUR_NEIGHBOURS):
+    """Each point's min(k, n - 1) nearest others by (distance, index), from all pairs."""
+    z = [complex(x, y) for x, y in np.asarray(points, dtype=float).tolist()]
+    n = len(z)
+    return [
+        [j for _, j in sorted((abs(z[i] - z[j]), j) for j in range(n) if j != i)[:k]]
+        for i in range(n)
+    ]
 
 
-def scan_two_opt(points, order):
-    """First-improvement 2-opt that prices every j for one i per numpy scan."""
+def improving_candidate_moves(points, order):
+    """Every candidate 2-opt or Or-opt move on the closed tour ``order`` whose
+    delta is below -1e-12, as (kind, a, x, c, ...) tuples.
+
+    For each point a and tour neighbour x of a, a candidate move replaces
+    the edge (a, x) by (a, c) for a candidate c of a nearer than x (the
+    candidate list read in order, up to the first one that is not). A 2-opt
+    move then replaces (c, d) by (x, d), d being c's tour neighbour on the
+    side x is of a. An Or-opt move takes the 1-3 points from a away from x
+    and puts them between c and either tour neighbour e of c, a next to c.
+    Distances are abs of complex differences, as in the planner.
+    """
     n = len(order)
     if n < 4:
-        return list(order)
-    order = np.array(order)
-    P = points[np.append(order, order[0])]
-    x, y = P[:, 0], P[:, 1]
-    for _ in range(planner.TWO_OPT_MAX_PASSES):
-        improved = False
-        for i in range(1, n - 1):
-            j0 = i + 1
-            while j0 < n:
-                ax, ay, bx, by = x[i - 1], y[i - 1], x[i], y[i]
-                cx, cy, dx, dy = x[j0:n], y[j0:n], x[j0 + 1 :], y[j0 + 1 :]
-                delta = (np.hypot(cx - ax, cy - ay) + np.hypot(dx - bx, dy - by)
-                         - np.hypot(bx - ax, by - ay) - np.hypot(dx - cx, dy - cy))
-                improving = np.nonzero(delta < -1e-12)[0]
-                if not improving.size:
+        return []
+    z = [complex(x, y) for x, y in np.asarray(points, dtype=float).tolist()]
+    pos = {c: i for i, c in enumerate(order)}
+
+    def dist(i, j):
+        return abs(z[i] - z[j])
+
+    def step_from(c, step):
+        return order[(pos[c] + step) % n]
+
+    found = []
+    for a, near in enumerate(candidate_lists(points)):
+        for step in (-1, 1):
+            x = step_from(a, step)
+            dax = dist(a, x)
+            for c in near:
+                dac = dist(a, c)
+                if dac >= dax:
                     break
-                j0 += int(improving[0]) + 1
-                P[i:j0] = P[i:j0][::-1]
-                order[i:j0] = order[i:j0][::-1]
-                improved = True
-        if not improved:
-            break
-    return order.tolist()
+                d = step_from(c, step)
+                if d != a and dac + dist(x, d) - dax - dist(c, d) < -1e-12:
+                    found.append(("2-opt", a, x, c, d))
+                segment = [a]
+                for _ in range(min(3, n - 3)):
+                    end, q = segment[-1], step_from(segment[-1], -step)
+                    gain = dax + dist(end, q) - dist(x, q)
+                    for e in (step_from(c, -1), step_from(c, 1)):
+                        if c not in segment and e not in segment:
+                            if dac + dist(end, e) - dist(c, e) - gain < -1e-12:
+                                found.append(("or-opt", a, x, c, e, len(segment)))
+                    segment.append(q)
+    return found
 
 
-def reference_nearest_neighbor(points):
-    """Nearest-neighbour build over a shrinking list of remaining indices."""
-    order = [0]
-    remaining = list(range(1, len(points)))
-    while remaining:
-        dists = np.linalg.norm(points[remaining] - points[order[-1]], axis=1)
-        order.append(remaining.pop(int(np.argmin(dists))))
-    return order
-
-
-def assert_matches_scan(points, order=None):
-    """The block search makes the one-row scan's moves; NN matches the list build."""
-    start = planner._nearest_neighbor_order(points)
-    assert start == reference_nearest_neighbor(points)
-    start = start if order is None else list(order)
-    assert planner._two_opt(points, start) == scan_two_opt(points, start)
-    return start
+def assert_tour_properties(points):
+    """The heuristic tour is a permutation from point 0 with its recomputed
+    length, and no improving candidate move is left."""
+    pts = np.asarray(points, dtype=float)
+    plan = plan_tour(pts)
+    order = list(plan.visit_order)
+    assert sorted(order) == list(range(len(pts)))
+    assert order[0] == 0
+    assert np.array_equal(plan.ordered_points, pts[order])
+    assert plan.length_m == tour_length_m(plan)
+    assert plan.length_m == pytest.approx(closed_length(pts, order), rel=1e-12, abs=1e-9)
+    assert improving_candidate_moves(pts, order) == []
+    neighbours, dist = planner._neighbour_lists(pts, planner.TOUR_NEIGHBOURS)
+    assert neighbours.tolist() == candidate_lists(pts)
 
 
 def reference_groups(points, radius):
@@ -194,11 +188,7 @@ def assert_groups_match_oracles(field, radius):
 def assert_matches_references(field, radius):
     groups = assert_groups_match_oracles(field, radius)
     for pts in (field.positions, field.positions[[g.traversal_index for g in groups]]):
-        start = planner._nearest_neighbor_order(pts)
-        assert start == reference_nearest_neighbor(pts)
-        expected = reference_two_opt(pts, start)
-        assert planner._two_opt(pts, start) == expected
-        assert plan_tour(pts).visit_order == tuple(expected)
+        assert_tour_properties(pts)
 
 
 # --- coverage radius ---------------------------------------------------------
@@ -264,6 +254,25 @@ def test_generate_nodes_invalid():
 def test_node_field_bounds_enforced():
     with pytest.raises(ConfigurationError):
         NodeField(10.0, 10.0, np.array([[11.0, 5.0]]), seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_rejected(bad):
+    # A NaN position used to pass the bounds check (every comparison with NaN
+    # is false) and fail later, in grouping, with a misleading message.
+    with pytest.raises(ConfigurationError, match="finite"):
+        NodeField(10.0, 10.0, np.array([[1.0, 1.0], [bad, 2.0]]), seed=0)
+    for mode in ("heuristic", "exact"):
+        with pytest.raises(ConfigurationError, match="finite"):
+            plan_tour([(1.0, 1.0), (2.0, bad), (3.0, 1.0)], mode=mode)
+
+
+def test_node_count_past_the_float_range_rejected():
+    # density x area overflows to inf, which round() turned into OverflowError.
+    with pytest.raises(ConfigurationError):
+        planner.density_node_count(1e200, 1e200, 1.0)
+    with pytest.raises(ConfigurationError):
+        generate_nodes(1e200, 1e200, 1.0, 0)
 
 
 # --- grouping -------------------------------------------------------------------
@@ -413,39 +422,20 @@ def test_form_wpc_groups_memory_stays_linear(side, radius):
     assert peak < 8e6
 
 
-def test_block_search_matches_scan_across_capped_blocks():
-    # At n = 640 one pass prices ~2e5 moves, several blocks at the element cap.
-    n = 640
-    assert n * n // 2 > 3 * planner.TWO_OPT_BLOCK_MAX
-    side = 20.0 * math.sqrt(n)
-    assert_matches_scan(generate_nodes(side, side, 0.0, seed=5, count=n).positions)
-
-
-@pytest.mark.parametrize(
-    ("points", "expected"),
-    [
-        # A crossed square: the only improving move reverses positions 2..3.
-        ([[0, 0], [1, 0], [0, 1], [1, 1]], [0, 1, 3, 2]),
-        # Moves (2, 4), (3, 4), (2, 3): two of them end at the last position.
-        ([[3, 2], [3, 1], [1, 2], [1, 3], [0, 2]], [0, 1, 2, 4, 3]),
-    ],
-)
-def test_block_search_moves_ending_at_last_position(points, expected):
-    pts = np.array(points, dtype=float)
-    identity = list(range(len(pts)))
-    assert planner._two_opt(pts, identity) == expected
-    assert reference_two_opt(pts, identity) == expected
-    assert_matches_scan(pts, identity)
-
-
-@pytest.mark.parametrize("n", [4, 5])
-def test_block_search_matches_references_on_tiny_tours(n):
-    rng = np.random.default_rng(n)
-    for _ in range(200):
-        pts = rng.integers(0, 4, size=(n, 2)).astype(float)
-        order = [0, *(rng.permutation(n - 1) + 1).tolist()]
-        start = assert_matches_scan(pts, order)
-        assert planner._two_opt(pts, start) == reference_two_opt(pts, start)
+def test_pairs_within_memory_stays_near_the_pair_count():
+    # 5,000 nodes on a 100 m x 100 m field at R = 12: about 1.1 million pairs
+    # within reach, of 3.3 million candidates from the 3 x 3 cells. Pricing
+    # all candidates at once peaked at 172 MB; in chunks of GRID_CHUNK the
+    # peak stays near the CSR lists returned.
+    pts = np.random.default_rng(1).uniform(0.0, 100.0, size=(5000, 2))
+    tracemalloc.start()
+    try:
+        start, neighbours = planner._pairs_within(pts, 12.0 + planner.MEMBERSHIP_SLACK_M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(neighbours) == start[-1] > 1_000_000
+    assert peak < 172e6 / 2
 
 
 def degenerate_point_sets():
@@ -465,9 +455,83 @@ def degenerate_point_sets():
 
 
 @pytest.mark.parametrize("points", degenerate_point_sets())
-def test_block_search_matches_references_on_degenerate_points(points):
-    start = assert_matches_scan(points)
-    assert planner._two_opt(points, start) == reference_two_opt(points, start)
+def test_tour_is_locally_optimal_on_degenerate_points(points):
+    assert_tour_properties(points)
+
+
+def tour_points(kind, n, seed):
+    """n points of one shape: uniform at the default density, repeated,
+    all equal, on a line, or on a unit lattice, in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    side = 20.0 * math.sqrt(n)
+    if kind == "uniform":
+        pts = rng.uniform(0.0, side, size=(n, 2))
+    elif kind == "duplicates":
+        pts = np.repeat(rng.uniform(0.0, side, size=(-(-n // 3), 2)), 3, axis=0)[:n]
+    elif kind == "identical":
+        pts = np.full((n, 2), 7.5)
+    elif kind == "collinear":
+        t = rng.uniform(0.0, side, size=n)
+        pts = np.c_[t, 0.5 * t]
+    else:
+        k = math.ceil(math.sqrt(n))
+        pts = np.array([(x, y) for y in range(k) for x in range(k)], dtype=float)[:n]
+    return rng.permutation(pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(["uniform", "duplicates", "identical", "collinear", "lattice"]),
+    offset=st.sampled_from([0.0, 1e6]),
+)
+def test_heuristic_tour_properties(n, seed, kind, offset):
+    # Permutation from 0, recomputed length, no improving candidate move;
+    # with 1e6 m offsets too. Reaching the end of plan_tour shows the search
+    # terminates.
+    assert_tour_properties(tour_points(kind, n, seed) + offset)
+
+
+@pytest.mark.parametrize("k", [1, 3, planner.TOUR_NEIGHBOURS])
+def test_grid_neighbour_lists_match_all_pairs(monkeypatch, k):
+    # The grid path for every size, down to n = 1, and ties at equal distance.
+    monkeypatch.setattr(planner, "DENSE_NEIGHBOURS_MAX", 0)
+    rng = np.random.default_rng(k)
+    kinds = ("uniform", "duplicates", "identical", "collinear", "lattice")
+    sets = [tour_points(kind, n, n) for kind in kinds for n in (1, 2, 5, 40, 150)]
+    sets.append(np.r_[rng.normal(0.0, 1.0, size=(60, 2)), rng.uniform(1e3, 2e3, size=(3, 2))])
+    for pts in sets + [pts + 1e6 for pts in sets]:
+        neighbours, dist = planner._neighbour_lists(pts, k)
+        assert neighbours.tolist() == candidate_lists(pts, k)
+        z = [complex(x, y) for x, y in pts.tolist()]
+        rows = enumerate(neighbours.tolist())
+        assert dist.tolist() == [[abs(z[i] - z[j]) for j in row] for i, row in rows]
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_tour_search_stops_at_the_move_cap(monkeypatch, cap):
+    monkeypatch.setattr(planner, "TOUR_MOVES_PER_POINT", cap)
+    pts = np.random.default_rng(cap).uniform(0.0, 300.0, size=(200, 2))
+    plan = plan_tour(pts)
+    assert sorted(plan.visit_order) == list(range(200))
+    assert plan.visit_order[0] == 0
+    assert plan.length_m == tour_length_m(plan)
+    if cap == 0:  # no move at all: the greedy-edge start
+        neighbours, dist = planner._neighbour_lists(pts, planner.TOUR_NEIGHBOURS)
+        start = planner._greedy_edge_order(pts, neighbours, dist)
+        i = start.index(0)
+        assert list(plan.visit_order) == start[i:] + start[:i]
+
+
+def test_tour_search_terminates_when_rounding_passes_the_threshold():
+    # Near 1e15 m one ulp of a distance is about 0.1 m, far above the -1e-12
+    # move threshold, so rounding alone can price a move as improving. The
+    # move cap still ends the search with a valid tour.
+    pts = np.random.default_rng(3).uniform(0.0, 1e15, size=(300, 2))
+    plan = plan_tour(pts)
+    assert sorted(plan.visit_order) == list(range(300))
+    assert plan.visit_order[0] == 0
 
 
 def test_plan_tour_memory_stays_linear():
