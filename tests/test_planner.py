@@ -438,6 +438,40 @@ def test_pairs_within_memory_stays_near_the_pair_count():
     assert peak < 172e6 / 2
 
 
+@pytest.mark.parametrize(
+    ("points", "expected"),
+    [
+        # A crossed square: the improving move replaces the closing edge.
+        ([[0, 0], [1, 0], [0, 1], [1, 1]], [0, 1, 3, 2]),
+        # From the input order, two of the old 2-opt's three moves ended at
+        # the last position, next to the closing edge.
+        ([[3, 2], [3, 1], [1, 2], [1, 3], [0, 2]], [0, 1, 2, 4, 3]),
+    ],
+)
+def test_block_search_moves_ending_at_last_position(points, expected):
+    # The search has no fixed first position, so moves across the tour's
+    # closing edge are found like any other: the optimal cycle, either way.
+    pts = np.array(points, dtype=float)
+    plan = plan_tour(pts)
+    assert list(plan.visit_order) in (expected, [expected[0], *expected[:0:-1]])
+    assert plan.length_m == pytest.approx(brute_force_tour_length(pts), abs=1e-9)
+    assert_tour_properties(pts)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_block_search_matches_references_on_tiny_tours(n):
+    # Small integer grids, so duplicates and zero-gain moves are common.
+    # Every 4-point tour is one 2-opt move from the optimum, so a tour with
+    # no improving move left is optimal there.
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+        assert_tour_properties(pts)
+        if n == 4:
+            length = plan_tour(pts).length_m
+            assert length == pytest.approx(brute_force_tour_length(pts), abs=1e-9)
+
+
 def degenerate_point_sets():
     rng = np.random.default_rng(11)
     line = np.linspace(0.0, 30.0, 31)
