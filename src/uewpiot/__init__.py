@@ -16,11 +16,9 @@ from .linkbudget import (
     achievable_data_rate_bps,
     achievable_eh_distance_m,
     array_gain_db,
-    expected_path_loss_db,
     free_space_path_loss_db,
     harvested_power_dbm,
     link_budget,
-    los_probability,
     noise_power_dbm,
     received_power_dbm,
     shannon_rate_bps,

@@ -218,6 +218,11 @@ def _circuit(config: RunConfig, frequency_hz: float) -> lb.EhCircuit:
         return lb.EhCircuit(
             frequency_hz, config.circuit_threshold_dbm, config.circuit_efficiency
         )
+    if frequency_hz not in lb.BAND_THRESHOLDS_DBM:
+        raise ConfigurationError(
+            f"no default harvester threshold for the {frequency_hz:g} Hz band; "
+            "set circuit.threshold_dbm"
+        )
     return lb.EhCircuit.for_band(frequency_hz, config.circuit_efficiency)
 
 

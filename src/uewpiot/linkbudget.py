@@ -215,18 +215,6 @@ class LinkGeometry:
             raise GeometryError("ground distance must be >= 0")
         return cls(uav_height_m, math.hypot(uav_height_m, ground_distance_m))
 
-    @property
-    def ground_distance_m(self) -> float:
-        return math.sqrt(
-            max(self.slant_distance_m**2 - self.uav_height_m**2, 0.0)
-        )
-
-    @property
-    def elevation_angle_deg(self) -> float:
-        if self.slant_distance_m == 0:
-            return 90.0  # degenerate zero-range link, treated as overhead
-        return math.degrees(math.asin(self.uav_height_m / self.slant_distance_m))
-
 
 def wavelength_m(env: RadioEnvironment) -> float:
     """Carrier wavelength c/f."""
@@ -314,16 +302,6 @@ def free_space_path_loss_db(distance_m, frequency_hz: float):
     if np.less_equal(distance_m, 0).any():
         raise GeometryError(f"distance must be positive, got {np.min(distance_m)} m")
     return _fspl_db(distance_m, frequency_hz)
-
-
-def los_probability(env: RadioEnvironment, geom: LinkGeometry) -> float:
-    """Line-of-sight probability at the link's elevation angle."""
-    return float(link_budget(env, geom.uav_height_m, geom.slant_distance_m).los_probability)
-
-
-def expected_path_loss_db(env: RadioEnvironment, geom: LinkGeometry) -> float:
-    """Expected path loss: FSPL plus the probability-blended excess loss."""
-    return float(link_budget(env, geom.uav_height_m, geom.slant_distance_m).path_loss_db)
 
 
 def received_power_dbm(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from . import linkbudget as lb
 from . import planner
@@ -60,16 +61,6 @@ class MissionScenario:
             raise ConfigurationError("hover height must be >= 0")
         if self.wake_duration_s < 0:
             raise ConfigurationError("wake duration must be >= 0")
-
-    def node_geometry(self, uav_xy, node_index: int) -> lb.LinkGeometry:
-        """Geometry from the hover point above ``uav_xy`` to a node."""
-        node = self.field.positions[node_index]
-        ground = math.hypot(node[0] - uav_xy[0], node[1] - uav_xy[1])
-        return lb.LinkGeometry.from_ground(self.height_m, ground)
-
-    def slants_m(self, uav_xy, node_indices) -> list[float]:
-        """Slant ranges from the hover point above ``uav_xy`` to each node."""
-        return [self.node_geometry(uav_xy, i).slant_distance_m for i in node_indices]
 
 
 @dataclass(frozen=True)
@@ -121,19 +112,49 @@ class PoweringSolution:
     services: tuple[NodeService, ...]
 
 
+def _price(scenario: MissionScenario, stops) -> list[list[tuple]]:
+    """Every (hover point, member) link of ``stops``, priced in one kernel call.
+
+    ``stops`` holds (uav_xy, members) pairs. Per stop, the result holds one
+    (node, slant, path loss, harvested dBm, rate) tuple per member, in the
+    given member order. Slants are ``math.hypot`` twice, as in
+    ``LinkGeometry.from_ground``; ``np.hypot`` can differ in the last bit.
+    """
+    nodes, hover = [], []
+    for uav_xy, members in stops:
+        nodes += members
+        hover += [(float(uav_xy[0]), float(uav_xy[1]))] * len(members)
+    height = scenario.height_m
+    slants = [
+        math.hypot(height, math.hypot(x - ux, y - uy))
+        for (x, y), (ux, uy) in zip(scenario.field.positions[nodes].tolist(), hover)
+    ]
+    budget = lb.link_budget(
+        scenario.env, height, slants, scenario.wpt_power_w, scenario.array,
+        scenario.circuit, scenario.bandwidth_hz, scenario.noise_figure_db,
+    )
+    rest = zip(
+        nodes, slants, budget.path_loss_db.tolist(), budget.harvested_dbm.tolist(),
+        budget.rate_bps.tolist(),
+    )
+    return [list(islice(rest, len(members))) for _, members in stops]
+
+
+def _woken(scenario: MissionScenario, links) -> list[tuple]:
+    """The priced links whose received wake-up power (``link[2]`` is the path
+    loss) meets the threshold."""
+    wake_dbm = lb.watts_to_dbm(scenario.wur_power_w)
+    return [link for link in links if wake_dbm - link[2] >= scenario.wur_wake_threshold_dbm]
+
+
 def wake_up(scenario: MissionScenario, uav_xy, group: planner.WpcGroup) -> frozenset[int]:
     """Nodes whose received wake-up power meets the wake threshold.
 
     The wake-up radio is omnidirectional (no array gain); activation uses
     a >= comparison, so a node exactly at the threshold wakes.
     """
-    members = sorted(group.member_indices)
-    budget = lb.link_budget(scenario.env, scenario.height_m, scenario.slants_m(uav_xy, members))
-    received = lb.watts_to_dbm(scenario.wur_power_w) - budget.path_loss_db
-    return frozenset(
-        index for index, dbm in zip(members, received.tolist())
-        if dbm >= scenario.wur_wake_threshold_dbm
-    )
+    (links,) = _price(scenario, [(uav_xy, sorted(group.member_indices))])
+    return frozenset(link[0] for link in _woken(scenario, links))
 
 
 def required_tx(payload_bits: float, rate_bps: float, tx_power_w: float) -> tuple[float, float]:
@@ -161,33 +182,6 @@ def tdma_schedule(tx_times: dict[int, float]) -> tuple[TdmaSlot, ...]:
     return tuple(slots)
 
 
-def _node_services(scenario: MissionScenario, uav_xy, members) -> tuple[NodeService, ...]:
-    """Link-budget snapshots of ``members``, from one kernel call over all of them."""
-    slants = scenario.slants_m(uav_xy, members)
-    budget = lb.link_budget(
-        scenario.env, scenario.height_m, slants, scenario.wpt_power_w, scenario.array,
-        scenario.circuit, scenario.bandwidth_hz, scenario.noise_figure_db,
-    )
-    services = []
-    for index, slant, harvested_dbm, rate in zip(
-        members, slants, budget.harvested_dbm.tolist(), budget.rate_bps.tolist()
-    ):
-        harvested_w = lb.dbm_to_watts(harvested_dbm)
-        tx_power_w = harvested_w  # energy-neutral node
-        tx_time, energy = required_tx(scenario.payload_bits, rate, tx_power_w)
-        services.append(NodeService(
-            node_index=index,
-            slant_m=slant,
-            harvested_power_dbm=harvested_dbm,
-            harvested_power_w=harvested_w,
-            rate_bps=rate,
-            tx_power_w=tx_power_w,
-            tx_time_s=tx_time,
-            required_energy_j=energy,
-        ))
-    return tuple(services)
-
-
 def powering_cost(scenario: MissionScenario, tau_s: float, data_s: float) -> float:
     """Joint energy-and-latency cost of one hover stop.
 
@@ -213,10 +207,25 @@ def optimize_powering(
     members = sorted(activated)
     if not members:
         raise ConfigurationError("cannot optimize powering for an empty group")
-    services = _node_services(scenario, uav_xy, members)
+    (links,) = _price(scenario, [(uav_xy, members)])
+    return _powering(scenario, links)
+
+
+def _powering(scenario: MissionScenario, links) -> PoweringSolution:
+    """``optimize_powering`` over priced links of activated nodes, in
+    ascending node order; ties in tau keep the lowest binding node.
+    """
+    services = []
+    for index, slant, _, harvested_dbm, rate in links:
+        harvested_w = lb.dbm_to_watts(harvested_dbm)
+        tx_power_w = harvested_w  # energy-neutral node
+        tx_time, energy = required_tx(scenario.payload_bits, rate, tx_power_w)
+        services.append(NodeService(
+            index, slant, harvested_dbm, harvested_w, rate, tx_power_w, tx_time, energy
+        ))
 
     tau = 0.0
-    binding = members[0]
+    binding = services[0].node_index
     for svc in services:
         required_tau = svc.required_energy_j / svc.harvested_power_w
         if required_tau > tau:
@@ -237,7 +246,7 @@ def optimize_powering(
         data_s=data_s,
         cost=powering_cost(scenario, tau, data_s),
         schedule=schedule,
-        services=services,
+        services=tuple(services),
     )
 
 
@@ -370,25 +379,21 @@ def simulate_mission(
     visit_order = tour.visit_order
 
     # A skipped group spends only its wake-up phase and serves no node.
-    skipped = PoweringSolution(
-        tau_s=0.0,
-        data_s=0.0,
-        cost=0.0,
-        schedule=PhaseSchedule(scenario.wake_duration_s, 0.0, ()),
-        services=(),
-    )
+    skipped = PoweringSolution(0.0, 0.0, 0.0, PhaseSchedule(scenario.wake_duration_s, 0.0, ()), ())
     # Group ids are the planner's formation indices; the outcome list is in
-    # tour visit order.
+    # tour visit order. One kernel call prices every stop's members.
+    stops = [groups[group_id] for group_id in visit_order]
+    priced = _price(scenario, [
+        (scenario.field.positions[g.traversal_index], sorted(g.member_indices)) for g in stops
+    ])
     node_outcomes: dict[int, NodeOutcome] = {}
     group_outcomes = []
-    for group_id in visit_order:
-        group = groups[group_id]
-        uav_xy = scenario.field.positions[group.traversal_index]
-        activated = wake_up(scenario, uav_xy, group)
+    for group_id, group, links in zip(visit_order, stops, priced):
+        activated = _woken(scenario, links)
         solution, diagnostic = skipped, "no nodes activated by the wake-up signal"
         if activated:
             try:
-                solution, diagnostic = optimize_powering(scenario, uav_xy, activated), ""
+                solution, diagnostic = _powering(scenario, activated), ""
             except InfeasibilityError as exc:
                 diagnostic = str(exc)
         group_outcomes.append(
@@ -404,17 +409,9 @@ def simulate_mission(
                 tx_time_s=svc.tx_time_s,
                 bits_delivered=scenario.payload_bits,
             )
-        for index in sorted(group.member_indices):
+        for index, slant, *_ in links:
             if index not in node_outcomes:
-                node_outcomes[index] = NodeOutcome(
-                    node_index=index,
-                    group_id=group_id,
-                    slant_m=scenario.node_geometry(uav_xy, index).slant_distance_m,
-                    harvested_energy_j=0.0,
-                    tx_power_w=0.0,
-                    tx_time_s=0.0,
-                    bits_delivered=0.0,
-                )
+                node_outcomes[index] = NodeOutcome(index, group_id, slant, 0.0, 0.0, 0.0, 0.0)
 
     flight_time = tour.length_m / scenario.cruise_speed_mps
     service_time = sum(g.schedule.wake_s + g.latency_s for g in group_outcomes)

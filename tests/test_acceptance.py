@@ -200,8 +200,6 @@ def _random_group_scenario(rng):
 
 
 def test_criterion_7_optimizer_matches_grid_search():
-    from uewpiot import expected_path_loss_db
-
     step = 1e-4
     rng = np.random.default_rng(77)
     agreements = 0

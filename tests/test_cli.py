@@ -270,6 +270,22 @@ def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
     assert not (tmp_path / "eh_sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    ("line", "command"),
+    [
+        ("link.frequency_hz = 1e9", "simulate"),
+        ("sweep.frequencies_hz = 4e8,1e9", "sweep-eh"),
+    ],
+)
+def test_main_band_without_threshold_names_the_key(tmp_path, capsys, line, command):
+    config = write_config(tmp_path, line + "\nplan.mc_seeds = 1\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), command]) == 2
+    err = capsys.readouterr().err
+    assert "circuit.threshold_dbm" in err and "input_threshold_dbm" not in err
+    config = write_config(tmp_path, line + "\nplan.mc_seeds = 1\ncircuit.threshold_dbm = -40\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), command]) == 0
+
+
 @pytest.mark.parametrize("heights", ["0", "10,0", "-5"])
 def test_main_nonpositive_height_exit_2(tmp_path, capsys, heights):
     config = write_config(tmp_path, f"plan.heights_m = {heights}\nplan.mc_seeds = 1\n")

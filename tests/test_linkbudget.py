@@ -21,11 +21,9 @@ from uewpiot import (
     achievable_data_rate_bps,
     achievable_eh_distance_m,
     array_gain_db,
-    expected_path_loss_db,
     free_space_path_loss_db,
     harvested_power_dbm,
     link_budget,
-    los_probability,
     noise_power_dbm,
     received_power_dbm,
     shannon_rate_bps,
@@ -42,6 +40,11 @@ def hand_path_loss_db(d, h, f, e_los, e_nlos, a=4.88, b=0.43):
     p_los = 1.0 / (1.0 + a * math.exp(-b * (theta - a)))
     fspl = 20.0 * math.log10(4.0 * math.pi * d * f / C)
     return fspl + p_los * e_los + (1.0 - p_los) * e_nlos
+
+
+def one_link(env, geom):
+    """The kernel's 0-d link budget for one link geometry (path-loss stages only)."""
+    return link_budget(env, geom.uav_height_m, geom.slant_distance_m)
 
 
 def hand_harvested_dbm(p_w, n, d, h, f, eta, e_los, e_nlos):
@@ -116,13 +119,22 @@ def test_array_layout_validation():
 # --- geometry ----------------------------------------------------------------
 
 def test_geometry_triangle_identity():
-    geom = LinkGeometry(uav_height_m=10.0, slant_distance_m=13.0)
-    assert geom.ground_distance_m**2 + 10.0**2 == pytest.approx(13.0**2)
-    assert geom.elevation_angle_deg == pytest.approx(math.degrees(math.asin(10.0 / 13.0)))
+    # A 10 m height over sqrt(69) m of ground is a 13 m slant, and the kernel
+    # prices it at the elevation asin(10/13).
+    geom = LinkGeometry.from_ground(10.0, math.sqrt(13.0**2 - 10.0**2))
+    assert geom.slant_distance_m == pytest.approx(13.0)
+    assert one_link(SUBURBAN_400, geom).path_loss_db == pytest.approx(
+        hand_path_loss_db(13.0, 10.0, 400e6, 0.1, 21.0), abs=1e-9
+    )
 
 
 def test_geometry_constructors():
-    assert LinkGeometry.overhead(5.0).elevation_angle_deg == pytest.approx(90.0)
+    overhead = LinkGeometry.overhead(5.0)
+    assert overhead.uav_height_m == overhead.slant_distance_m == 5.0
+    sigmoid_90 = 1.0 / (1.0 + 4.88 * math.exp(-0.43 * (90.0 - 4.88)))
+    assert one_link(SUBURBAN_400, overhead).los_probability == pytest.approx(
+        sigmoid_90, abs=1e-12
+    )
     geom = LinkGeometry.from_ground(3.0, 4.0)
     assert geom.slant_distance_m == pytest.approx(5.0)
 
@@ -142,13 +154,13 @@ def test_los_probability_reference_angles():
         return 1.0 / (1.0 + 4.88 * math.exp(-0.43 * (theta - 4.88)))
 
     env = SUBURBAN_400
-    assert los_probability(env, LinkGeometry.overhead(10.0)) >= 0.9999
+    assert one_link(env, LinkGeometry.overhead(10.0)).los_probability >= 0.9999
     ten_deg = LinkGeometry(uav_height_m=10.0 * math.sin(math.radians(10.0)),
                            slant_distance_m=10.0)
-    assert los_probability(env, ten_deg) == pytest.approx(sigmoid(10.0), abs=1e-9)
+    assert one_link(env, ten_deg).los_probability == pytest.approx(sigmoid(10.0), abs=1e-9)
     assert sigmoid(10.0) == pytest.approx(0.6494, abs=5e-4)
     flat = LinkGeometry(uav_height_m=0.0, slant_distance_m=10.0)
-    assert los_probability(env, flat) == pytest.approx(sigmoid(0.0), abs=1e-9)
+    assert one_link(env, flat).los_probability == pytest.approx(sigmoid(0.0), abs=1e-9)
     assert sigmoid(0.0) == pytest.approx(0.0245, abs=5e-4)
 
 
@@ -158,7 +170,7 @@ def test_los_probability_bounded_and_nondecreasing():
     for theta in np.linspace(0.0, 90.0, 91):
         geom = LinkGeometry(uav_height_m=10.0 * math.sin(math.radians(theta)),
                             slant_distance_m=10.0)
-        p = los_probability(env, geom)
+        p = one_link(env, geom).los_probability
         assert 0.0 < p < 1.0
         assert p >= previous
         previous = p
@@ -172,13 +184,13 @@ def test_expected_path_loss_overhead():
     geom = LinkGeometry.overhead(10.0)
     fspl = 20.0 * math.log10(4.0 * math.pi * 10.0 * 400e6 / C)
     assert fspl == pytest.approx(44.48, abs=0.01)
-    assert expected_path_loss_db(env, geom) == pytest.approx(fspl + 0.1, abs=1e-4)
+    assert one_link(env, geom).path_loss_db == pytest.approx(fspl + 0.1, abs=1e-4)
 
 
 def test_expected_path_loss_hand_value():
     env = SUBURBAN_400
     geom = LinkGeometry(uav_height_m=10.0, slant_distance_m=25.0)
-    assert expected_path_loss_db(env, geom) == pytest.approx(
+    assert one_link(env, geom).path_loss_db == pytest.approx(
         hand_path_loss_db(25.0, 10.0, 400e6, 0.1, 21.0), abs=1e-12
     )
 
@@ -186,7 +198,7 @@ def test_expected_path_loss_hand_value():
 def test_expected_path_loss_strictly_increasing_in_distance():
     env = SUBURBAN_400
     losses = [
-        expected_path_loss_db(env, LinkGeometry(10.0, d))
+        one_link(env, LinkGeometry(10.0, d)).path_loss_db
         for d in np.linspace(10.0, 200.0, 100)
     ]
     assert all(b > a for a, b in zip(losses, losses[1:]))
@@ -198,12 +210,12 @@ def test_expected_path_loss_floor():
     for d in (10.0, 30.0, 120.0):
         geom = LinkGeometry(10.0, d)
         fspl = free_space_path_loss_db(d, 400e6)
-        assert expected_path_loss_db(env, geom) >= fspl + 0.1
+        assert one_link(env, geom).path_loss_db >= fspl + 0.1
 
 
 def test_path_loss_geometry_errors():
     with pytest.raises(GeometryError):
-        expected_path_loss_db(SUBURBAN_400, LinkGeometry(0.0, 0.0))
+        one_link(SUBURBAN_400, LinkGeometry(0.0, 0.0)).path_loss_db
     with pytest.raises(GeometryError):
         LinkGeometry(10.0, 9.0)
 
@@ -413,8 +425,8 @@ def test_kernel_equals_scalar_wrappers(band, n, eta, power_w, points):
     budget = link_budget(env, heights, slants, power_w, array, circuit, 15e6, 5.0)
     for i, (h, d) in enumerate(zip(heights.tolist(), slants.tolist())):
         geom = LinkGeometry(h, d)
-        assert budget.los_probability[i] == los_probability(env, geom)
-        assert budget.path_loss_db[i] == expected_path_loss_db(env, geom)
+        assert budget.los_probability[i] == one_link(env, geom).los_probability
+        assert budget.path_loss_db[i] == one_link(env, geom).path_loss_db
         assert budget.received_dbm[i] == received_power_dbm(power_w, array, env, geom)
         assert budget.harvested_dbm[i] == harvested_power_dbm(power_w, array, circuit, env, geom)
         assert budget.rate_bps[i] == achievable_data_rate_bps(

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uewpiot import linkbudget
 from uewpiot import (
@@ -22,7 +24,8 @@ from uewpiot import (
     WpcGroup,
     achievable_data_rate_bps,
     compare_strategies,
-    expected_path_loss_db,
+    coverage_radius_m,
+    form_wpc_groups,
     generate_nodes,
     harvested_power_dbm,
     optimize_powering,
@@ -31,7 +34,7 @@ from uewpiot import (
     tdma_schedule,
     wake_up,
 )
-from uewpiot.missionsim import resolve_eh_distance_m
+from uewpiot.missionsim import NodeOutcome, resolve_eh_distance_m
 
 GRID_STEP_S = 1e-4
 
@@ -66,6 +69,15 @@ def node_link(scenario, uav_xy, index):
     return harvested_w, rate
 
 
+def wake_received_dbm(scenario, uav_xy, index):
+    """Independent received wake-up power at one node, from a 0-d kernel call."""
+    node = scenario.field.positions[index]
+    ground = math.hypot(node[0] - uav_xy[0], node[1] - uav_xy[1])
+    geom = LinkGeometry.from_ground(scenario.height_m, ground)
+    budget = linkbudget.link_budget(scenario.env, geom.uav_height_m, geom.slant_distance_m)
+    return 10.0 * math.log10(scenario.wur_power_w * 1e3) - float(budget.path_loss_db)
+
+
 def grid_search_tau(scenario, uav_xy, members):
     """Feasibility verdict and best grid tau for one group."""
     links = {i: node_link(scenario, uav_xy, i) for i in members}
@@ -93,11 +105,9 @@ def grid_search_tau(scenario, uav_xy, members):
 def test_wake_up_boundary_node_activates():
     scenario = make_scenario([[50.0, 50.0], [60.0, 50.0]])
     uav_xy = scenario.field.positions[0]
-    geom = scenario.node_geometry(uav_xy, 1)
-    received = (10.0 * math.log10(scenario.wur_power_w * 1e3)
-                - expected_path_loss_db(scenario.env, geom))
     boundary = make_scenario(
-        [[50.0, 50.0], [60.0, 50.0]], wur_wake_threshold_dbm=received
+        [[50.0, 50.0], [60.0, 50.0]],
+        wur_wake_threshold_dbm=wake_received_dbm(scenario, uav_xy, 1),
     )
     group = WpcGroup(0, frozenset({0, 1}))
     assert wake_up(boundary, uav_xy, group) == frozenset({0, 1})
@@ -117,14 +127,7 @@ def test_wake_up_mixed_group_matches_per_node_oracle():
     scenario = make_scenario(positions, wur_wake_threshold_dbm=-55.0)
     uav_xy = positions[2]
     group = WpcGroup(2, frozenset(range(5)))
-    expected = set()
-    for i in range(5):
-        ground = math.dist(positions[i], uav_xy)
-        geom = LinkGeometry.from_ground(scenario.height_m, ground)
-        received = (10.0 * math.log10(scenario.wur_power_w * 1e3)
-                    - expected_path_loss_db(scenario.env, geom))
-        if received >= -55.0:
-            expected.add(i)
+    expected = {i for i in range(5) if wake_received_dbm(scenario, uav_xy, i) >= -55.0}
     assert wake_up(scenario, uav_xy, group) == frozenset(expected)
 
 
@@ -449,6 +452,103 @@ def test_mission_rejects_a_plan_for_another_height_or_range():
         planned = compare_strategies(scenario.field, field_d_eh, [height]).results[1]
         with pytest.raises(ConfigurationError, match="does not match"):
             simulate_mission(scenario, planned)
+
+
+@pytest.mark.parametrize(("side_m", "count"), [(100.0, 25), (400.0, 400)])
+def test_mission_prices_every_stop_in_one_kernel_call(monkeypatch, side_m, count):
+    # The groups partition the nodes, so the one call prices each node once.
+    field = generate_nodes(side_m, side_m, 0.0, seed=1, count=count)
+    scenario = full_scenario(field=field, eh_distance_m=13.0)
+    planned = compare_strategies(field, 13.0, [scenario.height_m]).results[1]
+    calls = count_link_budget_calls(monkeypatch)
+    report = simulate_mission(scenario, planned)
+    assert len(calls) == 1
+    assert len(calls[0][2]) == len(report.nodes) == count
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0)), min_size=1, max_size=40
+    ),
+    eh_distance_m=st.floats(10.5, 30.0),
+    latency_cap_s=st.floats(0.01, 2.0),
+    payload_mbit=st.integers(0, 40),
+    wake_threshold_dbm=st.floats(-50.0, -30.0),
+)
+@example(  # every group skipped for its latency
+    points=[(10.0, 10.0), (14.0, 10.0), (50.0, 50.0)], eh_distance_m=15.0,
+    latency_cap_s=0.01, payload_mbit=20, wake_threshold_dbm=-55.0,
+)
+@example(  # every group skipped unwoken
+    points=[(10.0, 10.0), (14.0, 10.0), (50.0, 50.0)], eh_distance_m=15.0,
+    latency_cap_s=2.0, payload_mbit=10, wake_threshold_dbm=-35.0,
+)
+def test_mission_matches_per_stop_oracle_and_conserves(
+    points, eh_distance_m, latency_cap_s, payload_mbit, wake_threshold_dbm
+):
+    # Each stop of the batched mission equals the public per-stop wake_up and
+    # optimize_powering, and the report conserves time, energy and bits.
+    scenario = make_scenario(
+        points, eh_distance_m=eh_distance_m, latency_cap_s=latency_cap_s,
+        payload_bits=payload_mbit * 1e6, wur_wake_threshold_dbm=wake_threshold_dbm,
+    )
+    report = simulate_mission(scenario)
+    groups = form_wpc_groups(scenario.field, coverage_radius_m(scenario.height_m, eh_distance_m))
+    assert sorted(g.group_id for g in report.groups) == list(range(len(groups)))
+    assert [n.node_index for n in report.nodes] == list(range(len(points)))
+    served = 0
+    for outcome in report.groups:
+        group = groups[outcome.group_id]
+        members = sorted(group.member_indices)
+        assert [n.node_index for n in report.nodes if n.group_id == outcome.group_id] == members
+        assert (outcome.traversal_index, outcome.member_count) == (group.traversal_index, len(members))
+        uav_xy = scenario.field.positions[group.traversal_index]
+        activated = wake_up(scenario, uav_xy, group)
+        assert outcome.activated_count == len(activated)
+        try:
+            solution = optimize_powering(scenario, uav_xy, activated) if activated else None
+            diagnostic = "" if activated else "no nodes activated by the wake-up signal"
+        except InfeasibilityError as exc:
+            solution, diagnostic = None, str(exc)
+        assert (outcome.feasible, outcome.diagnostic) == (not diagnostic, diagnostic)
+        if solution is None:
+            assert (outcome.powering_s, outcome.data_s, outcome.schedule.slots) == (0.0, 0.0, ())
+            served_nodes = {}
+        else:
+            assert (outcome.powering_s, outcome.data_s, outcome.cost) == (
+                solution.tau_s, solution.data_s, solution.cost
+            )
+            assert outcome.schedule == solution.schedule
+            assert outcome.latency_s <= latency_cap_s
+            served_nodes = {svc.node_index: svc for svc in solution.services}
+        served += len(served_nodes)
+        for index in members:
+            node = report.nodes[index]
+            node_xy = scenario.field.positions[index]
+            ground = math.hypot(node_xy[0] - uav_xy[0], node_xy[1] - uav_xy[1])
+            slant = LinkGeometry.from_ground(scenario.height_m, ground).slant_distance_m
+            svc = served_nodes.get(index)
+            if svc is None:
+                assert node == NodeOutcome(index, outcome.group_id, slant, 0.0, 0.0, 0.0, 0.0)
+                continue
+            assert node == NodeOutcome(
+                index, outcome.group_id, slant, svc.harvested_power_w * solution.tau_s,
+                svc.tx_power_w, svc.tx_time_s, scenario.payload_bits,
+            )
+            # tau is the binding node's energy over its power; rounding may
+            # leave that node a few ulps short of its transmit energy.
+            assert node.harvested_energy_j >= node.tx_power_w * node.tx_time_s * (1 - 1e-12)
+
+    assert report.total_bits_delivered == payload_mbit * 1e6 * served
+    assert report.service_time_s == sum(g.schedule.wake_s + g.latency_s for g in report.groups)
+    assert report.uav_energy_j == (
+        report.wpt_energy_j + report.wur_energy_j + report.hover_energy_j + report.cruise_energy_j
+    )
+    assert report.wpt_energy_j == sum(scenario.wpt_power_w * g.powering_s for g in report.groups)
+    assert report.wur_energy_j == sum(scenario.wur_power_w * g.schedule.wake_s for g in report.groups)
+    assert report.hover_energy_j == scenario.hover_power_w * report.service_time_s
+    assert report.cruise_energy_j == scenario.hover_power_w * report.flight_time_s
 
 
 def test_scenario_validation():

@@ -77,7 +77,7 @@ def candidate_lists(points, k=planner.TOUR_NEIGHBOURS):
     ]
 
 
-def improving_candidate_moves(points, order):
+def improving_candidate_moves(points, order, k=planner.TOUR_NEIGHBOURS):
     """Every candidate 2-opt or Or-opt move on the closed tour ``order`` whose
     delta is below -1e-12, as (kind, a, x, c, ...) tuples.
 
@@ -102,7 +102,7 @@ def improving_candidate_moves(points, order):
         return order[(pos[c] + step) % n]
 
     found = []
-    for a, near in enumerate(candidate_lists(points)):
+    for a, near in enumerate(candidate_lists(points, k)):
         for step in (-1, 1):
             x = step_from(a, step)
             dax = dist(a, x)
@@ -541,6 +541,28 @@ def test_grid_neighbour_lists_match_all_pairs(monkeypatch, k):
         z = [complex(x, y) for x, y in pts.tolist()]
         rows = enumerate(neighbours.tolist())
         assert dist.tolist() == [[abs(z[i] - z[j]) for j in row] for i, row in rows]
+
+
+@pytest.mark.parametrize(
+    ("k", "points"),
+    [
+        (1, [[3, 8], [17, 19], [14, 13], [4, 10], [7, 13], [14, 3], [0, 18], [4, 8], [17, 9],
+             [18, 15], [17, 12], [6, 16]]),
+        (2, [[5, 16], [10, 10], [15, 9], [8, 6], [15, 3], [7, 12], [11, 10], [17, 19], [5, 13],
+             [18, 4], [18, 3], [11, 4], [14, 14]]),
+    ],
+)
+def test_tour_search_rereads_points_whose_or_opt_segment_changed(monkeypatch, k, points):
+    # With one or two candidates per point, the points of an Or-opt segment
+    # leading away from a are mostly not among a's candidates. A failed search
+    # at a must still record them as read: on these point sets, a later move
+    # changes a segment's links and opens an Or-opt move at a, which is found
+    # only if a is searched again.
+    monkeypatch.setattr(planner, "TOUR_NEIGHBOURS", k)
+    pts = np.asarray(points, dtype=float)
+    order = list(plan_tour(pts).visit_order)
+    assert sorted(order) == list(range(len(pts)))
+    assert improving_candidate_moves(pts, order, k) == []
 
 
 @pytest.mark.parametrize("cap", [0, 1])
