@@ -132,7 +132,8 @@ def _format_value(value) -> str:
 
 
 def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Load a config file (optional), apply CLI overrides, and check the field."""
+    """Load a config file (optional), apply CLI overrides, and check the field
+    and the bandwidth."""
     config = RunConfig()
     known = {f.name for f in fields(RunConfig)}
     if path is not None:
@@ -160,8 +161,9 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
 
 
 def _check_field(config: RunConfig) -> None:
-    """Reject field.* values that cannot make a node field, naming the key."""
-    for attr in ("field_width_m", "field_height_m"):
+    """Reject field.* values that cannot make a node field, and a bandwidth
+    that cannot carry the uplink, naming the key."""
+    for attr in ("field_width_m", "field_height_m", "link_bandwidth_hz"):
         value = getattr(config, attr)
         if not value > 0:
             raise ConfigurationError(f"{_attr_to_key(attr)} must be > 0, got {value:g}")
@@ -308,8 +310,11 @@ def _sweep(config: RunConfig, path: Path, columns: list[str], values, **uplink) 
     Each (frequency, elements) series is one ``lb.link_budget`` call over
     the grid, given ``uplink`` for the rate stage. ``values(budget, circuit)``
     gives the remaining columns: each an array over the grid or one number.
+    Each distance cell is formatted once per file and shared by every
+    series; a series formats only its array columns per row.
     """
     distances = _sweep_distances(config)
+    distance_cells = [FLOAT_FMT % distance for distance in distances.tolist()]
 
     def series():
         for frequency in config.sweep_frequencies_hz:
@@ -319,13 +324,14 @@ def _sweep(config: RunConfig, path: Path, columns: list[str], values, **uplink) 
                 budget = lb.link_budget(
                     env, distances, distances, config.mission_wpt_power_w, array, circuit, **uplink
                 )
-                cells, arrays = [FLOAT_FMT, _cell(frequency), _cell(elements)], [distances]
+                cells, arrays = ["%s", _cell(frequency), _cell(elements)], []
                 for value in values(budget, circuit):
                     is_array = isinstance(value, np.ndarray)
                     cells.append(FLOAT_FMT if is_array else _cell(value))
                     arrays += [value] if is_array else []
                 row = ",".join(cells) + "\n"
-                yield "".join([row % point for point in zip(*(a.tolist() for a in arrays))])
+                points = zip(distance_cells, *(a.tolist() for a in arrays))
+                yield "".join([row % point for point in points])
 
     return _write_csv(path, ["distance_m", "freq_hz", "elements", *columns], series())
 
@@ -367,7 +373,8 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
     ``tour.csv`` holds each strategy's visit sequence, ``report.csv`` the
     per-node mission outcomes at the first configured height, and
     ``summary.csv`` per-strategy lengths, savings, and Monte-Carlo means
-    over ``plan.mc_seeds`` seeded fields.
+    over ``plan.mc_seeds`` seeded fields. A field whose one-by-one tour has
+    length 0 (one node, or coincident nodes) counts a saving of 0.
     """
     if config.plan_mc_seeds < 1:
         raise ConfigurationError(f"plan.mc_seeds must be >= 1, got {config.plan_mc_seeds}")
@@ -425,7 +432,7 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
         lengths = mc[result.name]
         mc_mean = sum(lengths) / len(lengths)
         mc_saving = sum(
-            1.0 - l / b for l, b in zip(lengths, baseline_lengths)
+            1.0 - l / b if b > 0 else 0.0 for l, b in zip(lengths, baseline_lengths)
         ) / len(lengths)
         summary_rows.append(
             [

@@ -671,9 +671,13 @@ class StrategyComparison:
         raise KeyError(name)
 
     def saving_fraction(self, name: str) -> float:
-        """Relative length saving of a strategy vs the one-by-one baseline."""
+        """Relative length saving of a strategy vs the one-by-one baseline.
+
+        0 when the baseline length is 0 (one node, or coincident nodes):
+        every strategy's tour is then 0 long too.
+        """
         baseline = self.results[0].length_m
-        return 1.0 - self.by_name(name).length_m / baseline
+        return 1.0 - self.by_name(name).length_m / baseline if baseline > 0 else 0.0
 
 
 def compare_strategies(

@@ -1,7 +1,12 @@
 """CLI tests: config parsing, CSV contracts, determinism, exit codes."""
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uewpiot import cli, linkbudget, planner
 from uewpiot.errors import ConfigurationError
@@ -127,6 +132,57 @@ def test_sweep_rate_reference_row(tmp_path):
     assert 50e6 <= float(ten_m[0][3]) <= 100e6
 
 
+def sweep_oracle(config, distances, values, **uplink):
+    """Every sweep row, cell by cell, from one direct link_budget call per series."""
+    rows = []
+    for frequency in config.sweep_frequencies_hz:
+        env, circuit = cli._environment(config, frequency), cli._circuit(config, frequency)
+        for elements in config.sweep_elements:
+            array = linkbudget.AntennaArray.with_elements(
+                elements, config.array_spacing_wavelengths)
+            budget = linkbudget.link_budget(
+                env, distances, distances, config.mission_wpt_power_w, array, circuit, **uplink)
+            columns = [v.tolist() if isinstance(v, np.ndarray) else [v] * len(distances)
+                       for v in values(budget, circuit)]
+            for i, distance in enumerate(distances.tolist()):
+                cells = [distance, frequency, elements, *(column[i] for column in columns)]
+                rows.append(",".join(cli._cell(v) for v in cells))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.floats(0.0, 5.0, exclude_min=True),
+    step=st.floats(0.01, 2.0),
+    count=st.integers(1, 40),
+    bands=st.lists(st.sampled_from(sorted(linkbudget.BAND_THRESHOLDS_DBM)),
+                   min_size=1, max_size=3),
+    elements=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+)
+@example(start=1.0, step=0.07, count=40, bands=[400e6, 2.4e9], elements=[1, 64])
+def test_sweep_rows_match_per_cell_oracle(start, step, count, bands, elements):
+    config = cli.RunConfig(
+        sweep_distance_start_m=start, sweep_distance_step_m=step,
+        sweep_distance_stop_m=start + (count - 1) * step,
+        sweep_frequencies_hz=tuple(bands), sweep_elements=tuple(elements),
+    )
+    distances = start + np.arange(count) * step
+    if step == 0.07:  # the raw grid carries float error (1.1400000000000001) that %.10g hides
+        assert any(repr(d) != cli.FLOAT_FMT % d for d in distances.tolist())
+    with tempfile.TemporaryDirectory() as out:
+        eh_lines = cli.sweep_eh(config, Path(out)).read_text(encoding="utf-8").splitlines()
+        rate_lines = cli.sweep_rate(config, Path(out)).read_text(encoding="utf-8").splitlines()
+    assert eh_lines[1:] == sweep_oracle(
+        config, distances,
+        lambda budget, circuit: (
+            budget.received_dbm, budget.harvested_dbm, circuit.input_threshold_dbm),
+    )
+    assert rate_lines[1:] == sweep_oracle(
+        config, distances, lambda budget, _: (budget.rate_bps,),
+        bandwidth_hz=config.link_bandwidth_hz, noise_figure_db=config.link_noise_figure_db,
+    )
+
+
 # --- planning and simulation --------------------------------------------------------
 
 @pytest.fixture
@@ -163,6 +219,26 @@ def test_savings_recomputable_from_columns(tmp_path, fast_config):
     for row in rows:
         expected = 100.0 * (1.0 - float(row[4]) / baseline)
         assert float(row[5]) == pytest.approx(expected, abs=1e-6)
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_single_node_field_saves_nothing(tmp_path, command):
+    # One node: every tour, the one-by-one baseline included, is 0 m long.
+    config = write_config(tmp_path, "field.count = 1\nplan.mc_seeds = 3\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), command]) == 0
+    header, rows = read_rows(tmp_path / "summary.csv")
+    length, saving, mc_saving = (header.index(name) for name in (
+        "tour_length_m", "saving_pct", "mc_mean_saving_pct"))
+    assert len(rows) == 3
+    for row in rows:
+        assert (row[length], row[saving], row[mc_saving]) == ("0", "0", "0")
+
+
+def test_saving_fraction_of_coincident_nodes_is_zero():
+    node_field = planner.NodeField(10.0, 10.0, np.full((4, 2), 5.0), seed=0)
+    comparison = planner.compare_strategies(node_field, 10.0, [10.0, 5.0])
+    assert [r.length_m for r in comparison.results] == [0.0, 0.0, 0.0]
+    assert [comparison.saving_fraction(r.name) for r in comparison.results] == [0.0] * 3
 
 
 def test_rerun_byte_identical(tmp_path, fast_config):
@@ -284,6 +360,16 @@ def test_main_band_without_threshold_names_the_key(tmp_path, capsys, line, comma
     assert "circuit.threshold_dbm" in err and "input_threshold_dbm" not in err
     config = write_config(tmp_path, line + "\nplan.mc_seeds = 1\ncircuit.threshold_dbm = -40\n")
     assert cli.main(["--config", str(config), "--out", str(tmp_path), command]) == 0
+
+
+@pytest.mark.parametrize("bandwidth", ["0", "-1"])
+@pytest.mark.parametrize("command", ["simulate", "sweep-rate"])
+def test_main_nonpositive_bandwidth_exit_2(tmp_path, capsys, bandwidth, command):
+    config = write_config(tmp_path, f"link.bandwidth_hz = {bandwidth}\nplan.mc_seeds = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out), command]) == 2
+    assert "link.bandwidth_hz" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 @pytest.mark.parametrize("heights", ["0", "10,0", "-5"])
