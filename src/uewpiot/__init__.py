@@ -28,8 +28,6 @@ from .linkbudget import (
 from .missionsim import (
     MissionReport,
     MissionScenario,
-    PhaseSchedule,
-    TdmaSlot,
     optimize_powering,
     required_tx,
     simulate_mission,

@@ -10,10 +10,11 @@ Subcommands:
 * ``defaults``    print every config key with its default value
 
 Configuration is a flat ``key = value`` text file with section-prefixed
-keys (``link.frequency_hz = 400e6``). Unknown keys are rejected. All
-floating-point output uses a fixed %.10g format so reruns are
-byte-identical. Exit codes: 0 ok, 2 configuration error, 3 infeasible
-request, 4 I/O error.
+keys (``link.frequency_hz = 400e6``), spelt as ``defaults`` prints them.
+Unknown keys, and values that no command can run with, are rejected
+before any file is written. All floating-point output uses a fixed
+%.10g format so reruns are byte-identical. Exit codes: 0 ok,
+2 configuration error, 3 infeasible request, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -50,7 +51,6 @@ class RunConfig:
     link_excess_los_db: float = lb.CALIBRATED_EXCESS_LOS_DB
     link_excess_nlos_db: float = lb.CALIBRATED_EXCESS_NLOS_DB
     array_elements: int = 32
-    array_spacing_wavelengths: float = 0.5
     circuit_efficiency: float = lb.DEFAULT_CONVERSION_EFFICIENCY
     circuit_threshold_dbm: float | None = None  # None: per-band default
     sweep_distance_start_m: float = 1.0
@@ -70,17 +70,8 @@ class RunConfig:
     mission_wpt_power_w: float = 10.0
     mission_wur_power_w: float = 1.0
     mission_wur_wake_threshold_dbm: float = -50.0
-    mission_wake_duration_s: float = 0.1
     mission_payload_bits: float = 10e6
     mission_latency_cap_s: float = 30.0
-    mission_cost_weight_energy: float = 0.01
-    mission_cost_weight_time: float = 1.0
-    mission_hover_power_w: float = 150.0
-    mission_cruise_speed_mps: float = 10.0
-
-
-def _key_to_attr(key: str) -> str:
-    return key.replace(".", "_").replace("-", "_")
 
 
 def _attr_to_key(attr: str) -> str:
@@ -132,10 +123,9 @@ def _format_value(value) -> str:
 
 
 def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Load a config file (optional), apply CLI overrides, and check the field
-    and the bandwidth."""
+    """Load a config file (optional), apply CLI overrides, and check the values."""
     config = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+    known = {_attr_to_key(f.name): f.name for f in fields(RunConfig)}
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -147,8 +137,8 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
                     f"{path}:{lineno}: expected 'key = value', got {stripped!r}"
                 )
             key, _, raw = stripped.partition("=")
-            attr = _key_to_attr(key.strip())
-            if attr not in known:
+            attr = known.get(key.strip())
+            if attr is None:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key.strip()!r}")
             try:
                 setattr(config, attr, _parse_value(attr, raw, config))
@@ -156,17 +146,23 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
                 raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
     for attr, value in (overrides or {}).items():
         setattr(config, attr, value)
-    _check_field(config)
+    _check_config(config)
     return config
 
 
-def _check_field(config: RunConfig) -> None:
-    """Reject field.* values that cannot make a node field, and a bandwidth
-    that cannot carry the uplink, naming the key."""
-    for attr in ("field_width_m", "field_height_m", "link_bandwidth_hz"):
+def _check_config(config: RunConfig) -> None:
+    """Reject values that no command can run with, naming the key."""
+    for attr in ("field_width_m", "field_height_m", "link_bandwidth_hz", "plan_mc_seeds",
+                 "mission_wpt_power_w", "mission_wur_power_w", "mission_latency_cap_s"):
         value = getattr(config, attr)
         if not value > 0:
             raise ConfigurationError(f"{_attr_to_key(attr)} must be > 0, got {value:g}")
+    if not all(height > 0 for height in config.plan_heights_m):
+        raise ConfigurationError(f"plan.heights_m must all be > 0, got {config.plan_heights_m}")
+    if not config.mission_payload_bits >= 0:
+        raise ConfigurationError(
+            f"mission.payload_bits must be >= 0, got {config.mission_payload_bits:g}"
+        )
     if not 0 <= config.field_count <= planner.MAX_FIELD_NODES:
         raise ConfigurationError(
             f"field.count must be in 0..{planner.MAX_FIELD_NODES} (0: use field.density), "
@@ -174,7 +170,8 @@ def _check_field(config: RunConfig) -> None:
         )
     if config.field_seed < 0:
         raise ConfigurationError(f"field.seed must be >= 0, got {config.field_seed}")
-    if config.field_count == 0:
+    count = config.field_count
+    if count == 0:
         if not config.field_density > 0:
             raise ConfigurationError(
                 f"field.density must be > 0 when field.count is 0, got {config.field_density:g}"
@@ -194,6 +191,12 @@ def _check_field(config: RunConfig) -> None:
                 f"field.density = {config.field_density:g} gives {count} nodes on a {width:g} m x "
                 f"{height:g} m field, over the {planner.MAX_FIELD_NODES}-node limit"
             )
+    # The one-by-one tour visits every node.
+    if config.plan_mode == "exact" and count > planner.EXACT_SOLVER_MAX_POINTS:
+        raise ConfigurationError(
+            f"plan.mode = exact plans at most {planner.EXACT_SOLVER_MAX_POINTS} points, "
+            f"and the field has {count} nodes"
+        )
 
 
 def default_lines() -> list[str]:
@@ -243,9 +246,7 @@ def build_scenario(config: RunConfig) -> missionsim.MissionScenario:
     return missionsim.MissionScenario(
         field=_field(config, config.field_seed),
         env=_environment(config, frequency),
-        array=lb.AntennaArray.with_elements(
-            config.array_elements, config.array_spacing_wavelengths
-        ),
+        array=lb.AntennaArray.with_elements(config.array_elements),
         circuit=_circuit(config, frequency),
         wpt_power_w=config.mission_wpt_power_w,
         wur_power_w=config.mission_wur_power_w,
@@ -254,12 +255,7 @@ def build_scenario(config: RunConfig) -> missionsim.MissionScenario:
         bandwidth_hz=config.link_bandwidth_hz,
         noise_figure_db=config.link_noise_figure_db,
         latency_cap_s=config.mission_latency_cap_s,
-        cost_weight_energy=config.mission_cost_weight_energy,
-        cost_weight_time=config.mission_cost_weight_time,
-        hover_power_w=config.mission_hover_power_w,
-        cruise_speed_mps=config.mission_cruise_speed_mps,
         height_m=config.plan_heights_m[0],
-        wake_duration_s=config.mission_wake_duration_s,
         eh_distance_m=config.plan_d_eh_m,
     )
 
@@ -320,7 +316,7 @@ def _sweep(config: RunConfig, path: Path, columns: list[str], values, **uplink) 
         for frequency in config.sweep_frequencies_hz:
             env, circuit = _environment(config, frequency), _circuit(config, frequency)
             for elements in config.sweep_elements:
-                array = lb.AntennaArray.with_elements(elements, config.array_spacing_wavelengths)
+                array = lb.AntennaArray.with_elements(elements)
                 budget = lb.link_budget(
                     env, distances, distances, config.mission_wpt_power_w, array, circuit, **uplink
                 )
@@ -376,10 +372,6 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
     over ``plan.mc_seeds`` seeded fields. A field whose one-by-one tour has
     length 0 (one node, or coincident nodes) counts a saving of 0.
     """
-    if config.plan_mc_seeds < 1:
-        raise ConfigurationError(f"plan.mc_seeds must be >= 1, got {config.plan_mc_seeds}")
-    if not all(height > 0 for height in config.plan_heights_m):
-        raise ConfigurationError(f"plan.heights_m must all be > 0, got {config.plan_heights_m}")
     scenario = build_scenario(config)
     d_eh = missionsim.resolve_eh_distance_m(scenario)
     scenario = replace(scenario, eh_distance_m=d_eh)

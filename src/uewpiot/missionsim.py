@@ -3,13 +3,14 @@
 The UAV flies a closed tour over traversal points. At each hover stop it
 wakes the group with an omnidirectional wake-up signal, beams wireless
 power for a duration tau, then collects each activated node's payload in
-back-to-back TDMA slots. Per group, tau is chosen to minimize a joint
-energy-and-latency cost subject to every node harvesting enough energy
-for its own transmission and to a per-group latency cap.
+back-to-back TDMA slots.
 
 Nodes are energy neutral: a node transmits at exactly the power it
-harvests, so its required powering time equals its own slot duration and
-the binding node is the slowest one.
+harvests, so it needs powering for as long as its own slot lasts. tau is
+therefore the slowest activated member's transmit time, and that node is
+the binding one. A group whose tau plus data phase breaks the latency cap
+is skipped. The joint energy-and-latency cost of each stop is reported,
+not optimised: tau has no free variable.
 """
 from __future__ import annotations
 
@@ -71,44 +72,24 @@ class TdmaSlot:
 
 
 @dataclass(frozen=True)
-class PhaseSchedule:
-    """Timing of one hover stop: wake, powering, then TDMA data slots."""
-
-    wake_s: float
-    powering_s: float
-    slots: tuple[TdmaSlot, ...]
-
-    @property
-    def data_s(self) -> float:
-        return sum(slot.duration_s for slot in self.slots)
-
-    @property
-    def service_s(self) -> float:
-        return self.wake_s + self.powering_s + self.data_s
-
-
-@dataclass(frozen=True)
 class NodeService:
     """Link-budget snapshot for one activated node at its hover stop."""
 
     node_index: int
     slant_m: float
-    harvested_power_dbm: float
-    harvested_power_w: float
+    harvested_power_w: float  # also its transmit power: the node is energy neutral
     rate_bps: float
-    tx_power_w: float
     tx_time_s: float
-    required_energy_j: float
 
 
 @dataclass(frozen=True)
 class PoweringSolution:
-    """Optimal powering duration and schedule for one group."""
+    """Powering duration, cost and TDMA slots of one group."""
 
     tau_s: float
     data_s: float
     cost: float
-    schedule: PhaseSchedule
+    slots: tuple[TdmaSlot, ...]
     services: tuple[NodeService, ...]
 
 
@@ -157,16 +138,15 @@ def wake_up(scenario: MissionScenario, uav_xy, group: planner.WpcGroup) -> froze
     return frozenset(link[0] for link in _woken(scenario, links))
 
 
-def required_tx(payload_bits: float, rate_bps: float, tx_power_w: float) -> tuple[float, float]:
-    """Transmit time and energy for a payload: (bits/rate, power * time)."""
+def required_tx(payload_bits: float, rate_bps: float) -> float:
+    """Transmit time of a payload: bits / rate, and 0 for an empty payload."""
     if payload_bits == 0:
-        return 0.0, 0.0
+        return 0.0
     if rate_bps <= 0:
         raise InfeasibilityError(
             f"cannot deliver {payload_bits} bits over a zero-rate link"
         )
-    tx_time = payload_bits / rate_bps
-    return tx_time, tx_power_w * tx_time
+    return payload_bits / rate_bps
 
 
 def tdma_schedule(tx_times: dict[int, float]) -> tuple[TdmaSlot, ...]:
@@ -196,13 +176,13 @@ def powering_cost(scenario: MissionScenario, tau_s: float, data_s: float) -> flo
 def optimize_powering(
     scenario: MissionScenario, uav_xy, activated
 ) -> PoweringSolution:
-    """Smallest feasible powering duration, its cost, and the slot schedule.
+    """Powering duration, its cost, and the slot schedule for one group.
 
-    Each node must harvest at least the energy its own transmission
-    spends: harvested_power * tau >= tx_power * tx_time. The cost is
-    nondecreasing in tau, so the optimum is the largest per-node
-    requirement. Raises when even that tau breaks the latency cap,
-    naming the binding node.
+    Each node sends at the power it harvests, so harvesting for tau covers
+    its own transmission exactly when tau >= its transmit time. tau is the
+    slowest member's transmit time; ``powering_cost`` prices the stop at
+    that tau. Raises when tau plus the data phase breaks the latency cap,
+    naming the binding (lowest-index slowest) node.
     """
     members = sorted(activated)
     if not members:
@@ -213,40 +193,31 @@ def optimize_powering(
 
 def _powering(scenario: MissionScenario, links) -> PoweringSolution:
     """``optimize_powering`` over priced links of activated nodes, in
-    ascending node order; ties in tau keep the lowest binding node.
+    ascending node order, so ``max`` picks the lowest-index slowest node.
     """
-    services = []
-    for index, slant, _, harvested_dbm, rate in links:
-        harvested_w = lb.dbm_to_watts(harvested_dbm)
-        tx_power_w = harvested_w  # energy-neutral node
-        tx_time, energy = required_tx(scenario.payload_bits, rate, tx_power_w)
-        services.append(NodeService(
-            index, slant, harvested_dbm, harvested_w, rate, tx_power_w, tx_time, energy
-        ))
-
-    tau = 0.0
-    binding = services[0].node_index
-    for svc in services:
-        required_tau = svc.required_energy_j / svc.harvested_power_w
-        if required_tau > tau:
-            tau = required_tau
-            binding = svc.node_index
+    services = tuple(
+        NodeService(
+            index, slant, lb.dbm_to_watts(harvested_dbm), rate,
+            required_tx(scenario.payload_bits, rate),
+        )
+        for index, slant, _, harvested_dbm, rate in links
+    )
+    binding = max(services, key=lambda svc: svc.tx_time_s)
+    tau = binding.tx_time_s
     data_s = sum(svc.tx_time_s for svc in services)
 
     if tau + data_s > scenario.latency_cap_s:
         raise InfeasibilityError(
             f"group latency {tau + data_s:.4f} s exceeds cap {scenario.latency_cap_s} s "
-            f"(binding node {binding})"
+            f"(binding node {binding.node_index})"
         )
 
-    slots = tdma_schedule({svc.node_index: svc.tx_time_s for svc in services})
-    schedule = PhaseSchedule(scenario.wake_duration_s, tau, slots)
     return PoweringSolution(
         tau_s=tau,
         data_s=data_s,
         cost=powering_cost(scenario, tau, data_s),
-        schedule=schedule,
-        services=tuple(services),
+        slots=tdma_schedule({svc.node_index: svc.tx_time_s for svc in services}),
+        services=services,
     )
 
 
@@ -269,7 +240,7 @@ class GroupOutcome:
     activated_count: int
     feasible: bool
     diagnostic: str
-    schedule: PhaseSchedule
+    slots: tuple[TdmaSlot, ...]
     powering_s: float
     data_s: float
     latency_s: float  # powering + data, the capped quantity
@@ -337,7 +308,7 @@ def _group_outcome(
         activated_count=activated_count,
         feasible=not diagnostic,
         diagnostic=diagnostic,
-        schedule=solution.schedule,
+        slots=solution.slots,
         powering_s=solution.tau_s,
         data_s=solution.data_s,
         latency_s=solution.tau_s + solution.data_s,
@@ -379,7 +350,7 @@ def simulate_mission(
     visit_order = tour.visit_order
 
     # A skipped group spends only its wake-up phase and serves no node.
-    skipped = PoweringSolution(0.0, 0.0, 0.0, PhaseSchedule(scenario.wake_duration_s, 0.0, ()), ())
+    skipped = PoweringSolution(0.0, 0.0, 0.0, (), ())
     # Group ids are the planner's formation indices; the outcome list is in
     # tour visit order. One kernel call prices every stop's members.
     stops = [groups[group_id] for group_id in visit_order]
@@ -405,7 +376,7 @@ def simulate_mission(
                 group_id=group_id,
                 slant_m=svc.slant_m,
                 harvested_energy_j=svc.harvested_power_w * solution.tau_s,
-                tx_power_w=svc.tx_power_w,
+                tx_power_w=svc.harvested_power_w,
                 tx_time_s=svc.tx_time_s,
                 bits_delivered=scenario.payload_bits,
             )
@@ -414,9 +385,9 @@ def simulate_mission(
                 node_outcomes[index] = NodeOutcome(index, group_id, slant, 0.0, 0.0, 0.0, 0.0)
 
     flight_time = tour.length_m / scenario.cruise_speed_mps
-    service_time = sum(g.schedule.wake_s + g.latency_s for g in group_outcomes)
+    service_time = sum(scenario.wake_duration_s + g.latency_s for g in group_outcomes)
     wpt_energy = sum(scenario.wpt_power_w * g.powering_s for g in group_outcomes)
-    wur_energy = sum(scenario.wur_power_w * g.schedule.wake_s for g in group_outcomes)
+    wur_energy = sum(scenario.wur_power_w * scenario.wake_duration_s for _ in group_outcomes)
     hover_energy = scenario.hover_power_w * service_time
     cruise_energy = scenario.hover_power_w * flight_time  # same propulsion draw en route
 

@@ -280,10 +280,10 @@ def test_criterion_8_mission_invariants():
         for node in report.nodes:
             assert node.tx_power_w * node.tx_time_s <= node.harvested_energy_j + 1e-12
         for group in report.groups:
-            slots = group.schedule.slots
+            slots = group.slots
             for a, b in zip(slots, slots[1:]):
                 assert b.start_s >= a.start_s + a.duration_s - 1e-12
-        service = sum(g.schedule.wake_s + g.latency_s for g in report.groups)
+        service = sum(scenario.wake_duration_s + g.latency_s for g in report.groups)
         assert report.service_time_s == service
         assert report.mission_time_s == report.flight_time_s + service
         assert repr(simulate_mission(scenario)) == repr(report)

@@ -36,7 +36,7 @@ def test_defaults_cover_every_key():
     keys = {line.split(" = ")[0] for line in lines}
     assert "link.frequency_hz" in keys
     assert "plan.heights_m" in keys
-    assert "mission.hover_power_w" in keys
+    assert "mission.latency_cap_s" in keys
     assert len(keys) == len(lines)
 
 
@@ -138,8 +138,7 @@ def sweep_oracle(config, distances, values, **uplink):
     for frequency in config.sweep_frequencies_hz:
         env, circuit = cli._environment(config, frequency), cli._circuit(config, frequency)
         for elements in config.sweep_elements:
-            array = linkbudget.AntennaArray.with_elements(
-                elements, config.array_spacing_wavelengths)
+            array = linkbudget.AntennaArray.with_elements(elements)
             budget = linkbudget.link_budget(
                 env, distances, distances, config.mission_wpt_power_w, array, circuit, **uplink)
             columns = [v.tolist() if isinstance(v, np.ndarray) else [v] * len(distances)
@@ -181,6 +180,59 @@ def test_sweep_rows_match_per_cell_oracle(start, step, count, bands, elements):
         config, distances, lambda budget, _: (budget.rate_bps,),
         bandwidth_hz=config.link_bandwidth_hz, noise_figure_db=config.link_noise_figure_db,
     )
+
+
+# --- no inert keys ------------------------------------------------------------------
+
+# Key -> (perturbed value, companion lines). Companions are set on both sides,
+# for a key that reaches an output only under another setting.
+PERTURBATIONS = {
+    "link.frequency_hz": ("2.4e9", ""),
+    "link.bandwidth_hz": ("5e6", ""),
+    "link.noise_figure_db": ("8", ""),
+    "link.los_a": ("9.6", ""),
+    "link.los_b": ("0.28", ""),
+    "link.excess_los_db": ("20", ""),
+    "link.excess_nlos_db": ("30", ""),
+    "array.elements": ("64", ""),
+    "circuit.efficiency": ("0.5", ""),
+    "circuit.threshold_dbm": ("-25", ""),
+    "sweep.distance_start_m": ("2", ""),
+    "sweep.distance_stop_m": ("40", ""),
+    "sweep.distance_step_m": ("0.5", ""),
+    "sweep.frequencies_hz": ("9e8", ""),
+    "sweep.elements": ("4", ""),
+    "field.width_m": ("120", ""),
+    "field.height_m": ("120", ""),
+    "field.density": ("0.3", "field.count = 0"),
+    "field.count": ("10", ""),
+    "field.seed": ("2", ""),
+    "plan.heights_m": ("10,4", ""),
+    "plan.d_eh_m": ("12", ""),
+    "plan.mode": ("exact", "field.count = 8"),
+    "plan.mc_seeds": ("2", ""),
+    "mission.wpt_power_w": ("20", ""),
+    "mission.wur_power_w": ("0.01", ""),
+    "mission.wur_wake_threshold_dbm": ("-30", ""),
+    "mission.payload_bits": ("1e6", ""),
+    "mission.latency_cap_s": ("0.05", ""),
+}
+
+
+def test_every_config_key_reaches_an_output(tmp_path):
+    assert sorted(PERTURBATIONS) == sorted(line.split(" = ")[0] for line in cli.default_lines())
+
+    def outputs(text):
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
+        config = write_config(out, "plan.mc_seeds = 1\n" + text + "\n")
+        for command in ("sweep-eh", "sweep-rate", "simulate"):
+            assert cli.main(["--config", str(config), "--out", str(out), command]) == 0
+        return {path.name: path.read_bytes() for path in out.glob("*.csv")}
+
+    defaults = outputs("")
+    for key, (value, companion) in PERTURBATIONS.items():
+        base = outputs(companion) if companion else defaults
+        assert outputs(f"{companion}\n{key} = {value}") != base, f"{key} changes no output"
 
 
 # --- planning and simulation --------------------------------------------------------
@@ -267,9 +319,18 @@ def test_main_defaults_command(capsys):
     assert "link.frequency_hz = 4e+08" in out
 
 
-def test_main_unknown_key_exit_2(tmp_path, capsys):
-    config = write_config(tmp_path, "nope.nope = 1\n")
+# Keys are accepted only as `defaults` spells them. The last six were keys that
+# reached no output file.
+@pytest.mark.parametrize("key", [
+    "nope.nope", "link_frequency_hz", "field.width-m", "field-width-m", "field.width.m",
+    "array.spacing_wavelengths", "mission.cost_weight_energy", "mission.cost_weight_time",
+    "mission.hover_power_w", "mission.cruise_speed_mps", "mission.wake_duration_s",
+])
+def test_main_unknown_key_exit_2(tmp_path, capsys, key):
+    config = write_config(tmp_path, f"{key} = 1\n")
     assert cli.main(["--config", str(config), "--out", str(tmp_path), "sweep-eh"]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_main_infeasible_height_exit_3(tmp_path, capsys):
@@ -309,9 +370,11 @@ def test_main_nonpositive_distance_step_exit_2(tmp_path, capsys, step):
 @pytest.mark.parametrize("seeds", ["0", "-3"])
 def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
     config = write_config(tmp_path, f"plan.mc_seeds = {seeds}\n")
-    assert cli.main(["--config", str(config), "--out", str(tmp_path), "plan"]) == 2
-    assert "plan.mc_seeds" in capsys.readouterr().err
-    assert not (tmp_path / "tour.csv").exists()
+    for command in ("plan", "reproduce"):
+        out = tmp_path / command
+        assert cli.main(["--config", str(config), "--out", str(out), command]) == 2
+        assert "plan.mc_seeds" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 @pytest.mark.parametrize(
@@ -321,7 +384,7 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("field.count = 2.5", "field.count"),
         ("sweep.elements = 1,16.5", "sweep.elements"),
         ("link.frequency_hz = nan", "link.frequency_hz"),
-        ("mission.cruise_speed_mps = inf", "mission.cruise_speed_mps"),
+        ("mission.latency_cap_s = inf", "mission.latency_cap_s"),
         ("sweep.frequencies_hz = 4e8,-inf", "sweep.frequencies_hz"),
         ("plan.d_eh_m = nan", "plan.d_eh_m"),
         ("array.elements = abc", "array.elements"),
@@ -337,6 +400,13 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("field.seed = -2", "field.seed"),
         ("field.count = 1000000000000", "field.count"),
         ("field.width_m = 1e200\nfield.height_m = 1e200", "field.density"),  # area overflows
+        # Plan and mission values are checked before any command runs, too.
+        ("mission.wpt_power_w = 0", "mission.wpt_power_w"),
+        ("mission.wur_power_w = -1", "mission.wur_power_w"),
+        ("mission.latency_cap_s = 0", "mission.latency_cap_s"),
+        ("mission.payload_bits = -1", "mission.payload_bits"),
+        ("plan.mode = exact", "plan.mode"),  # the one-by-one tour visits all 25 nodes
+        ("plan.mode = exact\nfield.count = 13", "plan.mode"),  # EXACT_SOLVER_MAX_POINTS + 1
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
@@ -375,9 +445,11 @@ def test_main_nonpositive_bandwidth_exit_2(tmp_path, capsys, bandwidth, command)
 @pytest.mark.parametrize("heights", ["0", "10,0", "-5"])
 def test_main_nonpositive_height_exit_2(tmp_path, capsys, heights):
     config = write_config(tmp_path, f"plan.heights_m = {heights}\nplan.mc_seeds = 1\n")
-    assert cli.main(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 2
-    assert "plan.heights_m" in capsys.readouterr().err
-    assert not (tmp_path / "tour.csv").exists()
+    for command in ("simulate", "reproduce"):
+        out = tmp_path / command
+        assert cli.main(["--config", str(config), "--out", str(out), command]) == 2
+        assert "plan.heights_m" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 def test_simulate_resolves_eh_distance_once(tmp_path, monkeypatch):
