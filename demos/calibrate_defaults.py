@@ -1,6 +1,6 @@
 """How the shipped channel defaults were derived.
 
-The package ships a ``RadioEnvironment.calibrated`` preset whose excess
+``RadioEnvironment``'s defaults are a calibrated preset whose excess
 losses and companion noise figure are tuned to two reference operating
 points of the 32-element array:
 
@@ -21,11 +21,10 @@ import math
 from uewpiot import (
     AntennaArray,
     EhCircuit,
-    LinkGeometry,
     RadioEnvironment,
-    achievable_data_rate_bps,
     achievable_eh_distance_m,
     free_space_path_loss_db,
+    link_budget,
 )
 from uewpiot.linkbudget import (
     CALIBRATED_EXCESS_LOS_DB,
@@ -70,18 +69,14 @@ print(f"solved noise figure: {noise_figure_db:.4f} dB "
       f"(shipped: {CALIBRATED_NOISE_FIGURE_DB})")
 
 # --- Step 3: verify the shipped constants hit both targets ----------------------
-env400 = RadioEnvironment.calibrated(400e6)
+env400 = RadioEnvironment(400e6)
 eh_range = achievable_eh_distance_m(
     WPT_POWER_W, array, EhCircuit.for_band(400e6), env400, HOVER_HEIGHT_M
 )
-rate = achievable_data_rate_bps(
-    LinkGeometry.overhead(10.0),
-    RadioEnvironment.calibrated(900e6),
-    array,
-    EhCircuit.for_band(900e6),
-    BANDWIDTH_HZ,
-    CALIBRATED_NOISE_FIGURE_DB,
-)
+rate = link_budget(
+    RadioEnvironment(900e6), HOVER_HEIGHT_M, HOVER_HEIGHT_M, WPT_POWER_W, array,
+    EhCircuit.for_band(900e6), BANDWIDTH_HZ, CALIBRATED_NOISE_FIGURE_DB,
+).rate_bps
 print()
 print(f"with shipped defaults: EH range at 400 MHz, H=10 m -> {eh_range:.3f} m "
       f"(target {TARGET_EH_RANGE_M} m, accepted band 10..16 m)")

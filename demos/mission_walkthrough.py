@@ -16,7 +16,7 @@ from uewpiot import (
 
 scenario = MissionScenario(
     field=generate_nodes(100.0, 100.0, 0.25, seed=1),
-    env=RadioEnvironment.calibrated(400e6),
+    env=RadioEnvironment(400e6),
     array=AntennaArray.with_elements(32),
     circuit=EhCircuit.for_band(400e6),
     payload_bits=10e6,

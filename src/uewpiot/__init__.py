@@ -11,17 +11,12 @@ from .linkbudget import (
     AntennaArray,
     EhCircuit,
     LinkBudget,
-    LinkGeometry,
     RadioEnvironment,
-    achievable_data_rate_bps,
     achievable_eh_distance_m,
     array_gain_db,
     free_space_path_loss_db,
-    harvested_power_dbm,
     link_budget,
     noise_power_dbm,
-    received_power_dbm,
-    shannon_rate_bps,
     upa_physical_size_m,
     wavelength_m,
 )

@@ -152,13 +152,25 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
 
 def _check_config(config: RunConfig) -> None:
     """Reject values that no command can run with, naming the key."""
-    for attr in ("field_width_m", "field_height_m", "link_bandwidth_hz", "plan_mc_seeds",
+    for attr in ("field_width_m", "field_height_m", "link_frequency_hz", "link_bandwidth_hz",
+                 "link_los_a", "link_los_b", "array_elements", "plan_mc_seeds",
                  "mission_wpt_power_w", "mission_wur_power_w", "mission_latency_cap_s"):
         value = getattr(config, attr)
         if not value > 0:
             raise ConfigurationError(f"{_attr_to_key(attr)} must be > 0, got {value:g}")
-    if not all(height > 0 for height in config.plan_heights_m):
-        raise ConfigurationError(f"plan.heights_m must all be > 0, got {config.plan_heights_m}")
+    for attr in ("plan_heights_m", "sweep_frequencies_hz", "sweep_elements"):
+        values = getattr(config, attr)
+        if not all(value > 0 for value in values):
+            raise ConfigurationError(f"{_attr_to_key(attr)} must all be > 0, got {values}")
+    los_db, nlos_db = config.link_excess_los_db, config.link_excess_nlos_db
+    if not 0 <= los_db <= nlos_db:
+        raise ConfigurationError(
+            f"need 0 <= link.excess_los_db <= link.excess_nlos_db, got {los_db:g} and {nlos_db:g}"
+        )
+    if not 0 < config.circuit_efficiency <= 1:
+        raise ConfigurationError(
+            f"circuit.efficiency must be in (0, 1], got {config.circuit_efficiency:g}"
+        )
     if not config.mission_payload_bits >= 0:
         raise ConfigurationError(
             f"mission.payload_bits must be >= 0, got {config.mission_payload_bits:g}"
@@ -363,7 +375,21 @@ def _mc_lengths(config: RunConfig, d_eh: float, first) -> dict[str, list[float]]
     return lengths
 
 
-def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True) -> list[Path]:
+def plan_mission(
+    config: RunConfig,
+) -> tuple[missionsim.MissionScenario, planner.StrategyComparison]:
+    """The scenario with d_EH resolved, and the strategies compared on its field."""
+    scenario = build_scenario(config)
+    scenario = replace(scenario, eh_distance_m=missionsim.resolve_eh_distance_m(scenario))
+    comparison = planner.compare_strategies(
+        scenario.field, scenario.eh_distance_m, list(config.plan_heights_m), mode=config.plan_mode
+    )
+    return scenario, comparison
+
+
+def plan_and_simulate(
+    config: RunConfig, out_dir: Path, with_report: bool = True, planned: tuple | None = None
+) -> list[Path]:
     """Tours for every strategy, a mission report, and the strategy summary.
 
     ``tour.csv`` holds each strategy's visit sequence, ``report.csv`` the
@@ -371,14 +397,10 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
     ``summary.csv`` per-strategy lengths, savings, and Monte-Carlo means
     over ``plan.mc_seeds`` seeded fields. A field whose one-by-one tour has
     length 0 (one node, or coincident nodes) counts a saving of 0.
+    ``planned`` is ``plan_mission(config)``, when the caller has it already.
     """
-    scenario = build_scenario(config)
-    d_eh = missionsim.resolve_eh_distance_m(scenario)
-    scenario = replace(scenario, eh_distance_m=d_eh)
-    node_field = scenario.field
-    comparison = planner.compare_strategies(
-        node_field, d_eh, list(config.plan_heights_m), mode=config.plan_mode
-    )
+    scenario, comparison = planned or plan_mission(config)
+    node_field, d_eh = scenario.field, scenario.eh_distance_m
 
     tour_rows = []
     for result in comparison.results:
@@ -454,14 +476,16 @@ def reproduce(config: RunConfig, out_dir: Path) -> list[Path]:
     """Regenerate all figure data: both sweeps on the full reference grid
     (three carrier bands, three array sizes) plus tours, mission report,
     and the Monte-Carlo strategy summary. Emits exactly five CSV files.
+    The mission is planned first, so a config it rejects writes no file.
     """
     full = replace(
         config,
         sweep_frequencies_hz=REPRODUCE_FREQUENCIES_HZ,
         sweep_elements=REPRODUCE_ELEMENTS,
     )
+    planned = plan_mission(full)
     paths = [sweep_eh(full, out_dir), sweep_rate(full, out_dir)]
-    paths.extend(plan_and_simulate(full, out_dir, with_report=True))
+    paths.extend(plan_and_simulate(full, out_dir, with_report=True, planned=planned))
     return paths
 
 

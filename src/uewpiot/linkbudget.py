@@ -7,19 +7,17 @@ frequencies in Hz.
 
 The channel is expected-value only: free-space path loss plus an excess
 loss blended between a LoS and an NLoS figure by an elevation-angle
-sigmoid. Two parameter presets ship with the package:
-
-* ``RadioEnvironment.suburban`` - the textbook suburban sigmoid and
-  excess losses (a=4.88, b=0.43, 0.1/21 dB).
-* ``RadioEnvironment.calibrated`` - the shipped operating defaults,
-  tuned (see ``demos/calibrate_defaults.py``) so that a 32-element,
-  400 MHz, 10 W downlink at 10 m hover height reaches its -20 dBm
-  harvester threshold at ~13 m slant range, and the matching 900 MHz
-  uplink at 10 m delivers ~65 Mbps in 15 MHz.
+sigmoid. ``RadioEnvironment(f)`` carries the shipped operating
+defaults, tuned (see ``demos/calibrate_defaults.py``) so that a
+32-element, 400 MHz, 10 W downlink at 10 m hover height reaches its
+-20 dBm harvester threshold at ~13 m slant range, and the matching
+900 MHz uplink at 10 m delivers ~65 Mbps in 15 MHz.
+``RadioEnvironment.suburban(f)`` is the textbook suburban sigmoid and
+excess losses (a=4.88, b=0.43, 0.1/21 dB).
 
 ``link_budget``, one numpy kernel, maps arrays of (height, slant) to all
-of these. The per-link functions are scalar wrappers over it, so each
-formula is written once and a wrapper equals the kernel element exactly.
+of these, so each formula is written once. For one link, pass scalars
+and read a stage: ``link_budget(env, h, d, P, array, circuit).harvested_dbm``.
 """
 from __future__ import annotations
 
@@ -81,7 +79,6 @@ class RadioEnvironment:
     los_b: float = SUBURBAN_LOS_B
     excess_loss_los_db: float = CALIBRATED_EXCESS_LOS_DB
     excess_loss_nlos_db: float = CALIBRATED_EXCESS_NLOS_DB
-    speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
         if self.carrier_frequency_hz <= 0:
@@ -98,8 +95,6 @@ class RadioEnvironment:
                 "NLoS excess loss must be >= LoS excess loss "
                 f"({self.excess_loss_nlos_db} < {self.excess_loss_los_db})"
             )
-        if self.speed_of_light <= 0:
-            raise ConfigurationError("speed of light must be positive")
 
     @classmethod
     def suburban(cls, carrier_frequency_hz: float) -> "RadioEnvironment":
@@ -112,17 +107,6 @@ class RadioEnvironment:
             excess_loss_nlos_db=SUBURBAN_EXCESS_NLOS_DB,
         )
 
-    @classmethod
-    def calibrated(cls, carrier_frequency_hz: float) -> "RadioEnvironment":
-        """Shipped operating defaults (see module docstring)."""
-        return cls(
-            carrier_frequency_hz,
-            los_a=SUBURBAN_LOS_A,
-            los_b=SUBURBAN_LOS_B,
-            excess_loss_los_db=CALIBRATED_EXCESS_LOS_DB,
-            excess_loss_nlos_db=CALIBRATED_EXCESS_NLOS_DB,
-        )
-
 
 @dataclass(frozen=True)
 class AntennaArray:
@@ -131,7 +115,6 @@ class AntennaArray:
     elements_n: int
     rows: int
     cols: int
-    spacing_wavelengths: float = 0.5
 
     def __post_init__(self) -> None:
         if self.elements_n < 1 or self.rows < 1 or self.cols < 1:
@@ -140,11 +123,9 @@ class AntennaArray:
             raise ConfigurationError(
                 f"rows*cols must equal elements_n ({self.rows}x{self.cols} != {self.elements_n})"
             )
-        if self.spacing_wavelengths <= 0:
-            raise ConfigurationError("element spacing must be positive")
 
     @classmethod
-    def with_elements(cls, elements_n: int, spacing_wavelengths: float = 0.5) -> "AntennaArray":
+    def with_elements(cls, elements_n: int) -> "AntennaArray":
         """Near-square layout for the given element count (32 -> 4x8)."""
         if elements_n < 1:
             raise ConfigurationError("element count must be >= 1")
@@ -152,7 +133,7 @@ class AntennaArray:
         for k in range(1, int(math.isqrt(elements_n)) + 1):
             if elements_n % k == 0:
                 rows = k
-        return cls(elements_n, rows, elements_n // rows, spacing_wavelengths)
+        return cls(elements_n, rows, elements_n // rows)
 
 
 @dataclass(frozen=True)
@@ -188,54 +169,21 @@ class EhCircuit:
         return cls(band_hz, threshold, conversion_efficiency)
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """UAV-to-node geometry: hover height H and straight-line slant range d."""
-
-    uav_height_m: float
-    slant_distance_m: float
-
-    def __post_init__(self) -> None:
-        if self.uav_height_m < 0:
-            raise GeometryError(f"hover height must be >= 0, got {self.uav_height_m}")
-        if self.slant_distance_m < self.uav_height_m:
-            raise GeometryError(
-                f"slant distance {self.slant_distance_m} m is below hover height "
-                f"{self.uav_height_m} m"
-            )
-
-    @classmethod
-    def overhead(cls, distance_m: float) -> "LinkGeometry":
-        """Node directly below the UAV (elevation 90 degrees)."""
-        return cls(uav_height_m=distance_m, slant_distance_m=distance_m)
-
-    @classmethod
-    def from_ground(cls, uav_height_m: float, ground_distance_m: float) -> "LinkGeometry":
-        if ground_distance_m < 0:
-            raise GeometryError("ground distance must be >= 0")
-        return cls(uav_height_m, math.hypot(uav_height_m, ground_distance_m))
-
-
 def wavelength_m(env: RadioEnvironment) -> float:
     """Carrier wavelength c/f."""
-    return env.speed_of_light / env.carrier_frequency_hz
+    return SPEED_OF_LIGHT / env.carrier_frequency_hz
 
 
-def upa_physical_size_m(
-    env: RadioEnvironment,
-    rows: int,
-    cols: int,
-    spacing_wavelengths: float = 0.5,
-) -> tuple[float, float]:
+def upa_physical_size_m(env: RadioEnvironment, rows: int, cols: int) -> tuple[float, float]:
     """Physical aperture of a rows x cols planar array.
 
-    Each dimension spans (count - 1) inter-element gaps of
-    ``spacing_wavelengths`` wavelengths; a single element has zero extent.
+    Each dimension spans (count - 1) half-wavelength inter-element gaps; a
+    single element has zero extent.
     """
     if rows < 1 or cols < 1:
         raise ConfigurationError("rows and cols must be >= 1")
     lam = wavelength_m(env)
-    return ((rows - 1) * spacing_wavelengths * lam, (cols - 1) * spacing_wavelengths * lam)
+    return ((rows - 1) * 0.5 * lam, (cols - 1) * 0.5 * lam)
 
 
 def array_gain_db(array: AntennaArray) -> float:
@@ -272,7 +220,11 @@ def link_budget(
     bad = (height < 0) | (slant < height) | (slant == 0)
     if bad.any():
         heights, slants = np.broadcast_arrays(height, slant)
-        LinkGeometry(float(heights[bad][0]), float(slants[bad][0]))  # raises unless zero slant
+        h, d = float(heights[bad][0]), float(slants[bad][0])
+        if h < 0:
+            raise GeometryError(f"hover height must be >= 0, got {h}")
+        if d < h:
+            raise GeometryError(f"slant distance {d} m is below hover height {h} m")
         raise GeometryError("zero slant distance: path loss is singular")
     theta = np.degrees(np.arcsin(height / slant))
     p_los = 1.0 / (1.0 + env.los_a * np.exp(-env.los_b * (theta - env.los_a)))
@@ -288,8 +240,7 @@ def link_budget(
                 noise_dbm = noise_power_dbm(bandwidth_hz, noise_figure_db)
                 snr_db = harvested + gain - path_loss - noise_dbm
                 # np.power, not **: a 0-d input must take the array loop, not scalar pow.
-                # noise_power_dbm has checked the bandwidth, and 10**x is never negative.
-                rate = _shannon_bps(bandwidth_hz, np.power(10.0, snr_db / 10.0))
+                rate = bandwidth_hz * np.log2(1.0 + np.power(10.0, snr_db / 10.0))
     return LinkBudget(p_los, path_loss, received, harvested, rate)
 
 
@@ -304,31 +255,12 @@ def free_space_path_loss_db(distance_m, frequency_hz: float):
     return _fspl_db(distance_m, frequency_hz)
 
 
-def received_power_dbm(
-    transmit_power_w: float, array: AntennaArray, env: RadioEnvironment, geom: LinkGeometry
-) -> float:
-    """RF power arriving at the node input: P_tx + array gain - path loss."""
-    budget = link_budget(env, geom.uav_height_m, geom.slant_distance_m, transmit_power_w, array)
-    return float(budget.received_dbm)
-
-
-def harvested_power_dbm(
-    transmit_power_w: float, array: AntennaArray, circuit: EhCircuit, env: RadioEnvironment,
-    geom: LinkGeometry,
-) -> float:
-    """DC power after RF-to-DC conversion: received + 10*log10(efficiency)."""
-    return float(link_budget(
-        env, geom.uav_height_m, geom.slant_distance_m, transmit_power_w, array, circuit
-    ).harvested_dbm)
-
-
 def achievable_eh_distance_m(
     transmit_power_w: float,
     array: AntennaArray,
     circuit: EhCircuit,
     env: RadioEnvironment,
     uav_height_m: float,
-    threshold_dbm: float | None = None,
 ) -> float | None:
     """Largest slant range at which harvested power still meets the threshold.
 
@@ -336,8 +268,7 @@ def achievable_eh_distance_m(
     height. Returns None when the threshold is already missed at the
     closest approach (directly overhead).
     """
-    if threshold_dbm is None:
-        threshold_dbm = circuit.input_threshold_dbm
+    threshold_dbm = circuit.input_threshold_dbm
 
     def harvested(d: float) -> float:
         return link_budget(env, uav_height_m, d, transmit_power_w, array, circuit).harvested_dbm
@@ -364,27 +295,3 @@ def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 9.0) -> float:
     if bandwidth_hz <= 0:
         raise ConfigurationError(f"bandwidth must be positive, got {bandwidth_hz}")
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
-
-
-def shannon_rate_bps(bandwidth_hz: float, snr_linear):
-    """Shannon capacity B*log2(1 + SNR), elementwise over an array of SNRs."""
-    if bandwidth_hz <= 0:
-        raise ConfigurationError(f"bandwidth must be positive, got {bandwidth_hz}")
-    if np.less(snr_linear, 0).any():
-        raise ConfigurationError("SNR must be >= 0")
-    return _shannon_bps(bandwidth_hz, snr_linear)
-
-
-def _shannon_bps(bandwidth_hz: float, snr_linear):
-    return bandwidth_hz * np.log2(1.0 + snr_linear)
-
-
-def achievable_data_rate_bps(
-    geom: LinkGeometry, env: RadioEnvironment, array: AntennaArray, circuit: EhCircuit,
-    bandwidth_hz: float, noise_figure_db: float, wpt_power_w: float = 10.0,
-) -> float:
-    """Uplink rate when the node transmits at its harvested power."""
-    return float(link_budget(
-        env, geom.uav_height_m, geom.slant_distance_m, wpt_power_w, array, circuit,
-        bandwidth_hz, noise_figure_db,
-    ).rate_bps)

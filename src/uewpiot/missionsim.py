@@ -98,8 +98,8 @@ def _price(scenario: MissionScenario, stops) -> list[list[tuple]]:
 
     ``stops`` holds (uav_xy, members) pairs. Per stop, the result holds one
     (node, slant, path loss, harvested dBm, rate) tuple per member, in the
-    given member order. Slants are ``math.hypot`` twice, as in
-    ``LinkGeometry.from_ground``; ``np.hypot`` can differ in the last bit.
+    given member order. A slant is hypot(H, ground distance), computed as
+    ``math.hypot`` twice; ``np.hypot`` can differ in the last bit.
     """
     nodes, hover = [], []
     for uav_xy, members in stops:

@@ -34,19 +34,16 @@ from uewpiot import (
     AntennaArray,
     EhCircuit,
     InfeasibilityError,
-    LinkGeometry,
     MissionScenario,
     NodeField,
     RadioEnvironment,
-    achievable_data_rate_bps,
     achievable_eh_distance_m,
     compare_strategies,
     coverage_radius_m,
     generate_nodes,
-    harvested_power_dbm,
+    link_budget,
     optimize_powering,
     plan_tour,
-    received_power_dbm,
     simulate_mission,
     upa_physical_size_m,
 )
@@ -61,7 +58,7 @@ def test_criterion_1_upa_sizing():
         2.4e9: (0.1875, 0.4375),
     }
     for freq, (short, long) in cases.items():
-        size = upa_physical_size_m(RadioEnvironment.calibrated(freq), 4, 8)
+        size = upa_physical_size_m(RadioEnvironment(freq), 4, 8)
         assert size[0] == pytest.approx(short, abs=0.005)
         assert size[1] == pytest.approx(long, abs=0.005)
     elapsed = time.perf_counter() - started
@@ -78,17 +75,12 @@ def test_criterion_2_coverage_radii():
 def test_criterion_3_calibration_targets():
     array = AntennaArray.with_elements(32)
     eh_range = achievable_eh_distance_m(
-        10.0, array, EhCircuit.for_band(400e6), RadioEnvironment.calibrated(400e6), 10.0
+        10.0, array, EhCircuit.for_band(400e6), RadioEnvironment(400e6), 10.0
     )
     assert eh_range is not None and 10.0 <= eh_range <= 16.0
-    rate = achievable_data_rate_bps(
-        LinkGeometry.overhead(10.0),
-        RadioEnvironment.calibrated(900e6),
-        array,
-        EhCircuit.for_band(900e6),
-        15e6,
-        5.0,
-    )
+    rate = link_budget(
+        RadioEnvironment(900e6), 10.0, 10.0, 10.0, array, EhCircuit.for_band(900e6), 15e6, 5.0
+    ).rate_bps
     assert 50e6 <= rate <= 100e6
     print(
         f"\nACCEPTANCE 3 PASS: shipped defaults give EH range {eh_range:.2f} m "
@@ -103,40 +95,41 @@ def test_criterion_4_link_budget_properties():
     # conversion-efficiency identity, 10^4 random cases
     for _ in range(10_000):
         freq = float(rng.choice([400e6, 900e6, 2.4e9]))
-        env = RadioEnvironment.calibrated(freq)
+        env = RadioEnvironment(freq)
         eta = float(rng.uniform(0.05, 1.0))
         circuit = EhCircuit(freq, -20.0, conversion_efficiency=eta)
         array = AntennaArray.with_elements(int(rng.integers(1, 65)))
         h = float(rng.uniform(0.0, 40.0))
-        geom = LinkGeometry(h, h + float(rng.uniform(0.01, 120.0)))
+        d = h + float(rng.uniform(0.01, 120.0))
         p = float(rng.uniform(0.5, 40.0))
-        received = received_power_dbm(p, array, env, geom)
-        harvested = harvested_power_dbm(p, array, circuit, env, geom)
-        assert harvested == pytest.approx(received + 10.0 * math.log10(eta), abs=1e-9)
+        budget = link_budget(env, h, d, p, array, circuit)
+        assert budget.harvested_dbm == pytest.approx(
+            budget.received_dbm + 10.0 * math.log10(eta), abs=1e-9
+        )
 
     # strict monotonicity in distance at fixed height
-    env = RadioEnvironment.calibrated(400e6)
+    env = RadioEnvironment(400e6)
     array = AntennaArray.with_elements(32)
     circuit = EhCircuit.for_band(400e6)
     values = [
-        harvested_power_dbm(10.0, array, circuit, env, LinkGeometry(10.0, d))
+        link_budget(env, 10.0, d, 10.0, array, circuit).harvested_dbm
         for d in np.linspace(10.0, 300.0, 400)
     ]
     assert all(b < a for a, b in zip(values, values[1:]))
 
     # exact array-gain spacing
-    geom = LinkGeometry(10.0, 30.0)
     for n1, n2 in [(1, 16), (16, 32), (1, 32), (4, 64)]:
-        delta = (
-            harvested_power_dbm(10.0, AntennaArray.with_elements(n2), circuit, env, geom)
-            - harvested_power_dbm(10.0, AntennaArray.with_elements(n1), circuit, env, geom)
+        h1, h2 = (
+            link_budget(env, 10.0, 30.0, 10.0, AntennaArray.with_elements(n), circuit).harvested_dbm
+            for n in (n1, n2)
         )
+        delta = h2 - h1
         assert delta == pytest.approx(10.0 * math.log10(n2 / n1), abs=1e-9)
 
     # root accuracy of the EH-range solver
     for h in (0.0, 5.0, 10.0):
         root = achievable_eh_distance_m(10.0, array, circuit, env, h)
-        harvested = harvested_power_dbm(10.0, array, circuit, env, LinkGeometry(h, root))
+        harvested = link_budget(env, h, root, 10.0, array, circuit).harvested_dbm
         assert abs(harvested - circuit.input_threshold_dbm) <= 0.01
 
     elapsed = time.perf_counter() - started
@@ -189,7 +182,7 @@ def _random_group_scenario(rng):
     freq = float(rng.choice([400e6, 900e6]))
     scenario = MissionScenario(
         field=NodeField(100.0, 100.0, positions, seed=0),
-        env=RadioEnvironment.calibrated(freq),
+        env=RadioEnvironment(freq),
         array=AntennaArray.with_elements(int(rng.choice([16, 32]))),
         circuit=EhCircuit.for_band(freq),
         payload_bits=float(rng.uniform(1e6, 40e6)),
@@ -210,19 +203,13 @@ def test_criterion_7_optimizer_matches_grid_search():
         links = {}
         for i in members:
             node = scenario.field.positions[i]
-            geom = LinkGeometry.from_ground(
-                scenario.height_m, math.dist(node, uav_xy)
+            slant = math.hypot(scenario.height_m, math.dist(node, uav_xy))
+            budget = link_budget(
+                scenario.env, scenario.height_m, slant, scenario.wpt_power_w, scenario.array,
+                scenario.circuit, scenario.bandwidth_hz, scenario.noise_figure_db,
             )
-            harvested_w = 10.0 ** ((harvested_power_dbm(
-                scenario.wpt_power_w, scenario.array, scenario.circuit,
-                scenario.env, geom,
-            ) - 30.0) / 10.0)
-            rate = achievable_data_rate_bps(
-                geom, scenario.env, scenario.array, scenario.circuit,
-                scenario.bandwidth_hz, scenario.noise_figure_db,
-                wpt_power_w=scenario.wpt_power_w,
-            )
-            links[i] = (harvested_w, rate)
+            harvested_w = 10.0 ** ((float(budget.harvested_dbm) - 30.0) / 10.0)
+            links[i] = (harvested_w, float(budget.rate_bps))
         t_data = sum(scenario.payload_bits / rate for _, rate in links.values())
         grid_best = None
         tau = 0.0
@@ -268,7 +255,7 @@ def test_criterion_8_mission_invariants():
             field=generate_nodes(
                 100.0, 100.0, float(rng.uniform(0.1, 0.4)), seed=int(rng.integers(0, 10_000))
             ),
-            env=RadioEnvironment.calibrated(freq),
+            env=RadioEnvironment(freq),
             array=AntennaArray.with_elements(32),
             circuit=EhCircuit.for_band(freq),
             payload_bits=float(rng.uniform(1e6, 30e6)),

@@ -105,7 +105,7 @@ def test_sweep_eh_crossing_near_calibrated_range(tmp_path):
         10.0,
         AntennaArray.with_elements(32),
         EhCircuit.for_band(400e6),
-        RadioEnvironment.calibrated(400e6),
+        RadioEnvironment(400e6),
         10.0,
     )
     assert abs(crossings[0] - reference) <= 1.0  # grid step plus geometry delta
@@ -407,6 +407,18 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("mission.payload_bits = -1", "mission.payload_bits"),
         ("plan.mode = exact", "plan.mode"),  # the one-by-one tour visits all 25 nodes
         ("plan.mode = exact\nfield.count = 13", "plan.mode"),  # EXACT_SOLVER_MAX_POINTS + 1
+        # Link, array and circuit values name their key, not a dataclass field.
+        ("link.frequency_hz = -1", "link.frequency_hz"),
+        ("link.frequency_hz = 0", "link.frequency_hz"),
+        ("sweep.frequencies_hz = 4e8,0", "sweep.frequencies_hz"),
+        ("link.los_a = 0", "link.los_a"),
+        ("link.los_b = -0.43", "link.los_b"),
+        ("link.excess_los_db = -1", "link.excess_los_db"),
+        ("link.excess_nlos_db = 10", "link.excess_nlos_db"),  # below the LoS default
+        ("circuit.efficiency = 0", "circuit.efficiency"),
+        ("circuit.efficiency = 1.5", "circuit.efficiency"),
+        ("array.elements = 0", "array.elements"),
+        ("sweep.elements = 1,0", "sweep.elements"),
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
@@ -452,6 +464,24 @@ def test_main_nonpositive_height_exit_2(tmp_path, capsys, heights):
         assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    ("lines", "code"),
+    [
+        ("plan.heights_m = 14\nplan.d_eh_m = 13", 3),  # hovers above the EH range
+        ("circuit.threshold_dbm = 40", 3),  # no node harvests enough, even overhead
+        ("link.frequency_hz = 1e9", 2),  # no default threshold for the band
+        ("array.elements = 0", 2),
+    ],
+)
+def test_reproduce_rejects_mission_before_any_file(tmp_path, capsys, lines, code):
+    # The sweeps accept each of these configs; only planning first keeps them unwritten.
+    config = write_config(tmp_path, lines + "\nplan.mc_seeds = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out), "reproduce"]) == code
+    assert capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_simulate_resolves_eh_distance_once(tmp_path, monkeypatch):
     calls = []
     bisect = linkbudget.achievable_eh_distance_m
@@ -462,8 +492,10 @@ def test_simulate_resolves_eh_distance_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(linkbudget, "achievable_eh_distance_m", counted)
     config = write_config(tmp_path, "plan.mc_seeds = 1\n")
-    assert cli.main(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 0
-    assert len(calls) == 1
+    for command in ("simulate", "reproduce"):
+        calls.clear()
+        assert cli.main(["--config", str(config), "--out", str(tmp_path), command]) == 0
+        assert len(calls) == 1
 
 
 def test_sweep_grid_point_cap():

@@ -16,17 +16,12 @@ from uewpiot import (
     ConfigurationError,
     EhCircuit,
     GeometryError,
-    LinkGeometry,
     RadioEnvironment,
-    achievable_data_rate_bps,
     achievable_eh_distance_m,
     array_gain_db,
     free_space_path_loss_db,
-    harvested_power_dbm,
     link_budget,
     noise_power_dbm,
-    received_power_dbm,
-    shannon_rate_bps,
     upa_physical_size_m,
     wavelength_m,
 )
@@ -42,18 +37,13 @@ def hand_path_loss_db(d, h, f, e_los, e_nlos, a=4.88, b=0.43):
     return fspl + p_los * e_los + (1.0 - p_los) * e_nlos
 
 
-def one_link(env, geom):
-    """The kernel's 0-d link budget for one link geometry (path-loss stages only)."""
-    return link_budget(env, geom.uav_height_m, geom.slant_distance_m)
-
-
 def hand_harvested_dbm(p_w, n, d, h, f, eta, e_los, e_nlos):
     return (10.0 * math.log10(p_w * 1e3) + 10.0 * math.log10(n)
             - hand_path_loss_db(d, h, f, e_los, e_nlos) + 10.0 * math.log10(eta))
 
 
 SUBURBAN_400 = RadioEnvironment.suburban(400e6)
-CALIBRATED_400 = RadioEnvironment.calibrated(400e6)
+CALIBRATED_400 = RadioEnvironment(400e6)
 ARRAY_32 = AntennaArray.with_elements(32)
 CIRCUIT_400 = EhCircuit.for_band(400e6)
 
@@ -121,29 +111,32 @@ def test_array_layout_validation():
 def test_geometry_triangle_identity():
     # A 10 m height over sqrt(69) m of ground is a 13 m slant, and the kernel
     # prices it at the elevation asin(10/13).
-    geom = LinkGeometry.from_ground(10.0, math.sqrt(13.0**2 - 10.0**2))
-    assert geom.slant_distance_m == pytest.approx(13.0)
-    assert one_link(SUBURBAN_400, geom).path_loss_db == pytest.approx(
+    slant = math.hypot(10.0, math.sqrt(13.0**2 - 10.0**2))
+    assert slant == pytest.approx(13.0)
+    assert link_budget(SUBURBAN_400, 10.0, slant).path_loss_db == pytest.approx(
         hand_path_loss_db(13.0, 10.0, 400e6, 0.1, 21.0), abs=1e-9
     )
 
 
 def test_geometry_constructors():
-    overhead = LinkGeometry.overhead(5.0)
-    assert overhead.uav_height_m == overhead.slant_distance_m == 5.0
+    # A node directly below the UAV has slant = height: elevation 90 degrees.
     sigmoid_90 = 1.0 / (1.0 + 4.88 * math.exp(-0.43 * (90.0 - 4.88)))
-    assert one_link(SUBURBAN_400, overhead).los_probability == pytest.approx(
+    assert link_budget(SUBURBAN_400, 5.0, 5.0).los_probability == pytest.approx(
         sigmoid_90, abs=1e-12
     )
-    geom = LinkGeometry.from_ground(3.0, 4.0)
-    assert geom.slant_distance_m == pytest.approx(5.0)
+    # 3 m up over 4 m of ground is a 5 m slant at elevation asin(3/5).
+    assert math.hypot(3.0, 4.0) == pytest.approx(5.0)
+    theta = math.degrees(math.asin(0.6))
+    assert link_budget(SUBURBAN_400, 3.0, 5.0).los_probability == pytest.approx(
+        1.0 / (1.0 + 4.88 * math.exp(-0.43 * (theta - 4.88))), abs=1e-12
+    )
 
 
 def test_geometry_rejects_slant_below_height():
     with pytest.raises(GeometryError):
-        LinkGeometry(uav_height_m=10.0, slant_distance_m=9.0)
+        link_budget(SUBURBAN_400, 10.0, 9.0)
     with pytest.raises(GeometryError):
-        LinkGeometry(uav_height_m=-1.0, slant_distance_m=5.0)
+        link_budget(SUBURBAN_400, -1.0, 5.0)
 
 
 # --- LoS probability ----------------------------------------------------------
@@ -154,13 +147,12 @@ def test_los_probability_reference_angles():
         return 1.0 / (1.0 + 4.88 * math.exp(-0.43 * (theta - 4.88)))
 
     env = SUBURBAN_400
-    assert one_link(env, LinkGeometry.overhead(10.0)).los_probability >= 0.9999
-    ten_deg = LinkGeometry(uav_height_m=10.0 * math.sin(math.radians(10.0)),
-                           slant_distance_m=10.0)
-    assert one_link(env, ten_deg).los_probability == pytest.approx(sigmoid(10.0), abs=1e-9)
+    assert link_budget(env, 10.0, 10.0).los_probability >= 0.9999
+    ten_deg = link_budget(env, 10.0 * math.sin(math.radians(10.0)), 10.0)
+    assert ten_deg.los_probability == pytest.approx(sigmoid(10.0), abs=1e-9)
     assert sigmoid(10.0) == pytest.approx(0.6494, abs=5e-4)
-    flat = LinkGeometry(uav_height_m=0.0, slant_distance_m=10.0)
-    assert one_link(env, flat).los_probability == pytest.approx(sigmoid(0.0), abs=1e-9)
+    flat = link_budget(env, 0.0, 10.0)
+    assert flat.los_probability == pytest.approx(sigmoid(0.0), abs=1e-9)
     assert sigmoid(0.0) == pytest.approx(0.0245, abs=5e-4)
 
 
@@ -168,9 +160,7 @@ def test_los_probability_bounded_and_nondecreasing():
     env = SUBURBAN_400
     previous = 0.0
     for theta in np.linspace(0.0, 90.0, 91):
-        geom = LinkGeometry(uav_height_m=10.0 * math.sin(math.radians(theta)),
-                            slant_distance_m=10.0)
-        p = one_link(env, geom).los_probability
+        p = link_budget(env, 10.0 * math.sin(math.radians(theta)), 10.0).los_probability
         assert 0.0 < p < 1.0
         assert p >= previous
         previous = p
@@ -181,16 +171,14 @@ def test_los_probability_bounded_and_nondecreasing():
 def test_expected_path_loss_overhead():
     # At 90 degrees elevation the blend collapses to FSPL + LoS excess.
     env = SUBURBAN_400
-    geom = LinkGeometry.overhead(10.0)
     fspl = 20.0 * math.log10(4.0 * math.pi * 10.0 * 400e6 / C)
     assert fspl == pytest.approx(44.48, abs=0.01)
-    assert one_link(env, geom).path_loss_db == pytest.approx(fspl + 0.1, abs=1e-4)
+    assert link_budget(env, 10.0, 10.0).path_loss_db == pytest.approx(fspl + 0.1, abs=1e-4)
 
 
 def test_expected_path_loss_hand_value():
     env = SUBURBAN_400
-    geom = LinkGeometry(uav_height_m=10.0, slant_distance_m=25.0)
-    assert one_link(env, geom).path_loss_db == pytest.approx(
+    assert link_budget(env, 10.0, 25.0).path_loss_db == pytest.approx(
         hand_path_loss_db(25.0, 10.0, 400e6, 0.1, 21.0), abs=1e-12
     )
 
@@ -198,8 +186,7 @@ def test_expected_path_loss_hand_value():
 def test_expected_path_loss_strictly_increasing_in_distance():
     env = SUBURBAN_400
     losses = [
-        one_link(env, LinkGeometry(10.0, d)).path_loss_db
-        for d in np.linspace(10.0, 200.0, 100)
+        link_budget(env, 10.0, d).path_loss_db for d in np.linspace(10.0, 200.0, 100)
     ]
     assert all(b > a for a, b in zip(losses, losses[1:]))
 
@@ -208,41 +195,36 @@ def test_expected_path_loss_floor():
     # Blended loss never drops below FSPL plus the LoS excess.
     env = SUBURBAN_400
     for d in (10.0, 30.0, 120.0):
-        geom = LinkGeometry(10.0, d)
         fspl = free_space_path_loss_db(d, 400e6)
-        assert one_link(env, geom).path_loss_db >= fspl + 0.1
+        assert link_budget(env, 10.0, d).path_loss_db >= fspl + 0.1
 
 
 def test_path_loss_geometry_errors():
     with pytest.raises(GeometryError):
-        one_link(SUBURBAN_400, LinkGeometry(0.0, 0.0)).path_loss_db
+        link_budget(SUBURBAN_400, 0.0, 0.0)
     with pytest.raises(GeometryError):
-        LinkGeometry(10.0, 9.0)
+        link_budget(SUBURBAN_400, 10.0, 9.0)
 
 
 # --- received / harvested power ------------------------------------------------
 
 def test_harvested_equals_received_at_unit_efficiency():
     circuit = EhCircuit(400e6, -20.0, conversion_efficiency=1.0)
-    geom = LinkGeometry(10.0, 20.0)
-    received = received_power_dbm(10.0, ARRAY_32, SUBURBAN_400, geom)
-    harvested = harvested_power_dbm(10.0, ARRAY_32, circuit, SUBURBAN_400, geom)
-    assert harvested == received
+    budget = link_budget(SUBURBAN_400, 10.0, 20.0, 10.0, ARRAY_32, circuit)
+    assert budget.harvested_dbm == budget.received_dbm
 
 
 def test_harvested_offset_at_efficiency_0p3():
-    geom = LinkGeometry(10.0, 20.0)
-    received = received_power_dbm(10.0, ARRAY_32, SUBURBAN_400, geom)
-    harvested = harvested_power_dbm(10.0, ARRAY_32, CIRCUIT_400, SUBURBAN_400, geom)
-    assert harvested - received == pytest.approx(10.0 * math.log10(0.3), abs=1e-12)
+    budget = link_budget(SUBURBAN_400, 10.0, 20.0, 10.0, ARRAY_32, CIRCUIT_400)
+    offset = budget.harvested_dbm - budget.received_dbm
+    assert offset == pytest.approx(10.0 * math.log10(0.3), abs=1e-12)
     assert 10.0 * math.log10(0.3) == pytest.approx(-5.229, abs=5e-4)
 
 
 def test_harvested_reference_point_suburban():
     # 10 W, 32 elements, overhead at 10 m, 400 MHz, efficiency 0.3.
-    geom = LinkGeometry.overhead(10.0)
-    received = received_power_dbm(10.0, ARRAY_32, SUBURBAN_400, geom)
-    harvested = harvested_power_dbm(10.0, ARRAY_32, CIRCUIT_400, SUBURBAN_400, geom)
+    budget = link_budget(SUBURBAN_400, 10.0, 10.0, 10.0, ARRAY_32, CIRCUIT_400)
+    received, harvested = budget.received_dbm, budget.harvested_dbm
     assert received == pytest.approx(
         hand_harvested_dbm(10.0, 32, 10.0, 10.0, 400e6, 1.0, 0.1, 21.0), abs=1e-12
     )
@@ -254,37 +236,34 @@ def test_identity_random_cases():
     rng = np.random.default_rng(7)
     for _ in range(500):
         f = rng.choice([400e6, 900e6, 2.4e9])
-        env = RadioEnvironment.calibrated(f)
+        env = RadioEnvironment(f)
         eta = float(rng.uniform(0.05, 1.0))
         circuit = EhCircuit(f, -20.0, conversion_efficiency=eta)
         n = int(rng.integers(1, 65))
         array = AntennaArray.with_elements(n)
         h = float(rng.uniform(0.0, 50.0))
         d = h + float(rng.uniform(0.01, 150.0))
-        geom = LinkGeometry(h, d)
         p = float(rng.uniform(0.1, 50.0))
-        received = received_power_dbm(p, array, env, geom)
-        harvested = harvested_power_dbm(p, array, circuit, env, geom)
-        assert harvested == pytest.approx(received + 10.0 * math.log10(eta), abs=1e-12)
+        budget = link_budget(env, h, d, p, array, circuit)
+        assert budget.harvested_dbm == pytest.approx(
+            budget.received_dbm + 10.0 * math.log10(eta), abs=1e-12
+        )
 
 
 def test_array_gain_spacing_exact():
-    geom = LinkGeometry(10.0, 25.0)
     for n1, n2 in [(1, 16), (16, 32), (1, 32), (8, 64)]:
-        h1 = harvested_power_dbm(
-            10.0, AntennaArray.with_elements(n1), CIRCUIT_400, CALIBRATED_400, geom
-        )
-        h2 = harvested_power_dbm(
-            10.0, AntennaArray.with_elements(n2), CIRCUIT_400, CALIBRATED_400, geom
+        h1, h2 = (
+            link_budget(CALIBRATED_400, 10.0, 25.0, 10.0, AntennaArray.with_elements(n),
+                        CIRCUIT_400).harvested_dbm
+            for n in (n1, n2)
         )
         assert h2 - h1 == pytest.approx(10.0 * math.log10(n2 / n1), abs=1e-9)
 
 
 def test_frequency_ordering_over_configured_bands():
     # Lower carrier, same geometry and gain: at least as much received power.
-    geom = LinkGeometry(10.0, 20.0)
     received = [
-        received_power_dbm(10.0, ARRAY_32, RadioEnvironment.calibrated(f), geom)
+        link_budget(RadioEnvironment(f), 10.0, 20.0, 10.0, ARRAY_32).received_dbm
         for f in (400e6, 900e6, 2.4e9)
     ]
     assert received[0] >= received[1] >= received[2]
@@ -334,12 +313,9 @@ def test_eh_distance_root_consistency():
     circuit = CIRCUIT_400
     found = achievable_eh_distance_m(10.0, ARRAY_32, circuit, CALIBRATED_400, 10.0)
     assert found is not None
-    at_root = harvested_power_dbm(
-        10.0, ARRAY_32, circuit, CALIBRATED_400, LinkGeometry(10.0, found)
-    )
-    beyond = harvested_power_dbm(
-        10.0, ARRAY_32, circuit, CALIBRATED_400, LinkGeometry(10.0, found + 0.01)
-    )
+    at_root, beyond = link_budget(
+        CALIBRATED_400, 10.0, [found, found + 0.01], 10.0, ARRAY_32, circuit
+    ).harvested_dbm
     assert abs(at_root - circuit.input_threshold_dbm) <= 0.01
     assert beyond < circuit.input_threshold_dbm
 
@@ -367,16 +343,28 @@ def test_noise_power():
 
 
 def test_shannon_rate():
-    assert shannon_rate_bps(15e6, 0.0) == 0.0
-    assert shannon_rate_bps(15e6, 3.0) == pytest.approx(30e6)
+    # Pick the noise figure that sets the uplink SNR, then read the kernel's
+    # rate: B*log2(1 + SNR) is 2B at SNR 3 and tends to 0 as SNR does.
+    bandwidth = 15e6
+    harvested = hand_harvested_dbm(10.0, 32, 10.0, 10.0, 400e6, 0.3, 0.1, 21.0)
+    uplink_dbm = harvested + 10.0 * math.log10(32.0) - hand_path_loss_db(
+        10.0, 10.0, 400e6, 0.1, 21.0
+    )
+    noise_floor_dbm = -174.0 + 10.0 * math.log10(bandwidth)
+
+    def rate(snr_db):
+        nf = uplink_dbm - noise_floor_dbm - snr_db
+        return link_budget(SUBURBAN_400, 10.0, 10.0, 10.0, ARRAY_32, CIRCUIT_400,
+                           bandwidth, nf).rate_bps
+
+    assert rate(10.0 * math.log10(3.0)) == pytest.approx(30e6, rel=1e-9)
+    assert rate(-300.0) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_rate_calibrated_operating_point():
-    env = RadioEnvironment.calibrated(900e6)
+    env = RadioEnvironment(900e6)
     circuit = EhCircuit.for_band(900e6)
-    rate = achievable_data_rate_bps(
-        LinkGeometry.overhead(10.0), env, ARRAY_32, circuit, 15e6, 5.0
-    )
+    rate = link_budget(env, 10.0, 10.0, 10.0, ARRAY_32, circuit, 15e6, 5.0).rate_bps
     assert 50e6 <= rate <= 100e6
 
 
@@ -385,9 +373,8 @@ def test_rate_monotonicities():
     circuit = CIRCUIT_400
 
     def rate(d=15.0, n=32, bw=15e6):
-        return achievable_data_rate_bps(
-            LinkGeometry(10.0, d), env, AntennaArray.with_elements(n), circuit, bw, 5.0
-        )
+        array = AntennaArray.with_elements(n)
+        return link_budget(env, 10.0, d, 10.0, array, circuit, bw, 5.0).rate_bps
 
     rates_d = [rate(d=d) for d in np.linspace(10.0, 100.0, 30)]
     assert all(b < a for a, b in zip(rates_d, rates_d[1:]))
@@ -416,22 +403,17 @@ ELEMENTS = st.integers(min_value=1, max_value=64)
     ),
 )
 def test_kernel_equals_scalar_wrappers(band, n, eta, power_w, points):
-    # Every element of one array call equals the scalar wrapper for that link.
-    env = RadioEnvironment.calibrated(band)
+    # Every element of one array call equals the 0-d call for that link.
+    env = RadioEnvironment(band)
     array = AntennaArray.with_elements(n)
     circuit = EhCircuit(band, -20.0, conversion_efficiency=eta)
     heights = np.array([h for h, _ in points])
     slants = heights + np.array([extra for _, extra in points])
     budget = link_budget(env, heights, slants, power_w, array, circuit, 15e6, 5.0)
     for i, (h, d) in enumerate(zip(heights.tolist(), slants.tolist())):
-        geom = LinkGeometry(h, d)
-        assert budget.los_probability[i] == one_link(env, geom).los_probability
-        assert budget.path_loss_db[i] == one_link(env, geom).path_loss_db
-        assert budget.received_dbm[i] == received_power_dbm(power_w, array, env, geom)
-        assert budget.harvested_dbm[i] == harvested_power_dbm(power_w, array, circuit, env, geom)
-        assert budget.rate_bps[i] == achievable_data_rate_bps(
-            geom, env, array, circuit, 15e6, 5.0, wpt_power_w=power_w
-        )
+        link = link_budget(env, h, d, power_w, array, circuit, 15e6, 5.0)
+        for stage, values in zip(link, budget):
+            assert values[i] == stage
 
 
 @settings(max_examples=60, deadline=None)
@@ -444,7 +426,7 @@ def test_kernel_equals_scalar_wrappers(band, n, eta, power_w, points):
 )
 def test_kernel_monotone_in_slant(band, n, eta, height, gaps):
     # At a fixed height, a longer slant range loses more and delivers less.
-    env = RadioEnvironment.calibrated(band)
+    env = RadioEnvironment(band)
     circuit = EhCircuit(band, -20.0, conversion_efficiency=eta)
     slants = height + np.cumsum(gaps)
     budget = link_budget(env, height, slants, 10.0, AntennaArray.with_elements(n), circuit,

@@ -17,17 +17,15 @@ from uewpiot import (
     ConfigurationError,
     EhCircuit,
     InfeasibilityError,
-    LinkGeometry,
     MissionScenario,
     NodeField,
     RadioEnvironment,
     WpcGroup,
-    achievable_data_rate_bps,
     compare_strategies,
     coverage_radius_m,
     form_wpc_groups,
     generate_nodes,
-    harvested_power_dbm,
+    link_budget,
     optimize_powering,
     required_tx,
     simulate_mission,
@@ -43,7 +41,7 @@ def make_scenario(positions, **overrides):
     field = NodeField(100.0, 100.0, np.asarray(positions, dtype=float), seed=0)
     defaults = dict(
         field=field,
-        env=RadioEnvironment.calibrated(400e6),
+        env=RadioEnvironment(400e6),
         array=AntennaArray.with_elements(32),
         circuit=EhCircuit.for_band(400e6),
         payload_bits=10e6,
@@ -56,25 +54,20 @@ def make_scenario(positions, **overrides):
 def node_link(scenario, uav_xy, index):
     """Independent per-node link computation used by the oracles."""
     node = scenario.field.positions[index]
-    ground = math.hypot(node[0] - uav_xy[0], node[1] - uav_xy[1])
-    geom = LinkGeometry.from_ground(scenario.height_m, ground)
-    harvested_w = 10.0 ** ((harvested_power_dbm(
-        scenario.wpt_power_w, scenario.array, scenario.circuit, scenario.env, geom
-    ) - 30.0) / 10.0)
-    rate = achievable_data_rate_bps(
-        geom, scenario.env, scenario.array, scenario.circuit,
-        scenario.bandwidth_hz, scenario.noise_figure_db,
-        wpt_power_w=scenario.wpt_power_w,
+    slant = math.hypot(scenario.height_m, math.hypot(node[0] - uav_xy[0], node[1] - uav_xy[1]))
+    budget = link_budget(
+        scenario.env, scenario.height_m, slant, scenario.wpt_power_w, scenario.array,
+        scenario.circuit, scenario.bandwidth_hz, scenario.noise_figure_db,
     )
-    return harvested_w, rate
+    harvested_w = 10.0 ** ((float(budget.harvested_dbm) - 30.0) / 10.0)
+    return harvested_w, float(budget.rate_bps)
 
 
 def wake_received_dbm(scenario, uav_xy, index):
     """Independent received wake-up power at one node, from a 0-d kernel call."""
     node = scenario.field.positions[index]
-    ground = math.hypot(node[0] - uav_xy[0], node[1] - uav_xy[1])
-    geom = LinkGeometry.from_ground(scenario.height_m, ground)
-    budget = linkbudget.link_budget(scenario.env, geom.uav_height_m, geom.slant_distance_m)
+    slant = math.hypot(scenario.height_m, math.hypot(node[0] - uav_xy[0], node[1] - uav_xy[1]))
+    budget = link_budget(scenario.env, scenario.height_m, slant)
     return 10.0 * math.log10(scenario.wur_power_w * 1e3) - float(budget.path_loss_db)
 
 
@@ -317,7 +310,7 @@ def full_scenario(seed=1, **overrides):
     field = generate_nodes(100.0, 100.0, 0.25, seed=seed)
     defaults = dict(
         field=field,
-        env=RadioEnvironment.calibrated(400e6),
+        env=RadioEnvironment(400e6),
         array=AntennaArray.with_elements(32),
         circuit=EhCircuit.for_band(400e6),
     )
@@ -536,7 +529,7 @@ def test_mission_matches_per_stop_oracle_and_conserves(
             node = report.nodes[index]
             node_xy = scenario.field.positions[index]
             ground = math.hypot(node_xy[0] - uav_xy[0], node_xy[1] - uav_xy[1])
-            slant = LinkGeometry.from_ground(scenario.height_m, ground).slant_distance_m
+            slant = math.hypot(scenario.height_m, ground)
             svc = served_nodes.get(index)
             if svc is None:
                 assert node == NodeOutcome(index, outcome.group_id, slant, 0.0, 0.0, 0.0, 0.0)
@@ -568,7 +561,7 @@ def test_scenario_validation():
     field = generate_nodes(100.0, 100.0, 0.25, seed=1)
     kwargs = dict(
         field=field,
-        env=RadioEnvironment.calibrated(400e6),
+        env=RadioEnvironment(400e6),
         array=AntennaArray.with_elements(32),
         circuit=EhCircuit.for_band(400e6),
     )
