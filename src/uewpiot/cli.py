@@ -34,6 +34,8 @@ FLOAT_FMT = "%.10g"
 
 # Distance points per sweep series; a finer grid is a configuration error.
 MAX_SWEEP_POINTS = 1_000_000
+# Sweep rows formatted per string operation; bounds the text held at once.
+ROWS_PER_BLOCK = 4096
 
 REPRODUCE_FREQUENCIES_HZ = (400e6, 900e6, 2.4e9)
 REPRODUCE_ELEMENTS = (1, 16, 32)
@@ -319,9 +321,19 @@ def _sweep(config: RunConfig, path: Path, columns: list[str], values, **uplink) 
     the grid, given ``uplink`` for the rate stage. ``values(budget, circuit)``
     gives the remaining columns: each an array over the grid or one number.
     Each distance cell is formatted once per file and shared by every
-    series; a series formats only its array columns per row.
+    series; a series formats its array columns one ``%`` per block of rows.
     """
     distances = _sweep_distances(config)
+    # Path loss rises with distance: the closest link, at the largest gain, must not amplify.
+    gain_db = lb.array_gain_db(lb.AntennaArray.with_elements(max(config.sweep_elements)))
+    for frequency in config.sweep_frequencies_hz:
+        closest = lb.link_budget(_environment(config, frequency), distances[0], distances[0])
+        if closest.path_loss_db < gain_db:
+            raise ConfigurationError(
+                f"sweep.distance_start_m = {distances[0]:g} is too close: a node there would "
+                f"receive {gain_db - closest.path_loss_db:.4g} dB more than the UAV transmits "
+                f"at {frequency:g} Hz"
+            )
     distance_cells = [FLOAT_FMT % distance for distance in distances.tolist()]
 
     def series():
@@ -337,9 +349,14 @@ def _sweep(config: RunConfig, path: Path, columns: list[str], values, **uplink) 
                     is_array = isinstance(value, np.ndarray)
                     cells.append(FLOAT_FMT if is_array else _cell(value))
                     arrays += [value] if is_array else []
-                row = ",".join(cells) + "\n"
-                points = zip(distance_cells, *(a.tolist() for a in arrays))
-                yield "".join([row % point for point in points])
+                row, width = ",".join(cells) + "\n", 1 + len(arrays)
+                for lo in range(0, len(distance_cells), ROWS_PER_BLOCK):
+                    hi = min(lo + ROWS_PER_BLOCK, len(distance_cells))
+                    flat = [None] * (width * (hi - lo))  # the block's cells in row order
+                    flat[::width] = distance_cells[lo:hi]
+                    for k, a in enumerate(arrays, 1):
+                        flat[k::width] = a[lo:hi].tolist()
+                    yield (row * (hi - lo)) % tuple(flat)
 
     return _write_csv(path, ["distance_m", "freq_hz", "elements", *columns], series())
 
@@ -378,7 +395,8 @@ def _mc_lengths(config: RunConfig, d_eh: float, first) -> dict[str, list[float]]
 def plan_mission(
     config: RunConfig,
 ) -> tuple[missionsim.MissionScenario, planner.StrategyComparison]:
-    """The scenario with d_EH resolved, and the strategies compared on its field."""
+    """The config checked, the scenario with d_EH resolved, and its field's strategies."""
+    _check_config(config)
     scenario = build_scenario(config)
     scenario = replace(scenario, eh_distance_m=missionsim.resolve_eh_distance_m(scenario))
     comparison = planner.compare_strategies(

@@ -204,7 +204,7 @@ class LinkBudget(NamedTuple):
 def link_budget(
     env: RadioEnvironment, height_m, slant_m, transmit_power_w: float | None = None,
     array: AntennaArray | None = None, circuit: EhCircuit | None = None,
-    bandwidth_hz: float | None = None, noise_figure_db: float = 9.0,
+    bandwidth_hz: float | None = None, noise_figure_db: float = CALIBRATED_NOISE_FIGURE_DB,
 ) -> LinkBudget:
     """The link budget, elementwise over arrays of hover height and slant range.
 
@@ -290,7 +290,8 @@ def achievable_eh_distance_m(
     return 0.5 * (lo + hi)
 
 
-def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 9.0) -> float:
+def noise_power_dbm(bandwidth_hz: float,
+                    noise_figure_db: float = CALIBRATED_NOISE_FIGURE_DB) -> float:
     """Thermal noise floor -174 dBm/Hz + 10*log10(B) + NF."""
     if bandwidth_hz <= 0:
         raise ConfigurationError(f"bandwidth must be positive, got {bandwidth_hz}")

@@ -1,7 +1,9 @@
 """CLI tests: config parsing, CSV contracts, determinism, exit codes."""
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,25 +151,8 @@ def sweep_oracle(config, distances, values, **uplink):
     return rows
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    start=st.floats(0.0, 5.0, exclude_min=True),
-    step=st.floats(0.01, 2.0),
-    count=st.integers(1, 40),
-    bands=st.lists(st.sampled_from(sorted(linkbudget.BAND_THRESHOLDS_DBM)),
-                   min_size=1, max_size=3),
-    elements=st.lists(st.integers(1, 64), min_size=1, max_size=3),
-)
-@example(start=1.0, step=0.07, count=40, bands=[400e6, 2.4e9], elements=[1, 64])
-def test_sweep_rows_match_per_cell_oracle(start, step, count, bands, elements):
-    config = cli.RunConfig(
-        sweep_distance_start_m=start, sweep_distance_step_m=step,
-        sweep_distance_stop_m=start + (count - 1) * step,
-        sweep_frequencies_hz=tuple(bands), sweep_elements=tuple(elements),
-    )
-    distances = start + np.arange(count) * step
-    if step == 0.07:  # the raw grid carries float error (1.1400000000000001) that %.10g hides
-        assert any(repr(d) != cli.FLOAT_FMT % d for d in distances.tolist())
+def assert_sweeps_match_oracle(config, distances):
+    """Every row of both sweep files equals the per-cell oracle on ``distances``."""
     with tempfile.TemporaryDirectory() as out:
         eh_lines = cli.sweep_eh(config, Path(out)).read_text(encoding="utf-8").splitlines()
         rate_lines = cli.sweep_rate(config, Path(out)).read_text(encoding="utf-8").splitlines()
@@ -180,6 +165,82 @@ def test_sweep_rows_match_per_cell_oracle(start, step, count, bands, elements):
         config, distances, lambda budget, _: (budget.rate_bps,),
         bandwidth_hz=config.link_bandwidth_hz, noise_figure_db=config.link_noise_figure_db,
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.floats(0.0, 5.0, exclude_min=True),
+    step=st.floats(0.01, 2.0),
+    count=st.integers(1, 40),
+    bands=st.lists(st.sampled_from(sorted(linkbudget.BAND_THRESHOLDS_DBM)),
+                   min_size=1, max_size=3),
+    elements=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+)
+@example(start=1.0, step=0.07, count=40, bands=[400e6, 2.4e9], elements=[1, 64])
+@example(start=5e-324, step=1.0, count=3, bands=[400e6], elements=[1])
+@example(start=0.01, step=1.0, count=3, bands=[400e6], elements=[64])
+@example(start=0.02, step=1.0, count=3, bands=[2.4e9, 400e6], elements=[1, 64])  # 400 MHz x 64
+def test_sweep_rows_match_per_cell_oracle(start, step, count, bands, elements):
+    config = cli.RunConfig(
+        sweep_distance_start_m=start, sweep_distance_step_m=step,
+        sweep_distance_stop_m=start + (count - 1) * step,
+        sweep_frequencies_hz=tuple(bands), sweep_elements=tuple(elements),
+    )
+    distances = start + np.arange(count) * step
+    if step == 0.07:  # the raw grid carries float error (1.1400000000000001) that %.10g hides
+        assert any(repr(d) != cli.FLOAT_FMT % d for d in distances.tolist())
+    power_w = config.mission_wpt_power_w
+    amplifies = any(  # a node at the start would receive more than the UAV transmits
+        linkbudget.link_budget(cli._environment(config, band), start, start, power_w,
+                               linkbudget.AntennaArray.with_elements(n)).received_dbm
+        > linkbudget.watts_to_dbm(power_w)
+        for band in bands for n in elements
+    )
+    if not amplifies:
+        assert_sweeps_match_oracle(config, distances)
+        return
+    with tempfile.TemporaryDirectory() as out:
+        for sweep in (cli.sweep_eh, cli.sweep_rate):
+            with pytest.raises(ConfigurationError, match="sweep.distance_start_m"):
+                sweep(config, Path(out))
+        assert not any(Path(out).iterdir())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    block=st.integers(1, 7),
+    full_blocks=st.integers(2, 5),
+    tail=st.integers(0, 6),
+    start=st.floats(1.0, 5.0),
+    step=st.floats(0.01, 2.0),
+    elements=st.lists(st.integers(1, 64), min_size=1, max_size=2),
+)
+@example(block=3, full_blocks=4, tail=0, start=1.0, step=0.07, elements=[1, 32])
+def test_sweep_blocks_match_per_cell_oracle(block, full_blocks, tail, start, step, elements):
+    # Grids of several blocks, some ending exactly on a block edge (tail % block == 0).
+    count = full_blocks * block + tail % block
+    config = cli.RunConfig(
+        sweep_distance_start_m=start, sweep_distance_step_m=step,
+        sweep_distance_stop_m=start + (count - 1) * step,
+        sweep_frequencies_hz=(400e6, 2.4e9), sweep_elements=tuple(elements),
+    )
+    with mock.patch.object(cli, "ROWS_PER_BLOCK", block):
+        assert_sweeps_match_oracle(config, start + np.arange(count) * step)
+
+
+def test_sweep_memory_bounded_by_file_size(tmp_path):
+    # One series of 2e5 rows: the formatted text is held a block at a time, not whole.
+    config = cli.RunConfig(sweep_distance_stop_m=20.9999, sweep_distance_step_m=1e-4,
+                           sweep_elements=(32,))
+    tracemalloc.start()
+    try:
+        path = cli.sweep_eh(config, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 10e6
+    assert peak < 3 * size
 
 
 # --- no inert keys ------------------------------------------------------------------
@@ -426,6 +487,41 @@ def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
     assert cli.main(["--config", str(config), "--out", str(tmp_path), "sweep-eh"]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "eh_sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    ("line", "excess"),
+    [
+        ("sweep.distance_start_m = 5e-324", "6434 dB"),
+        ("sweep.distance_start_m = 0.01\nsweep.elements = 64", "10.52 dB"),  # +50.5 dBm from 10 W
+        ("sweep.distance_start_m = 0.02\nsweep.elements = 1,64\nsweep.frequencies_hz = 2.4e9,4e8",
+         "4.498 dB"),  # only the second band, at the largest array, amplifies
+    ],
+)
+@pytest.mark.parametrize("command", ["sweep-eh", "sweep-rate", "reproduce"])
+def test_main_amplifying_sweep_start_exit_2(tmp_path, capsys, line, excess, command):
+    config = write_config(tmp_path, line + "\nplan.mc_seeds = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert "sweep.distance_start_m" in err
+    if command != "reproduce":  # reproduce sweeps at most 32 elements
+        assert excess in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_start_just_past_the_passive_bound_runs(tmp_path):
+    # 0.04 m at 400 MHz loses 19.58 dB, above the 18.06 dB gain of 64 elements.
+    config = cli.RunConfig(sweep_distance_start_m=0.04, sweep_elements=(64,))
+    _, rows = read_rows(cli.sweep_eh(config, tmp_path))
+    assert float(rows[0][3]) < linkbudget.watts_to_dbm(config.mission_wpt_power_w)
+
+
+def test_plan_and_simulate_rejects_zero_mc_seeds_before_any_file(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError, match="plan.mc_seeds"):
+        cli.plan_and_simulate(cli.RunConfig(plan_mc_seeds=0), out)
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize(

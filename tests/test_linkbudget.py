@@ -342,6 +342,15 @@ def test_noise_power():
         noise_power_dbm(0.0, 9.0)
 
 
+def test_noise_figure_defaults_to_the_calibrated_preset():
+    # Leaving the noise figure out gives the calibrated uplink, not a 9 dB receiver.
+    assert noise_power_dbm(15e6) == pytest.approx(-174.0 + 10.0 * math.log10(15e6) + 5.0)
+    env, circuit = RadioEnvironment(900e6), EhCircuit.for_band(900e6)
+    rate = link_budget(env, 10, 10, 10.0, ARRAY_32, circuit, 15e6).rate_bps
+    assert rate == pytest.approx(65.55e6, rel=1e-3)  # 47.1 Mbps with a 9 dB receiver
+    assert rate == link_budget(env, 10, 10, 10.0, ARRAY_32, circuit, 15e6, 5.0).rate_bps
+
+
 def test_shannon_rate():
     # Pick the noise figure that sets the uplink SNR, then read the kernel's
     # rate: B*log2(1 + SNR) is 2B at SNR 3 and tends to 0 as SNR does.
