@@ -1,5 +1,19 @@
 """UAV-powered IoT toolkit: link budgets, tour planning, mission simulation."""
 
+import os as _os
+import sys as _sys
+
+# No uewpiot call is served by a BLAS thread pool, and starting one is a third
+# of import time. OpenBLAS reads the variable once, at load; a caller's choice,
+# or a numpy already loaded, is left alone, and the environment is restored.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREAD_VARIABLES):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (
     CapabilityError,
     ConfigurationError,

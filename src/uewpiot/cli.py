@@ -120,7 +120,8 @@ def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     if isinstance(value, float):
-        return f"{value:g}"
+        short = f"{value:g}"  # 4e+08 for the defaults; repr when :g would round
+        return short if float(short) == value else repr(value)
     return str(value)
 
 
@@ -173,6 +174,9 @@ def _check_config(config: RunConfig) -> None:
         raise ConfigurationError(
             f"circuit.efficiency must be in (0, 1], got {config.circuit_efficiency:g}"
         )
+    for height in config.plan_heights_m:  # the traversal node sits below the hover point
+        _check_passive(config, "plan.heights_m", height, config.link_frequency_hz,
+                       config.array_elements)
     if not config.mission_payload_bits >= 0:
         raise ConfigurationError(
             f"mission.payload_bits must be >= 0, got {config.mission_payload_bits:g}"
@@ -210,6 +214,20 @@ def _check_config(config: RunConfig) -> None:
         raise ConfigurationError(
             f"plan.mode = exact plans at most {planner.EXACT_SOLVER_MAX_POINTS} points, "
             f"and the field has {count} nodes"
+        )
+
+
+def _check_passive(config: RunConfig, key: str, distance_m: float, frequency_hz: float,
+                   elements: int) -> None:
+    """A node directly below the UAV at ``distance_m`` must not receive more than the
+    UAV transmits: path loss there, which rises with distance, is at least the array gain."""
+    # A 1 x N layout has the gain of N elements, without with_elements' divisor search.
+    excess_db = lb.array_gain_db(lb.AntennaArray(elements, 1, elements)) - float(
+        lb.link_budget(_environment(config, frequency_hz), distance_m, distance_m).path_loss_db)
+    if excess_db > 0:
+        raise ConfigurationError(
+            f"{key} = {distance_m:g} is too close: a node there would receive {excess_db:.4g} dB "
+            f"more than the UAV transmits at {frequency_hz:g} Hz"
         )
 
 
@@ -324,16 +342,9 @@ def _sweep(config: RunConfig, path: Path, columns: list[str], values, **uplink) 
     series; a series formats its array columns one ``%`` per block of rows.
     """
     distances = _sweep_distances(config)
-    # Path loss rises with distance: the closest link, at the largest gain, must not amplify.
-    gain_db = lb.array_gain_db(lb.AntennaArray.with_elements(max(config.sweep_elements)))
-    for frequency in config.sweep_frequencies_hz:
-        closest = lb.link_budget(_environment(config, frequency), distances[0], distances[0])
-        if closest.path_loss_db < gain_db:
-            raise ConfigurationError(
-                f"sweep.distance_start_m = {distances[0]:g} is too close: a node there would "
-                f"receive {gain_db - closest.path_loss_db:.4g} dB more than the UAV transmits "
-                f"at {frequency:g} Hz"
-            )
+    for frequency in config.sweep_frequencies_hz:  # the closest link, at the largest gain
+        _check_passive(config, "sweep.distance_start_m", distances[0], frequency,
+                       max(config.sweep_elements))
     distance_cells = [FLOAT_FMT % distance for distance in distances.tolist()]
 
     def series():

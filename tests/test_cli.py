@@ -1,7 +1,10 @@
 """CLI tests: config parsing, CSV contracts, determinism, exit codes."""
+import contextlib
+import io
 import math
 import tempfile
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -31,6 +34,64 @@ def read_rows(path):
 def test_defaults_round_trip(tmp_path):
     path = write_config(tmp_path, "\n".join(cli.default_lines()) + "\n")
     assert cli.parse_config(path) == cli.RunConfig()
+
+
+def positive(high):
+    return st.floats(0.0, high, exclude_min=True)
+
+
+def anything():
+    return st.floats(-1e300, 1e300)
+
+
+@st.composite
+def run_configs(draw):
+    """A RunConfig that parse_config accepts, its floats drawn at full precision."""
+    excess_los_db = draw(st.floats(0.0, 50.0))
+    count = draw(st.integers(0, 200))
+    mode = draw(st.sampled_from(["heuristic", "exact"] if count and count <= 12 else ["heuristic"]))
+    return cli.RunConfig(
+        link_frequency_hz=draw(st.floats(1e8, 1e10)),
+        link_bandwidth_hz=draw(positive(1e12)),
+        link_noise_figure_db=draw(anything()),
+        link_los_a=draw(positive(50.0)),  # a*exp(-b*(90 - a)) stays finite overhead
+        link_los_b=draw(positive(10.0)),
+        link_excess_los_db=excess_los_db,
+        link_excess_nlos_db=excess_los_db + draw(st.floats(0.0, 50.0)),
+        array_elements=draw(st.integers(1, 64)),
+        circuit_efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        circuit_threshold_dbm=draw(st.none() | anything()),
+        sweep_distance_start_m=draw(anything()),
+        sweep_distance_stop_m=draw(anything()),
+        sweep_distance_step_m=draw(anything()),
+        sweep_frequencies_hz=tuple(draw(st.lists(positive(1e300), min_size=1, max_size=3))),
+        sweep_elements=tuple(draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3))),
+        field_width_m=draw(st.floats(10.0, 1e3)),
+        field_height_m=draw(st.floats(10.0, 1e3)),
+        field_density=draw(st.floats(1.0, 10.0)),  # 1 to 10^5 nodes at field.count = 0
+        field_count=count,
+        field_seed=draw(st.integers(0, 2**32)),
+        plan_heights_m=tuple(draw(st.lists(st.floats(10.0, 1e3), min_size=1, max_size=3))),
+        plan_d_eh_m=draw(st.none() | anything()),
+        plan_mode=mode,
+        plan_mc_seeds=draw(st.integers(1, 10**6)),
+        mission_wpt_power_w=draw(positive(1e300)),
+        mission_wur_power_w=draw(positive(1e300)),
+        mission_wur_wake_threshold_dbm=draw(anything()),
+        mission_payload_bits=draw(st.floats(0.0, 1e300)),
+        mission_latency_cap_s=draw(positive(1e300)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=run_configs())
+@example(config=cli.RunConfig(mission_wpt_power_w=10.123456789))  # :g keeps 10.1235
+def test_config_round_trip(config):
+    lines = [f"{cli._attr_to_key(f.name)} = {cli._format_value(getattr(config, f.name))}"
+             for f in fields(cli.RunConfig)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), "\n".join(lines) + "\n")
+        assert cli.parse_config(path) == config
 
 
 def test_defaults_cover_every_key():
@@ -558,6 +619,85 @@ def test_main_nonpositive_height_exit_2(tmp_path, capsys, heights):
         assert cli.main(["--config", str(config), "--out", str(out), command]) == 2
         assert "plan.heights_m" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    ("lines", "excess"),
+    [
+        ("plan.heights_m = 1e-6,5\nplan.d_eh_m = 10", "87.51 dB"),  # was 1.69 GW from a 10 W beam
+        ("plan.heights_m = 0.01,5", "7.509 dB"),  # 7.5 dB of path loss, 15.05 dB of gain
+        ("plan.heights_m = 1e-300", "5968 dB"),  # was an OverflowError after tour.csv
+    ],
+)
+def test_main_amplifying_height_exit_2(tmp_path, capsys, lines, excess):
+    config = write_config(tmp_path, lines + "\nplan.mc_seeds = 1\n")
+    for command in ("plan", "simulate", "reproduce"):
+        out = tmp_path / command
+        assert cli.main(["--config", str(config), "--out", str(out), command]) == 2
+        err = capsys.readouterr().err
+        assert "plan.heights_m" in err and excess in err
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_height_just_past_the_passive_bound_runs(tmp_path):
+    # 0.0238 m at 400 MHz loses 15.07 dB, above the 15.05 dB gain of 32 elements.
+    config = cli.RunConfig(plan_heights_m=(0.0238,), plan_mc_seeds=1)
+    _, rows = read_rows(cli.plan_and_simulate(config, tmp_path)[1])
+    assert rows and all(float(row[6]) < config.mission_wpt_power_w for row in rows)
+
+
+def closest_link_amplifies(config, frequency, height, elements):
+    """The overhead link at ``height`` loses less than ``elements`` gain."""
+    budget = linkbudget.link_budget(cli._environment(config, frequency), height, height)
+    return budget.path_loss_db < linkbudget.array_gain_db(
+        linkbudget.AntennaArray.with_elements(elements))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    heights=st.lists(st.floats(0.0, 10.0, exclude_min=True), min_size=1, max_size=2),
+    start=st.floats(0.0, 2.0, exclude_min=True),
+    count=st.integers(1, 30),
+    band=st.sampled_from(sorted(linkbudget.BAND_THRESHOLDS_DBM)),
+    elements=st.integers(1, 64),
+    power_w=st.floats(0.01, 100.0),
+    seed=st.integers(0, 1000),
+)
+@example(heights=[1e-6, 5.0], start=1.0, count=25, band=400e6, elements=32, power_w=10.0, seed=1)
+@example(heights=[10.0], start=5e-324, count=25, band=400e6, elements=32, power_w=10.0, seed=1)
+def test_no_link_amplifies(heights, start, count, band, elements, power_w, seed):
+    # Exit 2 naming the key when a closest link would amplify; else every cell is
+    # finite and nothing received or harvested exceeds the transmit power.
+    lines = [f"plan.heights_m = {','.join(map(repr, heights))}", "plan.d_eh_m = 10",
+             f"sweep.distance_start_m = {start!r}", f"field.count = {count}",
+             f"link.frequency_hz = {band!r}", f"array.elements = {elements}",
+             f"mission.wpt_power_w = {power_w!r}", f"field.seed = {seed}", "plan.mc_seeds = 1"]
+    config = cli.RunConfig(link_frequency_hz=band, sweep_distance_start_m=start)
+    low_height = any(closest_link_amplifies(config, band, h, elements) for h in heights)
+    close_start = any(closest_link_amplifies(config, f, start, max(cli.REPRODUCE_ELEMENTS))
+                      for f in cli.REPRODUCE_FREQUENCIES_HZ)
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = Path(tmp) / "out", io.StringIO()
+        path = write_config(Path(tmp), "\n".join(lines) + "\n")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--config", str(path), "--out", str(out), "reproduce"])
+        if low_height or close_start:
+            assert code == 2
+            assert ("plan.heights_m" if low_height else "sweep.distance_start_m") in err.getvalue()
+            assert not out.exists()
+            return
+        assert code == 0, err.getvalue()
+        tables = {p.name: read_rows(p) for p in out.glob("*.csv")}
+    assert len(tables) == 5
+    for header, rows in tables.values():
+        numeric = [j for j, name in enumerate(header) if name != "strategy"]
+        assert all(math.isfinite(float(row[j])) for row in rows for j in numeric if row[j])
+    header, rows = tables["report.csv"]
+    column = header.index("tx_power_w")  # the node sends at its harvested power
+    assert all(float(row[column]) <= power_w for row in rows)
+    header, rows = tables["eh_sweep.csv"]
+    column = header.index("received_dbm")
+    assert all(float(row[column]) <= linkbudget.watts_to_dbm(power_w) for row in rows)
 
 
 @pytest.mark.parametrize(
