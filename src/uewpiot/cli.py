@@ -11,9 +11,10 @@ Subcommands:
 
 Configuration is a flat ``key = value`` text file with section-prefixed
 keys (``link.frequency_hz = 400e6``), spelt as ``defaults`` prints them.
-Unknown keys, and values that no command can run with, are rejected
-before any file is written. All floating-point output uses a fixed
-%.10g format so reruns are byte-identical. Exit codes: 0 ok,
+Building a ``RunConfig`` checks every key, whatever the command, so an
+unknown key or a value that some command could not run with is rejected,
+naming the key, before any file is written. All floating-point output
+uses a fixed %.10g format so reruns are byte-identical. Exit codes: 0 ok,
 2 configuration error, 3 infeasible request, 4 I/O error.
 """
 from __future__ import annotations
@@ -41,9 +42,9 @@ REPRODUCE_FREQUENCIES_HZ = (400e6, 900e6, 2.4e9)
 REPRODUCE_ELEMENTS = (1, 16, 32)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Typed view of the flat key/value configuration."""
+    """Typed view of the flat key/value configuration, checked when built."""
 
     link_frequency_hz: float = 400e6
     link_bandwidth_hz: float = 15e6
@@ -75,15 +76,17 @@ class RunConfig:
     mission_payload_bits: float = 10e6
     mission_latency_cap_s: float = 30.0
 
+    def __post_init__(self) -> None:
+        _check_config(self)
+
 
 def _attr_to_key(attr: str) -> str:
     return attr.replace("_", ".", 1)
 
 
-def _parse_value(attr: str, raw: str, template: RunConfig):
+def _parse_value(attr: str, raw: str, default):
     raw = raw.strip()
     key = _attr_to_key(attr)
-    default = getattr(template, attr)
     if attr == "plan_mode":
         if raw not in ("heuristic", "exact"):
             raise ConfigurationError(f"plan.mode must be heuristic or exact, got {raw!r}")
@@ -100,7 +103,7 @@ def _parse_value(attr: str, raw: str, template: RunConfig):
 
 
 def _parse_number(key: str, raw: str, integral: bool) -> float | int:
-    """A finite float, or an int when ``integral``; errors name ``key``."""
+    """A finite float, or the exact int written when ``integral``; errors name ``key``."""
     try:
         value = float(raw)
     except ValueError:
@@ -109,9 +112,14 @@ def _parse_number(key: str, raw: str, integral: bool) -> float | int:
         raise ConfigurationError(f"{key} must be finite, got {raw!r}")
     if not integral:
         return value
-    if not value.is_integer():
+    try:
+        return int(raw)  # exact, where float rounds above 2**53
+    except ValueError:  # 1e3 or 10.0; a rare spelling, so decimal loads only here
+        from decimal import Decimal
+    exact = Decimal(raw)  # finite, so at most 309 digits
+    if exact != exact.to_integral_value():
         raise ConfigurationError(f"{key} must be an integer, got {raw!r}")
-    return int(value)
+    return int(exact)
 
 
 def _format_value(value) -> str:
@@ -126,9 +134,11 @@ def _format_value(value) -> str:
 
 
 def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Load a config file (optional), apply CLI overrides, and check the values."""
-    config = RunConfig()
-    known = {_attr_to_key(f.name): f.name for f in fields(RunConfig)}
+    """Load a config file (optional) and apply CLI overrides; the RunConfig
+    built from them checks the values."""
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    known = {_attr_to_key(attr): attr for attr in defaults}
+    values = {}
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -144,17 +154,16 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
             if attr is None:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key.strip()!r}")
             try:
-                setattr(config, attr, _parse_value(attr, raw, config))
+                values[attr] = _parse_value(attr, raw, defaults[attr])
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
-    for attr, value in (overrides or {}).items():
-        setattr(config, attr, value)
-    _check_config(config)
-    return config
+    values.update(overrides or {})
+    return RunConfig(**values)
 
 
 def _check_config(config: RunConfig) -> None:
-    """Reject values that no command can run with, naming the key."""
+    """Reject a config that some command could not run with, naming the key.
+    Every RunConfig runs this once, when it is built."""
     for attr in ("field_width_m", "field_height_m", "link_frequency_hz", "link_bandwidth_hz",
                  "link_los_a", "link_los_b", "array_elements", "plan_mc_seeds",
                  "mission_wpt_power_w", "mission_wur_power_w", "mission_latency_cap_s"):
@@ -174,6 +183,13 @@ def _check_config(config: RunConfig) -> None:
         raise ConfigurationError(
             f"circuit.efficiency must be in (0, 1], got {config.circuit_efficiency:g}"
         )
+    if config.circuit_threshold_dbm is None:  # every band then needs its default threshold
+        for frequency in (config.link_frequency_hz, *config.sweep_frequencies_hz):
+            if frequency not in lb.BAND_THRESHOLDS_DBM:
+                raise ConfigurationError(
+                    f"no default harvester threshold for the {frequency:g} Hz band; "
+                    "set circuit.threshold_dbm"
+                )
     for height in config.plan_heights_m:  # the traversal node sits below the hover point
         _check_passive(config, "plan.heights_m", height, config.link_frequency_hz,
                        config.array_elements)
@@ -215,14 +231,26 @@ def _check_config(config: RunConfig) -> None:
             f"plan.mode = exact plans at most {planner.EXACT_SOLVER_MAX_POINTS} points, "
             f"and the field has {count} nodes"
         )
+    start, step = config.sweep_distance_start_m, config.sweep_distance_step_m
+    if not step > 0:
+        raise ConfigurationError("sweep.distance_step_m must be > 0")
+    if not start > 0:
+        raise ConfigurationError("sweep.distance_start_m must be > 0")
+    span = _sweep_span(config)
+    if span < 0:
+        raise ConfigurationError("empty distance grid: sweep.distance_stop_m is below the start")
+    if not span < MAX_SWEEP_POINTS:
+        raise ConfigurationError(f"sweep.distance_step_m gives over {MAX_SWEEP_POINTS} points")
+    for frequency in config.sweep_frequencies_hz:  # the closest link, at the largest gain
+        _check_passive(config, "sweep.distance_start_m", start, frequency,
+                       max(config.sweep_elements))
 
 
 def _check_passive(config: RunConfig, key: str, distance_m: float, frequency_hz: float,
                    elements: int) -> None:
     """A node directly below the UAV at ``distance_m`` must not receive more than the
     UAV transmits: path loss there, which rises with distance, is at least the array gain."""
-    # A 1 x N layout has the gain of N elements, without with_elements' divisor search.
-    excess_db = lb.array_gain_db(lb.AntennaArray(elements, 1, elements)) - float(
+    excess_db = lb.array_gain_db(_array(elements)) - float(
         lb.link_budget(_environment(config, frequency_hz), distance_m, distance_m).path_loss_db)
     if excess_db > 0:
         raise ConfigurationError(
@@ -233,11 +261,12 @@ def _check_passive(config: RunConfig, key: str, distance_m: float, frequency_hz:
 
 def default_lines() -> list[str]:
     """Every config key with its default, one `key = value` line each."""
-    template = RunConfig()
-    return [
-        f"{_attr_to_key(f.name)} = {_format_value(getattr(template, f.name))}"
-        for f in fields(RunConfig)
-    ]
+    return [f"{_attr_to_key(f.name)} = {_format_value(f.default)}" for f in fields(RunConfig)]
+
+
+def _array(elements: int) -> lb.AntennaArray:
+    # 1 x N skips with_elements' divisor search; gain, the only output, needs just N.
+    return lb.AntennaArray(elements, 1, elements)
 
 
 def _environment(config: RunConfig, frequency_hz: float) -> lb.RadioEnvironment:
@@ -251,16 +280,9 @@ def _environment(config: RunConfig, frequency_hz: float) -> lb.RadioEnvironment:
 
 
 def _circuit(config: RunConfig, frequency_hz: float) -> lb.EhCircuit:
-    if config.circuit_threshold_dbm is not None:
-        return lb.EhCircuit(
-            frequency_hz, config.circuit_threshold_dbm, config.circuit_efficiency
-        )
-    if frequency_hz not in lb.BAND_THRESHOLDS_DBM:
-        raise ConfigurationError(
-            f"no default harvester threshold for the {frequency_hz:g} Hz band; "
-            "set circuit.threshold_dbm"
-        )
-    return lb.EhCircuit.for_band(frequency_hz, config.circuit_efficiency)
+    if config.circuit_threshold_dbm is None:
+        return lb.EhCircuit.for_band(frequency_hz, config.circuit_efficiency)
+    return lb.EhCircuit(frequency_hz, config.circuit_threshold_dbm, config.circuit_efficiency)
 
 
 def _field(config: RunConfig, seed: int) -> planner.NodeField:
@@ -278,7 +300,7 @@ def build_scenario(config: RunConfig) -> missionsim.MissionScenario:
     return missionsim.MissionScenario(
         field=_field(config, config.field_seed),
         env=_environment(config, frequency),
-        array=lb.AntennaArray.with_elements(config.array_elements),
+        array=_array(config.array_elements),
         circuit=_circuit(config, frequency),
         wpt_power_w=config.mission_wpt_power_w,
         wur_power_w=config.mission_wur_power_w,
@@ -317,18 +339,15 @@ def _rows(rows: list[list]):
     return (",".join(map(_cell, row)) + "\n" for row in rows)
 
 
+def _sweep_span(config: RunConfig) -> float:
+    """Steps from the sweep start to its stop, which float error must not drop."""
+    start, stop = config.sweep_distance_start_m, config.sweep_distance_stop_m
+    return (stop + 1e-9 - start) / config.sweep_distance_step_m
+
+
 def _sweep_distances(config: RunConfig) -> np.ndarray:
-    start, step = config.sweep_distance_start_m, config.sweep_distance_step_m
-    if not step > 0:
-        raise ConfigurationError("sweep.distance_step_m must be > 0")
-    if not start > 0:
-        raise ConfigurationError("sweep.distance_start_m must be > 0")
-    span = (config.sweep_distance_stop_m + 1e-9 - start) / step
-    if span < 0:
-        raise ConfigurationError("empty distance grid: sweep.distance_stop_m is below the start")
-    if not span < MAX_SWEEP_POINTS:
-        raise ConfigurationError(f"sweep.distance_step_m gives over {MAX_SWEEP_POINTS} points")
-    return start + np.arange(math.floor(span) + 1) * step
+    steps = np.arange(math.floor(_sweep_span(config)) + 1)
+    return config.sweep_distance_start_m + steps * config.sweep_distance_step_m
 
 
 def _sweep(config: RunConfig, path: Path, columns: list[str], values, **uplink) -> Path:
@@ -342,19 +361,14 @@ def _sweep(config: RunConfig, path: Path, columns: list[str], values, **uplink) 
     series; a series formats its array columns one ``%`` per block of rows.
     """
     distances = _sweep_distances(config)
-    for frequency in config.sweep_frequencies_hz:  # the closest link, at the largest gain
-        _check_passive(config, "sweep.distance_start_m", distances[0], frequency,
-                       max(config.sweep_elements))
     distance_cells = [FLOAT_FMT % distance for distance in distances.tolist()]
 
     def series():
         for frequency in config.sweep_frequencies_hz:
             env, circuit = _environment(config, frequency), _circuit(config, frequency)
             for elements in config.sweep_elements:
-                array = lb.AntennaArray.with_elements(elements)
-                budget = lb.link_budget(
-                    env, distances, distances, config.mission_wpt_power_w, array, circuit, **uplink
-                )
+                budget = lb.link_budget(env, distances, distances, config.mission_wpt_power_w,
+                                        _array(elements), circuit, **uplink)
                 cells, arrays = ["%s", _cell(frequency), _cell(elements)], []
                 for value in values(budget, circuit):
                     is_array = isinstance(value, np.ndarray)
@@ -406,8 +420,7 @@ def _mc_lengths(config: RunConfig, d_eh: float, first) -> dict[str, list[float]]
 def plan_mission(
     config: RunConfig,
 ) -> tuple[missionsim.MissionScenario, planner.StrategyComparison]:
-    """The config checked, the scenario with d_EH resolved, and its field's strategies."""
-    _check_config(config)
+    """The scenario with d_EH resolved, and its field's strategies."""
     scenario = build_scenario(config)
     scenario = replace(scenario, eh_distance_m=missionsim.resolve_eh_distance_m(scenario))
     comparison = planner.compare_strategies(
@@ -505,7 +518,8 @@ def reproduce(config: RunConfig, out_dir: Path) -> list[Path]:
     """Regenerate all figure data: both sweeps on the full reference grid
     (three carrier bands, three array sizes) plus tours, mission report,
     and the Monte-Carlo strategy summary. Emits exactly five CSV files.
-    The mission is planned first, so a config it rejects writes no file.
+    The mission is planned first, so a config it rejects writes no file;
+    the reference bands are checked when ``replace`` builds their config.
     """
     full = replace(
         config,

@@ -227,7 +227,8 @@ def link_budget(
             raise GeometryError(f"slant distance {d} m is below hover height {h} m")
         raise GeometryError("zero slant distance: path loss is singular")
     theta = np.degrees(np.arcsin(height / slant))
-    p_los = 1.0 / (1.0 + env.los_a * np.exp(-env.los_b * (theta - env.los_a)))
+    with np.errstate(over="ignore"):  # an overflow to inf gives the exact limit P_LoS = 0
+        p_los = 1.0 / (1.0 + env.los_a * np.exp(-env.los_b * (theta - env.los_a)))
     fspl = _fspl_db(slant, env.carrier_frequency_hz)  # slant > 0, checked above
     path_loss = fspl + p_los * env.excess_loss_los_db + (1.0 - p_los) * env.excess_loss_nlos_db
     received = harvested = rate = None

@@ -1,10 +1,11 @@
 """CLI tests: config parsing, CSV contracts, determinism, exit codes."""
 import contextlib
+import hashlib
 import io
 import math
 import tempfile
 import tracemalloc
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -29,6 +30,9 @@ def read_rows(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
+COMMANDS = ("sweep-eh", "sweep-rate", "plan", "simulate", "reproduce")
+
+
 # --- configuration -------------------------------------------------------------
 
 def test_defaults_round_trip(tmp_path):
@@ -46,31 +50,37 @@ def anything():
 
 @st.composite
 def run_configs(draw):
-    """A RunConfig that parse_config accepts, its floats drawn at full precision."""
+    """A RunConfig that its check accepts, its floats drawn at full precision."""
     excess_los_db = draw(st.floats(0.0, 50.0))
     count = draw(st.integers(0, 200))
     mode = draw(st.sampled_from(["heuristic", "exact"] if count and count <= 12 else ["heuristic"]))
+    threshold_dbm = draw(st.none() | anything())
+    # An auto threshold needs a band with a default; 100 MHz and up keeps 250 m
+    # from the UAV lossier than 10^6 elements gain, so no sweep start amplifies.
+    bands = st.floats(1e8, 1e10) if threshold_dbm is not None else st.sampled_from(
+        sorted(linkbudget.BAND_THRESHOLDS_DBM))
+    start = draw(st.floats(250.0, 1e4))
     return cli.RunConfig(
-        link_frequency_hz=draw(st.floats(1e8, 1e10)),
+        link_frequency_hz=draw(bands),
         link_bandwidth_hz=draw(positive(1e12)),
         link_noise_figure_db=draw(anything()),
-        link_los_a=draw(positive(50.0)),  # a*exp(-b*(90 - a)) stays finite overhead
+        link_los_a=draw(positive(1e300)),  # P_LoS may overflow to its limit, 0
         link_los_b=draw(positive(10.0)),
         link_excess_los_db=excess_los_db,
         link_excess_nlos_db=excess_los_db + draw(st.floats(0.0, 50.0)),
         array_elements=draw(st.integers(1, 64)),
         circuit_efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        circuit_threshold_dbm=draw(st.none() | anything()),
-        sweep_distance_start_m=draw(anything()),
-        sweep_distance_stop_m=draw(anything()),
-        sweep_distance_step_m=draw(anything()),
-        sweep_frequencies_hz=tuple(draw(st.lists(positive(1e300), min_size=1, max_size=3))),
+        circuit_threshold_dbm=threshold_dbm,
+        sweep_distance_start_m=start,
+        sweep_distance_stop_m=start + draw(st.floats(0.0, 1e4)),
+        sweep_distance_step_m=draw(st.floats(0.1, 1e4)),  # at most 10^5 points
+        sweep_frequencies_hz=tuple(draw(st.lists(bands, min_size=1, max_size=3))),
         sweep_elements=tuple(draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3))),
         field_width_m=draw(st.floats(10.0, 1e3)),
         field_height_m=draw(st.floats(10.0, 1e3)),
         field_density=draw(st.floats(1.0, 10.0)),  # 1 to 10^5 nodes at field.count = 0
         field_count=count,
-        field_seed=draw(st.integers(0, 2**32)),
+        field_seed=draw(st.integers(0, 2**128)),
         plan_heights_m=tuple(draw(st.lists(st.floats(10.0, 1e3), min_size=1, max_size=3))),
         plan_d_eh_m=draw(st.none() | anything()),
         plan_mode=mode,
@@ -86,12 +96,53 @@ def run_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(config=run_configs())
 @example(config=cli.RunConfig(mission_wpt_power_w=10.123456789))  # :g keeps 10.1235
+@example(config=cli.RunConfig(field_seed=2**53 + 1))  # float() reads 2**53
 def test_config_round_trip(config):
     lines = [f"{cli._attr_to_key(f.name)} = {cli._format_value(getattr(config, f.name))}"
              for f in fields(cli.RunConfig)]
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp), "\n".join(lines) + "\n")
         assert cli.parse_config(path) == config
+
+
+@pytest.mark.parametrize(
+    ("raw", "value"),
+    [("9007199254740993", 2**53 + 1), ("1e3", 1000), ("1.5e1", 15), ("-0", 0),
+     ("1" + "0" * 40, 10**40)],
+)
+def test_integer_keys_parse_exactly(tmp_path, raw, value):
+    config = cli.parse_config(write_config(tmp_path, f"field.seed = {raw}\n"))
+    assert type(config.field_seed) is int and config.field_seed == value
+
+
+def test_run_config_is_checked_when_built():
+    with pytest.raises(ConfigurationError, match="sweep.distance_step_m"):
+        cli.RunConfig(sweep_distance_step_m=0.0)
+    config = cli.RunConfig()
+    with pytest.raises(ConfigurationError, match="circuit.threshold_dbm"):
+        replace(config, link_frequency_hz=1e9)
+    with pytest.raises(ConfigurationError, match="plan.heights_m"):
+        replace(config, plan_heights_m=(0.01,))
+    with pytest.raises(FrozenInstanceError):
+        config.sweep_distance_step_m = 0.0
+    explicit = replace(config, circuit_threshold_dbm=-30.0, link_frequency_hz=1e9)
+    assert explicit.link_frequency_hz == 1e9
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_checked_once_per_config(tmp_path, monkeypatch, command):
+    # One config per command; reproduce builds a second one for its reference bands.
+    calls = []
+    check = cli._check_config
+
+    def counted(config):
+        calls.append(config)
+        check(config)
+
+    monkeypatch.setattr(cli, "_check_config", counted)
+    config = write_config(tmp_path, "plan.mc_seeds = 1\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), command]) == 0
+    assert len(calls) == (2 if command == "reproduce" else 1)
 
 
 def test_defaults_cover_every_key():
@@ -242,7 +293,7 @@ def assert_sweeps_match_oracle(config, distances):
 @example(start=0.01, step=1.0, count=3, bands=[400e6], elements=[64])
 @example(start=0.02, step=1.0, count=3, bands=[2.4e9, 400e6], elements=[1, 64])  # 400 MHz x 64
 def test_sweep_rows_match_per_cell_oracle(start, step, count, bands, elements):
-    config = cli.RunConfig(
+    grid = dict(
         sweep_distance_start_m=start, sweep_distance_step_m=step,
         sweep_distance_stop_m=start + (count - 1) * step,
         sweep_frequencies_hz=tuple(bands), sweep_elements=tuple(elements),
@@ -250,21 +301,19 @@ def test_sweep_rows_match_per_cell_oracle(start, step, count, bands, elements):
     distances = start + np.arange(count) * step
     if step == 0.07:  # the raw grid carries float error (1.1400000000000001) that %.10g hides
         assert any(repr(d) != cli.FLOAT_FMT % d for d in distances.tolist())
-    power_w = config.mission_wpt_power_w
+    defaults = cli.RunConfig()
+    power_w = defaults.mission_wpt_power_w
     amplifies = any(  # a node at the start would receive more than the UAV transmits
-        linkbudget.link_budget(cli._environment(config, band), start, start, power_w,
+        linkbudget.link_budget(cli._environment(defaults, band), start, start, power_w,
                                linkbudget.AntennaArray.with_elements(n)).received_dbm
         > linkbudget.watts_to_dbm(power_w)
         for band in bands for n in elements
     )
     if not amplifies:
-        assert_sweeps_match_oracle(config, distances)
+        assert_sweeps_match_oracle(cli.RunConfig(**grid), distances)
         return
-    with tempfile.TemporaryDirectory() as out:
-        for sweep in (cli.sweep_eh, cli.sweep_rate):
-            with pytest.raises(ConfigurationError, match="sweep.distance_start_m"):
-                sweep(config, Path(out))
-        assert not any(Path(out).iterdir())
+    with pytest.raises(ConfigurationError, match="sweep.distance_start_m"):
+        cli.RunConfig(**grid)
 
 
 @settings(max_examples=30, deadline=None)
@@ -289,6 +338,15 @@ def test_sweep_blocks_match_per_cell_oracle(block, full_blocks, tail, start, ste
         assert_sweeps_match_oracle(config, start + np.arange(count) * step)
 
 
+def test_los_sigmoid_overflow_is_silent(tmp_path, capsys):
+    # b * (a - theta) > 709 overflows exp; P_LoS then takes its exact limit, 0.
+    config = write_config(tmp_path, "link.los_a = 96\nlink.los_b = 118\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), "sweep-eh"]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_rows(tmp_path / "eh_sweep.csv")
+    assert all(math.isfinite(float(row[3])) for row in rows)
+
+
 def test_sweep_memory_bounded_by_file_size(tmp_path):
     # One series of 2e5 rows: the formatted text is held a block at a time, not whole.
     config = cli.RunConfig(sweep_distance_stop_m=20.9999, sweep_distance_step_m=1e-4,
@@ -302,6 +360,29 @@ def test_sweep_memory_bounded_by_file_size(tmp_path):
     size = path.stat().st_size
     assert size > 10e6
     assert peak < 3 * size
+
+
+def test_cli_arrays_skip_the_divisor_search(tmp_path, monkeypatch):
+    # Gain depends on the element count alone, so the CLI builds 1 x N arrays and the
+    # golden runs keep their bytes without AntennaArray.with_elements.
+    import test_golden as golden
+
+    def no_layout_search(elements_n):
+        raise AssertionError(f"with_elements({elements_n}) called")
+
+    monkeypatch.setattr(linkbudget.AntennaArray, "with_elements", no_layout_search)
+    runs = [
+        ("", ["reproduce"], golden.GOLDEN_SHA256_PREFIXES),
+        (golden.DESIGN_CONFIG, ["sweep-eh", "sweep-rate"], golden.DESIGN_SHA256_PREFIXES),
+        (golden.FIELD_SCALE_CONFIG, ["simulate"], golden.FIELD_SCALE_SHA256_PREFIXES),
+    ]
+    for k, (text, commands, expected) in enumerate(runs):
+        out = tmp_path / str(k)
+        config = write_config(tmp_path, text)
+        for command in commands:
+            assert cli.main(["--config", str(config), "--out", str(out), command]) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+                for name in expected} == expected
 
 
 # --- no inert keys ------------------------------------------------------------------
@@ -504,6 +585,9 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
     [
         ("array.elements = 1.9", "array.elements"),
         ("field.count = 2.5", "field.count"),
+        ("field.seed = 1e-3", "field.seed"),
+        ("field.seed = 9007199254740993.5", "field.seed"),  # float() reads an integer
+        ("field.seed = 1e-400", "field.seed"),  # float() reads 0
         ("sweep.elements = 1,16.5", "sweep.elements"),
         ("link.frequency_hz = nan", "link.frequency_hz"),
         ("mission.latency_cap_s = inf", "mission.latency_cap_s"),
@@ -541,13 +625,21 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("circuit.efficiency = 1.5", "circuit.efficiency"),
         ("array.elements = 0", "array.elements"),
         ("sweep.elements = 1,0", "sweep.elements"),
+        # Every key is checked whatever the command reads, so these fail plan and
+        # simulate as well as the commands that use them.
+        ("sweep.distance_step_m = 0", "sweep.distance_step_m"),
+        ("link.frequency_hz = 1e9", "circuit.threshold_dbm"),  # no default threshold
+        ("sweep.frequencies_hz = 4e8,5.8e9", "circuit.threshold_dbm"),
+        ("sweep.distance_start_m = 0.01\nsweep.elements = 64", "sweep.distance_start_m"),
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
     config = write_config(tmp_path, line + "\n")
-    assert cli.main(["--config", str(config), "--out", str(tmp_path), "sweep-eh"]) == 2
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "eh_sweep.csv").exists()
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert cli.main(["--config", str(config), "--out", str(out), command]) == 2, command
+        assert key in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 @pytest.mark.parametrize(
@@ -565,9 +657,8 @@ def test_main_amplifying_sweep_start_exit_2(tmp_path, capsys, line, excess, comm
     out = tmp_path / "out"
     assert cli.main(["--config", str(config), "--out", str(out), command]) == 2
     err = capsys.readouterr().err
-    assert "sweep.distance_start_m" in err
-    if command != "reproduce":  # reproduce sweeps at most 32 elements
-        assert excess in err
+    # reproduce sweeps at most 32 elements, but the config is checked as written.
+    assert "sweep.distance_start_m" in err and excess in err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -672,7 +763,7 @@ def test_no_link_amplifies(heights, start, count, band, elements, power_w, seed)
              f"sweep.distance_start_m = {start!r}", f"field.count = {count}",
              f"link.frequency_hz = {band!r}", f"array.elements = {elements}",
              f"mission.wpt_power_w = {power_w!r}", f"field.seed = {seed}", "plan.mc_seeds = 1"]
-    config = cli.RunConfig(link_frequency_hz=band, sweep_distance_start_m=start)
+    config = cli.RunConfig(link_frequency_hz=band)
     low_height = any(closest_link_amplifies(config, band, h, elements) for h in heights)
     close_start = any(closest_link_amplifies(config, f, start, max(cli.REPRODUCE_ELEMENTS))
                       for f in cli.REPRODUCE_FREQUENCIES_HZ)
@@ -710,7 +801,8 @@ def test_no_link_amplifies(heights, start, count, band, elements, power_w, seed)
     ],
 )
 def test_reproduce_rejects_mission_before_any_file(tmp_path, capsys, lines, code):
-    # The sweeps accept each of these configs; only planning first keeps them unwritten.
+    # Exit 3 comes from planning, which runs before any sweep is written; exit 2 from
+    # the config check, before any command runs.
     config = write_config(tmp_path, lines + "\nplan.mc_seeds = 1\n")
     out = tmp_path / "out"
     assert cli.main(["--config", str(config), "--out", str(out), "reproduce"]) == code
@@ -739,10 +831,9 @@ def test_sweep_grid_point_cap():
     at_cap = cli.RunConfig(sweep_distance_stop_m=1.0 + (cli.MAX_SWEEP_POINTS - 1) * step,
                            sweep_distance_step_m=step)
     assert len(cli._sweep_distances(at_cap)) == cli.MAX_SWEEP_POINTS
-    over = cli.RunConfig(sweep_distance_stop_m=1.0 + cli.MAX_SWEEP_POINTS * step,
-                         sweep_distance_step_m=step)
     with pytest.raises(ConfigurationError, match="sweep.distance_step_m"):
-        cli._sweep_distances(over)
+        cli.RunConfig(sweep_distance_stop_m=1.0 + cli.MAX_SWEEP_POINTS * step,
+                      sweep_distance_step_m=step)
 
 
 @pytest.mark.parametrize(
@@ -759,6 +850,27 @@ def test_sweep_error_leaves_no_file(tmp_path, line, command):
     out = tmp_path / "out"
     assert cli.main(["--config", str(config), "--out", str(out), command]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("sweep", [cli.sweep_eh, cli.sweep_rate], ids=["eh", "rate"])
+def test_sweep_failing_series_leaves_no_file(tmp_path, monkeypatch, sweep):
+    # The config check rejects bad values before a sweep starts, so fail the
+    # second series mid-stream instead: neither the CSV nor its .partial remains.
+    config = cli.RunConfig()
+    calls = []
+    link_budget = linkbudget.link_budget
+
+    def second_series_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("second series")
+        return link_budget(*args, **kwargs)
+
+    monkeypatch.setattr(cli.lb, "link_budget", second_series_fails)
+    with pytest.raises(RuntimeError, match="second series"):
+        sweep(config, tmp_path)
+    assert len(calls) == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_plan_compares_strategies_once_per_mc_seed(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""Package start-up: ``import uewpiot`` loads numpy without the OpenBLAS thread pool.
+"""Package start-up: ``import uewpiot`` loads numpy without the OpenBLAS thread pool,
+and the CLI's sweeps run without loading ``numpy.random``.
 
 Each case imports in a fresh interpreter whose environment has none of the
 BLAS thread variables unless the case presets one, and compares its thread
@@ -24,7 +25,7 @@ def _blas_name() -> str:
         return ""
 
 
-pytestmark = pytest.mark.skipif(
+counts_openblas_threads = pytest.mark.skipif(
     not sys.platform.startswith("linux") or "openblas" not in _blas_name().lower(),
     reason="counts OpenBLAS threads in /proc/self/task",
 )
@@ -49,6 +50,7 @@ def run_probe(imports: str, preset: dict) -> dict:
     return json.loads(proc.stdout)
 
 
+@counts_openblas_threads
 @pytest.mark.parametrize("numpy_first", [False, True], ids=["uewpiot-first", "numpy-first"])
 @pytest.mark.parametrize(
     "preset",
@@ -66,3 +68,18 @@ def test_import_uewpiot(numpy_first, preset):
     else:
         assert after["tasks"] == 1
 
+
+def test_cli_sweep_leaves_numpy_random_unloaded(tmp_path):
+    # Only generate_nodes needs numpy.random; start-up and the sweeps do not pay for it.
+    code = (
+        "import sys\n"
+        "from uewpiot import cli\n"
+        "loaded = 'numpy.random' in sys.modules\n"
+        f"assert cli.main(['--out', {str(tmp_path)!r}, 'sweep-eh']) == 0\n"
+        "print(loaded, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.split()[-2:] == ["False", "False"]
