@@ -87,16 +87,12 @@ def _attr_to_key(attr: str) -> str:
 def _parse_value(attr: str, raw: str, default):
     raw = raw.strip()
     key = _attr_to_key(attr)
-    if attr == "plan_mode":
-        if raw not in ("heuristic", "exact"):
-            raise ConfigurationError(f"plan.mode must be heuristic or exact, got {raw!r}")
+    if isinstance(default, str):  # plan.mode
         return raw
     if attr in ("circuit_threshold_dbm", "plan_d_eh_m") and raw.lower() == "auto":
         return None
     if isinstance(default, tuple):
         items = [part.strip() for part in raw.split(",") if part.strip()]
-        if not items:
-            raise ConfigurationError(f"{key} needs at least one value")
         integral = isinstance(default[0], int)
         return tuple(_parse_number(key, part, integral) for part in items)
     return _parse_number(key, raw, isinstance(default, int))
@@ -161,42 +157,36 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
     return RunConfig(**values)
 
 
+# The config key of each library field or argument that can reject a value.
+# A sweep series reads its band and element count from the sweep keys.
+FIELD_KEYS = {
+    "carrier_frequency_hz": "link.frequency_hz", "band_hz": "link.frequency_hz",
+    "los_a": "link.los_a", "los_b": "link.los_b", "bandwidth_hz": "link.bandwidth_hz",
+    "excess_loss_los_db": "link.excess_los_db", "excess_loss_nlos_db": "link.excess_nlos_db",
+    "noise_figure_db": "link.noise_figure_db", "elements_n": "array.elements",
+    "conversion_efficiency": "circuit.efficiency",
+    "input_threshold_dbm": "circuit.threshold_dbm",  # a band with no default threshold
+    "density_per_cell": "field.density", "payload_bits": "mission.payload_bits",
+    "wpt_power_w": "mission.wpt_power_w", "wur_power_w": "mission.wur_power_w",
+    "latency_cap_s": "mission.latency_cap_s",
+}
+SWEEP_FIELD_KEYS = {**FIELD_KEYS, "carrier_frequency_hz": "sweep.frequencies_hz",
+                    "band_hz": "sweep.frequencies_hz", "elements_n": "sweep.elements"}
+
+
 def _check_config(config: RunConfig) -> None:
     """Reject a config that some command could not run with, naming the key.
-    Every RunConfig runs this once, when it is built."""
-    for attr in ("field_width_m", "field_height_m", "link_frequency_hz", "link_bandwidth_hz",
-                 "link_los_a", "link_los_b", "array_elements", "plan_mc_seeds",
-                 "mission_wpt_power_w", "mission_wur_power_w", "mission_latency_cap_s"):
+    Every RunConfig runs this once, when it is built. The library objects the
+    commands build check their own fields; the rest is checked here."""
+    for attr in ("plan_heights_m", "sweep_frequencies_hz", "sweep_elements"):
+        if not getattr(config, attr):
+            raise ConfigurationError(f"{_attr_to_key(attr)} needs at least one value")
+    if config.plan_mode not in ("heuristic", "exact"):
+        raise ConfigurationError(f"plan.mode must be heuristic or exact, got {config.plan_mode!r}")
+    for attr in ("field_width_m", "field_height_m", "plan_mc_seeds"):
         value = getattr(config, attr)
         if not value > 0:
             raise ConfigurationError(f"{_attr_to_key(attr)} must be > 0, got {value:g}")
-    for attr in ("plan_heights_m", "sweep_frequencies_hz", "sweep_elements"):
-        values = getattr(config, attr)
-        if not all(value > 0 for value in values):
-            raise ConfigurationError(f"{_attr_to_key(attr)} must all be > 0, got {values}")
-    los_db, nlos_db = config.link_excess_los_db, config.link_excess_nlos_db
-    if not 0 <= los_db <= nlos_db:
-        raise ConfigurationError(
-            f"need 0 <= link.excess_los_db <= link.excess_nlos_db, got {los_db:g} and {nlos_db:g}"
-        )
-    if not 0 < config.circuit_efficiency <= 1:
-        raise ConfigurationError(
-            f"circuit.efficiency must be in (0, 1], got {config.circuit_efficiency:g}"
-        )
-    if config.circuit_threshold_dbm is None:  # every band then needs its default threshold
-        for frequency in (config.link_frequency_hz, *config.sweep_frequencies_hz):
-            if frequency not in lb.BAND_THRESHOLDS_DBM:
-                raise ConfigurationError(
-                    f"no default harvester threshold for the {frequency:g} Hz band; "
-                    "set circuit.threshold_dbm"
-                )
-    for height in config.plan_heights_m:  # the traversal node sits below the hover point
-        _check_passive(config, "plan.heights_m", height, config.link_frequency_hz,
-                       config.array_elements)
-    if not config.mission_payload_bits >= 0:
-        raise ConfigurationError(
-            f"mission.payload_bits must be >= 0, got {config.mission_payload_bits:g}"
-        )
     if not 0 <= config.field_count <= planner.MAX_FIELD_NODES:
         raise ConfigurationError(
             f"field.count must be in 0..{planner.MAX_FIELD_NODES} (0: use field.density), "
@@ -204,52 +194,55 @@ def _check_config(config: RunConfig) -> None:
         )
     if config.field_seed < 0:
         raise ConfigurationError(f"field.seed must be >= 0, got {config.field_seed}")
-    count = config.field_count
-    if count == 0:
-        if not config.field_density > 0:
-            raise ConfigurationError(
-                f"field.density must be > 0 when field.count is 0, got {config.field_density:g}"
-            )
-        width, height = config.field_width_m, config.field_height_m
-        try:
-            count = planner.density_node_count(width, height, config.field_density)
-        except ConfigurationError:  # density x area beyond the float range
-            count = math.inf
-        if count < 1:
-            raise ConfigurationError(
-                f"field.density = {config.field_density:g} gives no nodes on a {width:g} m x "
-                f"{height:g} m field; raise it or set field.count"
-            )
-        if count > planner.MAX_FIELD_NODES:
-            raise ConfigurationError(
-                f"field.density = {config.field_density:g} gives {count} nodes on a {width:g} m x "
-                f"{height:g} m field, over the {planner.MAX_FIELD_NODES}-node limit"
-            )
+    width, height, keys = config.field_width_m, config.field_height_m, FIELD_KEYS
+    try:
+        lb.noise_power_dbm(config.link_bandwidth_hz, config.link_noise_figure_db)
+        for hover_m in config.plan_heights_m:  # the traversal node sits below the hover point
+            _check_passive(config, "plan.heights_m", hover_m, config.link_frequency_hz,
+                           config.array_elements)
+        # On an empty field: no node is placed, so numpy.random stays unloaded.
+        build_scenario(config, planner.NodeField(width, height, np.empty((0, 2)), 0))
+        count = config.field_count or planner.density_node_count(width, height,
+                                                                 config.field_density)
+        keys = SWEEP_FIELD_KEYS
+        for frequency in config.sweep_frequencies_hz:
+            _environment(config, frequency)
+            _circuit(config, frequency)
+        for elements in config.sweep_elements:
+            _array(elements)
+    except ConfigurationError as exc:
+        if exc.field not in keys:
+            raise
+        raise ConfigurationError(str(exc).replace(exc.field, keys[exc.field])) from None
+    if count > planner.MAX_FIELD_NODES:
+        raise ConfigurationError(
+            f"field.density = {config.field_density:g} gives {count} nodes on a {width:g} m x "
+            f"{height:g} m field, over the {planner.MAX_FIELD_NODES}-node limit"
+        )
     # The one-by-one tour visits every node.
     if config.plan_mode == "exact" and count > planner.EXACT_SOLVER_MAX_POINTS:
         raise ConfigurationError(
             f"plan.mode = exact plans at most {planner.EXACT_SOLVER_MAX_POINTS} points, "
             f"and the field has {count} nodes"
         )
-    start, step = config.sweep_distance_start_m, config.sweep_distance_step_m
-    if not step > 0:
+    if not config.sweep_distance_step_m > 0:
         raise ConfigurationError("sweep.distance_step_m must be > 0")
-    if not start > 0:
-        raise ConfigurationError("sweep.distance_start_m must be > 0")
+    for frequency in config.sweep_frequencies_hz:  # the closest link, at the largest gain
+        _check_passive(config, "sweep.distance_start_m", config.sweep_distance_start_m,
+                       frequency, max(config.sweep_elements))
     span = _sweep_span(config)
     if span < 0:
         raise ConfigurationError("empty distance grid: sweep.distance_stop_m is below the start")
     if not span < MAX_SWEEP_POINTS:
         raise ConfigurationError(f"sweep.distance_step_m gives over {MAX_SWEEP_POINTS} points")
-    for frequency in config.sweep_frequencies_hz:  # the closest link, at the largest gain
-        _check_passive(config, "sweep.distance_start_m", start, frequency,
-                       max(config.sweep_elements))
 
 
 def _check_passive(config: RunConfig, key: str, distance_m: float, frequency_hz: float,
                    elements: int) -> None:
-    """A node directly below the UAV at ``distance_m`` must not receive more than the
+    """A node directly below the UAV at ``distance_m`` > 0 must not receive more than the
     UAV transmits: path loss there, which rises with distance, is at least the array gain."""
+    if not distance_m > 0:
+        raise ConfigurationError(f"{key} must be > 0, got {distance_m:g}")
     excess_db = lb.array_gain_db(_array(elements)) - float(
         lb.link_budget(_environment(config, frequency_hz), distance_m, distance_m).path_loss_db)
     if excess_db > 0:
@@ -295,10 +288,12 @@ def _field(config: RunConfig, seed: int) -> planner.NodeField:
     )
 
 
-def build_scenario(config: RunConfig) -> missionsim.MissionScenario:
+def build_scenario(config: RunConfig,
+                   node_field: planner.NodeField | None = None) -> missionsim.MissionScenario:
+    """The config's mission, on ``node_field`` or else on the field at ``field.seed``."""
     frequency = config.link_frequency_hz
     return missionsim.MissionScenario(
-        field=_field(config, config.field_seed),
+        field=node_field or _field(config, config.field_seed),
         env=_environment(config, frequency),
         array=_array(config.array_elements),
         circuit=_circuit(config, frequency),

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the bound check that the
+library dataclasses share.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, infeasible requests with 3, and I/O failures (plain OSError)
@@ -11,7 +12,21 @@ class UewpiotError(Exception):
 
 
 class ConfigurationError(UewpiotError, ValueError):
-    """A parameter, config key, or value is invalid or unknown."""
+    """A parameter, config key, or value is invalid or unknown. ``field``, when
+    set, is the dataclass field or argument at fault; the message names it."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
+
+
+def check_fields(obj, rule: str, *names: str) -> None:
+    """Raise naming the first of ``names`` whose value on ``obj`` breaks ``rule``,
+    "> 0" or ">= 0"; NaN breaks both."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (value > 0 or rule == ">= 0" and value == 0):
+            raise ConfigurationError(f"{name} must be {rule}, got {value:g}", name)
 
 
 class GeometryError(UewpiotError, ValueError):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, GeometryError
+from .errors import ConfigurationError, GeometryError, check_fields
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, kept at the exact round value by convention
 
@@ -81,19 +81,13 @@ class RadioEnvironment:
     excess_loss_nlos_db: float = CALIBRATED_EXCESS_NLOS_DB
 
     def __post_init__(self) -> None:
-        if self.carrier_frequency_hz <= 0:
-            raise ConfigurationError(
-                f"carrier frequency must be positive, got {self.carrier_frequency_hz}"
-            )
-        if self.los_a <= 0 or self.los_b <= 0:
-            raise ConfigurationError("LoS sigmoid parameters must be positive")
-        if self.excess_loss_los_db < 0:
-            raise ConfigurationError("LoS excess loss must be nonnegative")
-        if self.excess_loss_nlos_db < self.excess_loss_los_db:
+        check_fields(self, "> 0", "carrier_frequency_hz", "los_a", "los_b")
+        check_fields(self, ">= 0", "excess_loss_los_db")
+        if not self.excess_loss_nlos_db >= self.excess_loss_los_db:
             # A lighter NLoS than LoS loss would make range finding non-monotone.
             raise ConfigurationError(
-                "NLoS excess loss must be >= LoS excess loss "
-                f"({self.excess_loss_nlos_db} < {self.excess_loss_los_db})"
+                f"excess_loss_nlos_db must be >= the LoS excess loss, {self.excess_loss_los_db:g}"
+                f" dB, got {self.excess_loss_nlos_db:g}", "excess_loss_nlos_db"
             )
 
     @classmethod
@@ -117,20 +111,18 @@ class AntennaArray:
     cols: int
 
     def __post_init__(self) -> None:
-        if self.elements_n < 1 or self.rows < 1 or self.cols < 1:
-            raise ConfigurationError("element counts must be >= 1")
+        check_fields(self, "> 0", "elements_n", "rows", "cols")
         if self.rows * self.cols != self.elements_n:
             raise ConfigurationError(
-                f"rows*cols must equal elements_n ({self.rows}x{self.cols} != {self.elements_n})"
+                f"rows x cols must equal elements_n, got {self.rows}x{self.cols} "
+                f"for {self.elements_n}", "rows"
             )
 
     @classmethod
     def with_elements(cls, elements_n: int) -> "AntennaArray":
         """Near-square layout for the given element count (32 -> 4x8)."""
-        if elements_n < 1:
-            raise ConfigurationError("element count must be >= 1")
         rows = 1
-        for k in range(1, int(math.isqrt(elements_n)) + 1):
+        for k in range(1, math.isqrt(max(elements_n, 0)) + 1):
             if elements_n % k == 0:
                 rows = k
         return cls(elements_n, rows, elements_n // rows)
@@ -145,11 +137,11 @@ class EhCircuit:
     conversion_efficiency: float = DEFAULT_CONVERSION_EFFICIENCY
 
     def __post_init__(self) -> None:
-        if self.band_hz <= 0:
-            raise ConfigurationError("band must be positive")
+        check_fields(self, "> 0", "band_hz")
         if not 0 < self.conversion_efficiency <= 1:
             raise ConfigurationError(
-                f"conversion efficiency must be in (0, 1], got {self.conversion_efficiency}"
+                f"conversion_efficiency must be in (0, 1], got {self.conversion_efficiency:g}",
+                "conversion_efficiency",
             )
 
     @classmethod
@@ -163,8 +155,8 @@ class EhCircuit:
             threshold = BAND_THRESHOLDS_DBM[band_hz]
         except KeyError:
             raise ConfigurationError(
-                f"no input threshold configured for band {band_hz} Hz; "
-                "pass input_threshold_dbm explicitly"
+                f"input_threshold_dbm has no default for the {band_hz:g} Hz band; set it",
+                "input_threshold_dbm",
             ) from None
         return cls(band_hz, threshold, conversion_efficiency)
 
@@ -293,7 +285,12 @@ def achievable_eh_distance_m(
 
 def noise_power_dbm(bandwidth_hz: float,
                     noise_figure_db: float = CALIBRATED_NOISE_FIGURE_DB) -> float:
-    """Thermal noise floor -174 dBm/Hz + 10*log10(B) + NF."""
-    if bandwidth_hz <= 0:
-        raise ConfigurationError(f"bandwidth must be positive, got {bandwidth_hz}")
+    """Thermal noise floor -174 dBm/Hz + 10*log10(B) + NF; a receiver adds
+    noise, so NF >= 0 dB."""
+    if not bandwidth_hz > 0:
+        raise ConfigurationError(f"bandwidth_hz must be > 0, got {bandwidth_hz:g}", "bandwidth_hz")
+    if not noise_figure_db >= 0:
+        raise ConfigurationError(
+            f"noise_figure_db must be >= 0, got {noise_figure_db:g}", "noise_figure_db"
+        )
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db

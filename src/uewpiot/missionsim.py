@@ -20,7 +20,16 @@ from itertools import islice
 
 from . import linkbudget as lb
 from . import planner
-from .errors import ConfigurationError, InfeasibilityError
+from .errors import ConfigurationError, InfeasibilityError, check_fields
+
+
+# Mission constants: the cost weights and the UAV's draw and speed reach only
+# the cost and the mission totals, which no config key sets.
+COST_WEIGHT_ENERGY = 0.01  # per Joule
+COST_WEIGHT_TIME = 1.0  # per second
+HOVER_POWER_W = 150.0
+CRUISE_SPEED_MPS = 10.0
+WAKE_DURATION_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -38,30 +47,12 @@ class MissionScenario:
     bandwidth_hz: float = 15e6
     noise_figure_db: float = lb.CALIBRATED_NOISE_FIGURE_DB
     latency_cap_s: float = 30.0
-    cost_weight_energy: float = 0.01  # per Joule
-    cost_weight_time: float = 1.0  # per second
-    hover_power_w: float = 150.0
-    cruise_speed_mps: float = 10.0
     height_m: float = 10.0
-    wake_duration_s: float = 0.1
     eh_distance_m: float | None = None  # None: derive from the link budget
 
     def __post_init__(self) -> None:
-        for name in ("wpt_power_w", "wur_power_w", "hover_power_w", "cruise_speed_mps"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        if self.cost_weight_energy < 0 or self.cost_weight_time < 0:
-            raise ConfigurationError("cost weights must be >= 0")
-        if self.cost_weight_energy == 0 and self.cost_weight_time == 0:
-            raise ConfigurationError("at least one cost weight must be positive")
-        if self.latency_cap_s <= 0:
-            raise ConfigurationError("latency cap must be positive")
-        if self.payload_bits < 0:
-            raise ConfigurationError("payload must be >= 0 bits")
-        if self.height_m < 0:
-            raise ConfigurationError("hover height must be >= 0")
-        if self.wake_duration_s < 0:
-            raise ConfigurationError("wake duration must be >= 0")
+        check_fields(self, "> 0", "wpt_power_w", "wur_power_w", "latency_cap_s")
+        check_fields(self, ">= 0", "payload_bits", "height_m")
 
 
 @dataclass(frozen=True)
@@ -169,8 +160,8 @@ def powering_cost(scenario: MissionScenario, tau_s: float, data_s: float) -> flo
          + w_T * (tau + T_data)
     """
     service = tau_s + data_s
-    energy = scenario.wpt_power_w * tau_s + scenario.hover_power_w * service
-    return scenario.cost_weight_energy * energy + scenario.cost_weight_time * service
+    energy = scenario.wpt_power_w * tau_s + HOVER_POWER_W * service
+    return COST_WEIGHT_ENERGY * energy + COST_WEIGHT_TIME * service
 
 
 def optimize_powering(
@@ -312,7 +303,7 @@ def _group_outcome(
         powering_s=solution.tau_s,
         data_s=solution.data_s,
         latency_s=solution.tau_s + solution.data_s,
-        supplied_energy_j=scenario.wur_power_w * scenario.wake_duration_s
+        supplied_energy_j=scenario.wur_power_w * WAKE_DURATION_S
         + scenario.wpt_power_w * solution.tau_s,
         cost=solution.cost,
     )
@@ -384,12 +375,12 @@ def simulate_mission(
             if index not in node_outcomes:
                 node_outcomes[index] = NodeOutcome(index, group_id, slant, 0.0, 0.0, 0.0, 0.0)
 
-    flight_time = tour.length_m / scenario.cruise_speed_mps
-    service_time = sum(scenario.wake_duration_s + g.latency_s for g in group_outcomes)
+    flight_time = tour.length_m / CRUISE_SPEED_MPS
+    service_time = sum(WAKE_DURATION_S + g.latency_s for g in group_outcomes)
     wpt_energy = sum(scenario.wpt_power_w * g.powering_s for g in group_outcomes)
-    wur_energy = sum(scenario.wur_power_w * scenario.wake_duration_s for _ in group_outcomes)
-    hover_energy = scenario.hover_power_w * service_time
-    cruise_energy = scenario.hover_power_w * flight_time  # same propulsion draw en route
+    wur_energy = sum(scenario.wur_power_w * WAKE_DURATION_S for _ in group_outcomes)
+    hover_energy = HOVER_POWER_W * service_time
+    cruise_energy = HOVER_POWER_W * flight_time  # same propulsion draw en route
 
     return MissionReport(
         eh_distance_m=eh_distance,

@@ -88,14 +88,16 @@ class NodeField:
 
 
 def density_node_count(width_m: float, height_m: float, density_per_cell: float) -> int:
-    """Nodes on a width x height field at ``density_per_cell`` per 10 m x 10 m cell."""
+    """Nodes on a width x height field at ``density_per_cell`` per 10 m x 10 m cell;
+    a density that is not > 0, or gives no nodes or no finite count, is rejected."""
     nodes = density_per_cell * width_m * height_m / 100.0
-    if not math.isfinite(nodes):
+    count = round(nodes) if math.isfinite(nodes) else 0
+    if not (density_per_cell > 0 and count >= 1):
         raise ConfigurationError(
-            f"density {density_per_cell:g} on a {width_m:g} m x {height_m:g} m field "
-            "gives no finite node count"
+            f"density_per_cell = {density_per_cell:g} gives {nodes:g} nodes on a {width_m:g} m x "
+            f"{height_m:g} m field; need a finite count of at least 1", "density_per_cell"
         )
-    return round(nodes)
+    return count
 
 
 def generate_nodes(
@@ -114,10 +116,8 @@ def generate_nodes(
     if width_m <= 0 or height_m <= 0:
         raise ConfigurationError("field area must be positive")
     if count is None:
-        if density_per_cell <= 0:
-            raise ConfigurationError("node density must be positive")
         count = density_node_count(width_m, height_m, density_per_cell)
-    if count < 1:
+    elif count < 1:
         raise ConfigurationError(f"field would contain {count} nodes; need at least 1")
     rng = np.random.default_rng(seed)
     positions = rng.uniform([0.0, 0.0], [width_m, height_m], size=(count, 2))

@@ -47,7 +47,7 @@ from uewpiot import (
     simulate_mission,
     upa_physical_size_m,
 )
-from uewpiot import cli
+from uewpiot import cli, missionsim
 
 
 def test_criterion_1_upa_sizing():
@@ -220,11 +220,11 @@ def test_criterion_7_optimizer_matches_grid_search():
             ):
                 service = tau + t_data
                 energy = (scenario.wpt_power_w * tau
-                          + scenario.hover_power_w * service)
+                          + missionsim.HOVER_POWER_W * service)
                 grid_best = (
                     tau,
-                    scenario.cost_weight_energy * energy
-                    + scenario.cost_weight_time * service,
+                    missionsim.COST_WEIGHT_ENERGY * energy
+                    + missionsim.COST_WEIGHT_TIME * service,
                 )
                 break
             tau += step
@@ -237,9 +237,9 @@ def test_criterion_7_optimizer_matches_grid_search():
             assert grid_best is not None
             assert abs(solution.tau_s - grid_best[0]) <= step
             cost_slack = (
-                scenario.cost_weight_energy
-                * (scenario.wpt_power_w + scenario.hover_power_w)
-                + scenario.cost_weight_time
+                missionsim.COST_WEIGHT_ENERGY
+                * (scenario.wpt_power_w + missionsim.HOVER_POWER_W)
+                + missionsim.COST_WEIGHT_TIME
             ) * step
             assert abs(solution.cost - grid_best[1]) <= cost_slack + 1e-9
         agreements += 1
@@ -270,7 +270,7 @@ def test_criterion_8_mission_invariants():
             slots = group.slots
             for a, b in zip(slots, slots[1:]):
                 assert b.start_s >= a.start_s + a.duration_s - 1e-12
-        service = sum(scenario.wake_duration_s + g.latency_s for g in report.groups)
+        service = sum(missionsim.WAKE_DURATION_S + g.latency_s for g in report.groups)
         assert report.service_time_s == service
         assert report.mission_time_s == report.flight_time_s + service
         assert repr(simulate_mission(scenario)) == repr(report)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uewpiot import cli, linkbudget, planner
+from uewpiot import cli, linkbudget, missionsim, planner
 from uewpiot.errors import ConfigurationError
 
 
@@ -63,7 +63,7 @@ def run_configs(draw):
     return cli.RunConfig(
         link_frequency_hz=draw(bands),
         link_bandwidth_hz=draw(positive(1e12)),
-        link_noise_figure_db=draw(anything()),
+        link_noise_figure_db=draw(st.floats(0.0, 1e300)),  # a receiver adds noise
         link_los_a=draw(positive(1e300)),  # P_LoS may overflow to its limit, 0
         link_los_b=draw(positive(10.0)),
         link_excess_los_db=excess_los_db,
@@ -127,6 +127,126 @@ def test_run_config_is_checked_when_built():
         config.sweep_distance_step_m = 0.0
     explicit = replace(config, circuit_threshold_dbm=-30.0, link_frequency_hz=1e9)
     assert explicit.link_frequency_hz == 1e9
+
+
+@pytest.mark.parametrize(
+    ("overrides", "key"),
+    [
+        ({"plan_mode": "fast"}, "plan.mode"),
+        ({"plan_heights_m": ()}, "plan.heights_m"),
+        ({"sweep_frequencies_hz": ()}, "sweep.frequencies_hz"),
+        ({"sweep_elements": ()}, "sweep.elements"),
+    ],
+    ids=["plan.mode", "plan.heights_m", "sweep.frequencies_hz", "sweep.elements"],
+)
+def test_run_config_checks_mode_and_empty_lists(overrides, key):
+    # A RunConfig built in code, not parsed from a file, gets these rules too.
+    with pytest.raises(ConfigurationError, match=key):
+        cli.RunConfig(**overrides)
+
+
+def empty_scenario(**overrides):
+    return missionsim.MissionScenario(
+        field=planner.NodeField(10.0, 10.0, np.empty((0, 2)), 0),
+        env=linkbudget.RadioEnvironment(400e6), array=linkbudget.AntennaArray(32, 1, 32),
+        circuit=linkbudget.EhCircuit.for_band(400e6), **overrides,
+    )
+
+
+# Each cli.FIELD_KEYS and cli.SWEEP_FIELD_KEYS entry: a library call given one value
+# of the field, a value it rejects, and RunConfig values that feed that value to it.
+FIELD_KEY_CASES = [
+    ("carrier_frequency_hz", "link.frequency_hz", linkbudget.RadioEnvironment, 0.0,
+     {"link_frequency_hz": 0.0}),
+    ("carrier_frequency_hz", "sweep.frequencies_hz", linkbudget.RadioEnvironment, -1.0,
+     {"sweep_frequencies_hz": (4e8, -1.0)}),
+    ("band_hz", "link.frequency_hz", lambda v: linkbudget.EhCircuit(v, -20.0), -1.0,
+     {"link_frequency_hz": -1.0}),
+    ("band_hz", "sweep.frequencies_hz", lambda v: linkbudget.EhCircuit(v, -20.0), 0.0,
+     {"sweep_frequencies_hz": (0.0,)}),
+    ("los_a", "link.los_a", lambda v: linkbudget.RadioEnvironment(4e8, los_a=v), 0.0,
+     {"link_los_a": 0.0}),
+    ("los_b", "link.los_b", lambda v: linkbudget.RadioEnvironment(4e8, los_b=v), -0.43,
+     {"link_los_b": -0.43}),
+    ("excess_loss_los_db", "link.excess_los_db",
+     lambda v: linkbudget.RadioEnvironment(4e8, excess_loss_los_db=v), -1.0,
+     {"link_excess_los_db": -1.0}),
+    ("excess_loss_nlos_db", "link.excess_nlos_db",  # below the LoS default
+     lambda v: linkbudget.RadioEnvironment(4e8, excess_loss_nlos_db=v), 10.0,
+     {"link_excess_nlos_db": 10.0}),
+    ("bandwidth_hz", "link.bandwidth_hz", linkbudget.noise_power_dbm, 0.0,
+     {"link_bandwidth_hz": 0.0}),
+    ("noise_figure_db", "link.noise_figure_db", lambda v: linkbudget.noise_power_dbm(15e6, v),
+     -1.0, {"link_noise_figure_db": -1.0}),
+    ("elements_n", "array.elements", lambda v: linkbudget.AntennaArray(v, 1, v), 0,
+     {"array_elements": 0}),
+    ("elements_n", "sweep.elements", lambda v: linkbudget.AntennaArray(v, 1, v), -3,
+     {"sweep_elements": (1, -3)}),
+    ("conversion_efficiency", "circuit.efficiency",
+     lambda v: linkbudget.EhCircuit(4e8, -20.0, v), 1.5, {"circuit_efficiency": 1.5}),
+    ("input_threshold_dbm", "circuit.threshold_dbm", linkbudget.EhCircuit.for_band, 5.8e9,
+     {"link_frequency_hz": 5.8e9}),  # a band with no default threshold
+    ("density_per_cell", "field.density", lambda v: planner.density_node_count(100.0, 100.0, v),
+     0.001, {"field_density": 0.001}),  # 0.1 nodes rounds to 0
+    ("wpt_power_w", "mission.wpt_power_w", lambda v: empty_scenario(wpt_power_w=v), 0.0,
+     {"mission_wpt_power_w": 0.0}),
+    ("wur_power_w", "mission.wur_power_w", lambda v: empty_scenario(wur_power_w=v), -1.0,
+     {"mission_wur_power_w": -1.0}),
+    ("payload_bits", "mission.payload_bits", lambda v: empty_scenario(payload_bits=v), -1.0,
+     {"mission_payload_bits": -1.0}),
+    ("latency_cap_s", "mission.latency_cap_s", lambda v: empty_scenario(latency_cap_s=v), 0.0,
+     {"mission_latency_cap_s": 0.0}),
+]
+
+
+def test_field_key_cases_cover_the_table():
+    assert sorted((field, key) for field, key, *_ in FIELD_KEY_CASES) == sorted(
+        set(cli.FIELD_KEYS.items()) | set(cli.SWEEP_FIELD_KEYS.items()))
+
+
+@pytest.mark.parametrize(("field", "key", "build", "bad", "overrides"), FIELD_KEY_CASES,
+                         ids=[f"{field}-{key}" for field, key, *_ in FIELD_KEY_CASES])
+def test_library_field_errors_name_the_config_key(field, key, build, bad, overrides):
+    # The library object owns the rule and names its field, NaN included; the
+    # config check reports the same rule under the config key alone.
+    for value in (bad, math.nan):
+        with pytest.raises(ConfigurationError) as raised:
+            build(value)
+        assert raised.value.field == field and field in str(raised.value)
+    with pytest.raises(ConfigurationError) as raised:
+        cli.RunConfig(**overrides)
+    message = str(raised.value)
+    assert key in message
+    assert not [name for name in cli.FIELD_KEYS if name in message.replace(key, "")]
+
+
+# Each MissionScenario field, and a config key and value that build_scenario turns
+# into a different value of it than the defaults give.
+SCENARIO_KEYS = {
+    "field": ("field.seed", "2"),
+    "env": ("link.los_a", "9.6"),
+    "array": ("array.elements", "64"),
+    "circuit": ("circuit.efficiency", "0.5"),
+    "wpt_power_w": ("mission.wpt_power_w", "20"),
+    "wur_power_w": ("mission.wur_power_w", "0.01"),
+    "wur_wake_threshold_dbm": ("mission.wur_wake_threshold_dbm", "-30"),
+    "payload_bits": ("mission.payload_bits", "1e6"),
+    "bandwidth_hz": ("link.bandwidth_hz", "5e6"),
+    "noise_figure_db": ("link.noise_figure_db", "8"),
+    "latency_cap_s": ("mission.latency_cap_s", "0.05"),
+    "height_m": ("plan.heights_m", "8,5"),
+    "eh_distance_m": ("plan.d_eh_m", "12"),
+}
+
+
+def test_every_scenario_field_comes_from_a_config_key(tmp_path):
+    # A field that no config key sets is a constant; missionsim keeps those as such.
+    assert sorted(SCENARIO_KEYS) == sorted(f.name for f in fields(missionsim.MissionScenario))
+    default = cli.build_scenario(cli.RunConfig())
+    for name, (key, value) in SCENARIO_KEYS.items():
+        config = cli.parse_config(write_config(tmp_path, f"{key} = {value}\n"))
+        scenario = cli.build_scenario(config)
+        assert repr(getattr(scenario, name)) != repr(getattr(default, name)), key
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -631,6 +751,9 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("link.frequency_hz = 1e9", "circuit.threshold_dbm"),  # no default threshold
         ("sweep.frequencies_hz = 4e8,5.8e9", "circuit.threshold_dbm"),
         ("sweep.distance_start_m = 0.01\nsweep.elements = 64", "sweep.distance_start_m"),
+        ("link.noise_figure_db = -1", "link.noise_figure_db"),  # a receiver adds noise
+        ("plan.mode = fast", "plan.mode"),
+        ("plan.heights_m = ,", "plan.heights_m"),
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uewpiot import linkbudget
+from uewpiot import linkbudget, missionsim
 from uewpiot import (
     AntennaArray,
     ConfigurationError,
@@ -84,9 +84,9 @@ def grid_search_tau(scenario, uav_xy, members):
         )
         if feasible:
             service = tau + t_data
-            energy = scenario.wpt_power_w * tau + scenario.hover_power_w * service
-            cost = (scenario.cost_weight_energy * energy
-                    + scenario.cost_weight_time * service)
+            energy = scenario.wpt_power_w * tau + missionsim.HOVER_POWER_W * service
+            cost = (missionsim.COST_WEIGHT_ENERGY * energy
+                    + missionsim.COST_WEIGHT_TIME * service)
             best = (tau, cost)
             break  # cost is nondecreasing in tau; first feasible point is optimal
         tau += GRID_STEP_S
@@ -326,7 +326,7 @@ def test_mission_deterministic_rerun():
 def test_mission_time_decomposition_exact():
     scenario = full_scenario(seed=2)
     report = simulate_mission(scenario)
-    service = sum(scenario.wake_duration_s + g.latency_s for g in report.groups)
+    service = sum(missionsim.WAKE_DURATION_S + g.latency_s for g in report.groups)
     assert report.service_time_s == service
     assert report.mission_time_s == report.flight_time_s + report.service_time_s
     assert report.flight_time_s == report.tour.length_m / 10.0
@@ -353,7 +353,7 @@ def test_mission_totals_equal_sum_of_parts():
     scenario = full_scenario(seed=5)
     report = simulate_mission(scenario)
     assert report.wpt_energy_j == sum(10.0 * g.powering_s for g in report.groups)
-    assert report.wur_energy_j == sum(1.0 * scenario.wake_duration_s for _ in report.groups)
+    assert report.wur_energy_j == sum(1.0 * missionsim.WAKE_DURATION_S for _ in report.groups)
     assert report.hover_energy_j == pytest.approx(150.0 * report.service_time_s)
     assert report.cruise_energy_j == pytest.approx(150.0 * report.flight_time_s)
     assert report.uav_energy_j == pytest.approx(
@@ -397,7 +397,7 @@ def test_mission_infeasible_group_skipped_not_fatal():
     assert report.total_bits_delivered == 0.0
     # wake attempts still cost time and energy
     assert report.service_time_s == pytest.approx(
-        sum(scenario.wake_duration_s for _ in report.groups)
+        sum(missionsim.WAKE_DURATION_S for _ in report.groups)
     )
     assert report.wur_energy_j > 0.0
 
@@ -406,7 +406,7 @@ def test_mission_no_nodes_activated():
     # A wake threshold no node can reach skips every stop before powering.
     scenario = full_scenario(seed=7, wur_wake_threshold_dbm=100.0)
     report = simulate_mission(scenario)
-    wake_energy = scenario.wur_power_w * scenario.wake_duration_s
+    wake_energy = scenario.wur_power_w * missionsim.WAKE_DURATION_S
     for group in report.groups:
         assert group.activated_count == 0
         assert not group.feasible
@@ -544,17 +544,17 @@ def test_mission_matches_per_stop_oracle_and_conserves(
 
     assert report.total_bits_delivered == payload_mbit * 1e6 * served
     assert report.service_time_s == sum(
-        scenario.wake_duration_s + g.latency_s for g in report.groups
+        missionsim.WAKE_DURATION_S + g.latency_s for g in report.groups
     )
     assert report.uav_energy_j == (
         report.wpt_energy_j + report.wur_energy_j + report.hover_energy_j + report.cruise_energy_j
     )
     assert report.wpt_energy_j == sum(scenario.wpt_power_w * g.powering_s for g in report.groups)
     assert report.wur_energy_j == sum(
-        scenario.wur_power_w * scenario.wake_duration_s for _ in report.groups
+        scenario.wur_power_w * missionsim.WAKE_DURATION_S for _ in report.groups
     )
-    assert report.hover_energy_j == scenario.hover_power_w * report.service_time_s
-    assert report.cruise_energy_j == scenario.hover_power_w * report.flight_time_s
+    assert report.hover_energy_j == missionsim.HOVER_POWER_W * report.service_time_s
+    assert report.cruise_energy_j == missionsim.HOVER_POWER_W * report.flight_time_s
 
 
 def test_scenario_validation():
@@ -567,7 +567,5 @@ def test_scenario_validation():
     )
     with pytest.raises(ConfigurationError):
         MissionScenario(**kwargs, wpt_power_w=0.0)
-    with pytest.raises(ConfigurationError):
-        MissionScenario(**kwargs, cost_weight_energy=0.0, cost_weight_time=0.0)
     with pytest.raises(ConfigurationError):
         MissionScenario(**kwargs, latency_cap_s=0.0)
