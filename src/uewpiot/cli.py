@@ -164,11 +164,11 @@ FIELD_KEYS = {
     "los_a": "link.los_a", "los_b": "link.los_b", "bandwidth_hz": "link.bandwidth_hz",
     "excess_loss_los_db": "link.excess_los_db", "excess_loss_nlos_db": "link.excess_nlos_db",
     "noise_figure_db": "link.noise_figure_db", "elements_n": "array.elements",
-    "conversion_efficiency": "circuit.efficiency",
-    "input_threshold_dbm": "circuit.threshold_dbm",  # a band with no default threshold
+    "conversion_efficiency": "circuit.efficiency", "seed": "field.seed",
+    "input_threshold_dbm": "circuit.threshold_dbm",  # not finite, or no default for the band
     "density_per_cell": "field.density", "payload_bits": "mission.payload_bits",
     "wpt_power_w": "mission.wpt_power_w", "wur_power_w": "mission.wur_power_w",
-    "latency_cap_s": "mission.latency_cap_s",
+    "latency_cap_s": "mission.latency_cap_s", "eh_distance_m": "plan.d_eh_m",
 }
 SWEEP_FIELD_KEYS = {**FIELD_KEYS, "carrier_frequency_hz": "sweep.frequencies_hz",
                     "band_hz": "sweep.frequencies_hz", "elements_n": "sweep.elements"}
@@ -192,15 +192,14 @@ def _check_config(config: RunConfig) -> None:
             f"field.count must be in 0..{planner.MAX_FIELD_NODES} (0: use field.density), "
             f"got {config.field_count}"
         )
-    if config.field_seed < 0:
-        raise ConfigurationError(f"field.seed must be >= 0, got {config.field_seed}")
     width, height, keys = config.field_width_m, config.field_height_m, FIELD_KEYS
     try:
         lb.noise_power_dbm(config.link_bandwidth_hz, config.link_noise_figure_db)
         for hover_m in config.plan_heights_m:  # the traversal node sits below the hover point
             _check_passive(config, "plan.heights_m", hover_m, config.link_frequency_hz,
                            config.array_elements)
-        # On an empty field: no node is placed, so numpy.random stays unloaded.
+        planner.pcg64_start(config.field_seed)
+        # On an empty field: the check places no node.
         build_scenario(config, planner.NodeField(width, height, np.empty((0, 2)), 0))
         count = config.field_count or planner.density_node_count(width, height,
                                                                  config.field_density)

@@ -138,6 +138,8 @@ class EhCircuit:
 
     def __post_init__(self) -> None:
         check_fields(self, "> 0", "band_hz")
+        if not math.isfinite(self.input_threshold_dbm):
+            raise ConfigurationError("input_threshold_dbm must be finite", "input_threshold_dbm")
         if not 0 < self.conversion_efficiency <= 1:
             raise ConfigurationError(
                 f"conversion_efficiency must be in (0, 1], got {self.conversion_efficiency:g}",

@@ -53,6 +53,8 @@ class MissionScenario:
     def __post_init__(self) -> None:
         check_fields(self, "> 0", "wpt_power_w", "wur_power_w", "latency_cap_s")
         check_fields(self, ">= 0", "payload_bits", "height_m")
+        if self.eh_distance_m is not None and not math.isfinite(self.eh_distance_m):
+            raise ConfigurationError("eh_distance_m must be finite", "eh_distance_m")
 
 
 @dataclass(frozen=True)

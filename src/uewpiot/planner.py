@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -44,6 +47,9 @@ TOUR_MOVES_PER_POINT = 100
 DENSE_NEIGHBOURS_MAX = 64
 # Candidate pairs priced per numpy call by the grid searches.
 GRID_CHUNK = 1 << 15
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 (O'Neill 2014)
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 def coverage_radius_m(uav_height_m: float, eh_distance_m: float) -> float:
@@ -100,6 +106,41 @@ def density_node_count(width_m: float, height_m: float, density_per_cell: float)
     return count
 
 
+def _hasher(const: int, multiplier: int):
+    """numpy SeedSequence's 32-bit hash; each call steps its constant."""
+    def hash32(word: int) -> int:
+        nonlocal const
+        word ^= const
+        const = const * multiplier & _M32
+        word = word * const & _M32
+        return word ^ word >> 16
+    return hash32
+
+
+def pcg64_start(seed: int) -> tuple[int, int]:
+    """The (state, increment) of numpy's ``PCG64(seed)`` for an integer ``seed`` >= 0
+    (as ``operator.index`` reads it), seeded by its ``SeedSequence(seed)``."""
+    value = operator.index(seed) if hasattr(type(seed), "__index__") else -1
+    if value < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}", "seed")
+    # 32-bit words, least significant first, mixed into a pool of four.
+    words = [value >> s & _M32 for s in range(0, max(value.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return x ^ x >> 16
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src, dst in permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    out = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool * 2))  # generate_state(4, uint64)
+    w = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]  # little-endian uint64
+    inc = (w[2] << 65 | w[3] << 1 | 1) & _M128
+    # From state 0: one step (to inc), add the initial state, one more step.
+    return ((inc + (w[0] << 64 | w[1])) * PCG64_MULTIPLIER + inc) & _M128, inc
+
+
 def generate_nodes(
     width_m: float,
     height_m: float,
@@ -111,7 +152,8 @@ def generate_nodes(
 
     ``density_per_cell`` counts nodes per 10 m x 10 m cell, so 0.25 on a
     100 m x 100 m field yields 25 nodes. An explicit ``count`` overrides
-    the density. Same seed, same field, bit for bit.
+    the density. Same seed, same field, bit for bit, on any numpy version: the
+    field of ``np.random.default_rng(seed).uniform``, its PCG64 stream drawn in-repo.
     """
     if width_m <= 0 or height_m <= 0:
         raise ConfigurationError("field area must be positive")
@@ -119,9 +161,19 @@ def generate_nodes(
         count = density_node_count(width_m, height_m, density_per_cell)
     elif count < 1:
         raise ConfigurationError(f"field would contain {count} nodes; need at least 1")
-    rng = np.random.default_rng(seed)
-    positions = rng.uniform([0.0, 0.0], [width_m, height_m], size=(count, 2))
-    return NodeField(width_m, height_m, positions, seed)
+    state, inc = pcg64_start(seed)
+    # Step the 128-bit state in Python; the XSL-RR output and scaling run in numpy.
+    xored, rotation = array("Q"), array("B")
+    for _ in range(2 * count):
+        state = (state * PCG64_MULTIPLIER + inc) & _M128
+        high = state >> 64
+        xored.append(high ^ state & _M64)
+        rotation.append(high >> 58)
+    x = np.frombuffer(xored, dtype=np.uint64)
+    r = np.frombuffer(rotation, dtype=np.uint8).astype(np.uint64)
+    x = x >> r | x << ((np.uint64(64) - r) & np.uint64(63))
+    unit = (x >> np.uint64(11)).astype(float).reshape(count, 2) * 2.0**-53
+    return NodeField(width_m, height_m, unit * [width_m, height_m], seed)
 
 
 @dataclass(frozen=True)

@@ -196,16 +196,29 @@ FIELD_KEY_CASES = [
      {"mission_payload_bits": -1.0}),
     ("latency_cap_s", "mission.latency_cap_s", lambda v: empty_scenario(latency_cap_s=v), 0.0,
      {"mission_latency_cap_s": 0.0}),
+    ("input_threshold_dbm", "circuit.threshold_dbm",
+     lambda v: linkbudget.EhCircuit(4e8, v), -math.inf, {"circuit_threshold_dbm": math.nan}),
+    ("eh_distance_m", "plan.d_eh_m", lambda v: empty_scenario(eh_distance_m=v), math.inf,
+     {"plan_d_eh_m": math.inf}),
+    ("eh_distance_m", "plan.d_eh_m", lambda v: empty_scenario(eh_distance_m=v), -math.inf,
+     {"plan_d_eh_m": math.nan}),
+    ("seed", "field.seed", planner.pcg64_start, -1, {"field_seed": -1}),
+]
+# field-key; a second case of one table entry also names its config value.
+FIELD_KEY_CASE_IDS = [
+    f"{field}-{key}" + ("" if (field, key) not in [case[:2] for case in FIELD_KEY_CASES[:i]]
+                        else f"-{[*overrides.values()][0]}")
+    for i, (field, key, *_, overrides) in enumerate(FIELD_KEY_CASES)
 ]
 
 
 def test_field_key_cases_cover_the_table():
-    assert sorted((field, key) for field, key, *_ in FIELD_KEY_CASES) == sorted(
+    assert {(field, key) for field, key, *_ in FIELD_KEY_CASES} == (
         set(cli.FIELD_KEYS.items()) | set(cli.SWEEP_FIELD_KEYS.items()))
 
 
 @pytest.mark.parametrize(("field", "key", "build", "bad", "overrides"), FIELD_KEY_CASES,
-                         ids=[f"{field}-{key}" for field, key, *_ in FIELD_KEY_CASES])
+                         ids=FIELD_KEY_CASE_IDS)
 def test_library_field_errors_name_the_config_key(field, key, build, bad, overrides):
     # The library object owns the rule and names its field, NaN included; the
     # config check reports the same rule under the config key alone.
@@ -676,7 +689,7 @@ def test_main_seed_override(tmp_path):
 
 
 def test_main_negative_seed_flag_exit_2(tmp_path, capsys):
-    # --seed overrides field.seed; numpy's generator rejects a negative seed.
+    # --seed overrides field.seed, and the config check rejects a negative seed.
     assert cli.main(["--seed", "-1", "--out", str(tmp_path), "plan"]) == 2
     assert "field.seed" in capsys.readouterr().err
     assert not (tmp_path / "tour.csv").exists()

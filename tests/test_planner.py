@@ -12,11 +12,12 @@ written here from the move definitions and dense candidate lists.
 """
 import itertools
 import math
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uewpiot import planner
@@ -249,6 +250,48 @@ def test_generate_nodes_invalid():
         generate_nodes(0.0, 100.0, 0.25, seed=1)
     with pytest.raises(ConfigurationError):
         generate_nodes(10.0, 10.0, 0.1, seed=1)  # rounds to zero nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**256),
+    count=st.integers(1, 2000),
+    width=st.floats(1e-3, 1e300),
+    height=st.floats(1e-3, 1e300),
+)
+@example(seed=0, count=25, width=100.0, height=100.0)
+@example(seed=2**32 - 1, count=1, width=1e-3, height=1e300)
+@example(seed=2**32, count=2000, width=400.0, height=400.0)
+@example(seed=2**53 + 1, count=7, width=1e300, height=1e-3)
+@example(seed=2**128, count=3, width=1.0, height=1.0)
+def test_generate_nodes_matches_numpy_default_rng(seed, count, width, height):
+    # The in-repo PCG64 stream is numpy's, through Generator.uniform, bit for bit.
+    expected = np.random.default_rng(seed).uniform([0.0, 0.0], [width, height], (count, 2))
+    field = generate_nodes(width, height, 0.0, seed, count=count)
+    assert field.positions.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, math.nan, "3", None])
+def test_generate_nodes_rejects_bad_seed(seed):
+    # Splitting a negative seed into words by `while seed:` would never end.
+    def hang(*_):
+        raise AssertionError(f"seed {seed!r} still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ConfigurationError) as raised:
+            generate_nodes(10.0, 10.0, 0.0, seed, count=1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert raised.value.field == "seed"
+
+
+def test_generate_nodes_reads_seed_as_operator_index():
+    expected = generate_nodes(10.0, 10.0, 0.0, 7, count=3).positions.tobytes()
+    for seed in (np.int64(7), np.uint8(7)):
+        assert generate_nodes(10.0, 10.0, 0.0, seed, count=3).positions.tobytes() == expected
 
 
 def test_node_field_bounds_enforced():

@@ -1,5 +1,5 @@
 """Package start-up: ``import uewpiot`` loads numpy without the OpenBLAS thread pool,
-and the CLI's sweeps run without loading ``numpy.random``.
+and no command loads ``numpy.random``: node fields come from the in-repo PCG64.
 
 Each case imports in a fresh interpreter whose environment has none of the
 BLAS thread variables unless the case presets one, and compares its thread
@@ -70,7 +70,7 @@ def test_import_uewpiot(numpy_first, preset):
 
 
 def test_cli_sweep_leaves_numpy_random_unloaded(tmp_path):
-    # Only generate_nodes needs numpy.random; start-up and the sweeps do not pay for it.
+    # Nothing loads numpy.random: neither start-up nor the sweeps pay for it.
     code = (
         "import sys\n"
         "from uewpiot import cli\n"
@@ -83,3 +83,23 @@ def test_cli_sweep_leaves_numpy_random_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert proc.stdout.split()[-2:] == ["False", "False"]
+
+
+def test_cli_field_commands_leave_numpy_random_unloaded(tmp_path):
+    # generate_nodes draws numpy's PCG64 stream in-repo, so placing nodes loads it neither.
+    config = tmp_path / "run.cfg"
+    config.write_text("plan.mc_seeds = 2\n", encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from uewpiot import cli\n"
+        "for command in ('plan', 'simulate', 'reproduce'):\n"
+        f"    out = {str(tmp_path)!r} + '/' + command\n"
+        f"    assert cli.main(['--config', {str(config)!r}, '--out', out, command]) == 0\n"
+        "    print('numpy.random loaded after', command, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    loaded = [line.split()[-2:] for line in proc.stdout.splitlines() if line.startswith("numpy")]
+    assert loaded == [["plan", "False"], ["simulate", "False"], ["reproduce", "False"]]
