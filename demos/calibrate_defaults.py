@@ -38,7 +38,7 @@ WPT_POWER_W = 10.0
 HOVER_HEIGHT_M = 10.0
 BANDWIDTH_HZ = 15e6
 
-array = AntennaArray.with_elements(32)
+array = AntennaArray(32)
 
 # --- Step 1: LoS excess loss from the EH-range target -------------------------
 # At the target range the blend is pure LoS, so the budget closes in

@@ -27,7 +27,7 @@ for freq in BANDS_HZ:
 
 print("\n=== beamforming gain ===")
 for n in (1, 16, 32):
-    print(f"{n:3d} elements -> {array_gain_db(AntennaArray.with_elements(n)):6.2f} dB")
+    print(f"{n:3d} elements -> {array_gain_db(AntennaArray(n)):6.2f} dB")
 
 print("\n=== harvested power vs distance (400 MHz, node overhead) ===")
 env = RadioEnvironment(400e6)
@@ -37,14 +37,14 @@ for d in (1, 5, 10, 13, 20, 40):
     row = []
     for n in (1, 16, 32):
         dbm = link_budget(
-            env, d, d, WPT_POWER_W, AntennaArray.with_elements(n), circuit
+            env, d, d, WPT_POWER_W, AntennaArray(n), circuit
         ).harvested_dbm
         row.append(f"{dbm:8.2f} dBm")
     print(f"{d:6d} " + " ".join(row))
 print(f"harvester input threshold: {circuit.input_threshold_dbm} dBm")
 
 print("\n=== achievable EH range at 10 m hover, 32 elements ===")
-array = AntennaArray.with_elements(32)
+array = AntennaArray(32)
 for freq in BANDS_HZ:
     env = RadioEnvironment(freq)
     circuit = EhCircuit.for_band(freq)

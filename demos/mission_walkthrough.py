@@ -17,7 +17,7 @@ from uewpiot import (
 scenario = MissionScenario(
     field=generate_nodes(100.0, 100.0, 0.25, seed=1),
     env=RadioEnvironment(400e6),
-    array=AntennaArray.with_elements(32),
+    array=AntennaArray(32),
     circuit=EhCircuit.for_band(400e6),
     payload_bits=10e6,
     height_m=10.0,

@@ -52,8 +52,8 @@ from .planner import (
     coverage_radius_m,
     form_wpc_groups,
     generate_nodes,
+    plan_strategy,
     plan_tour,
-    tour_length_m,
 )
 
 __version__ = "0.1.0"

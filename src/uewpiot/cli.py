@@ -37,6 +37,8 @@ FLOAT_FMT = "%.10g"
 MAX_SWEEP_POINTS = 1_000_000
 # Sweep rows formatted per string operation; bounds the text held at once.
 ROWS_PER_BLOCK = 4096
+# Nodes placed over all Monte-Carlo fields: 100 seeds fit any field size.
+MAX_MC_NODES = 100 * planner.MAX_FIELD_NODES
 
 REPRODUCE_FREQUENCIES_HZ = (400e6, 900e6, 2.4e9)
 REPRODUCE_ELEMENTS = (1, 16, 32)
@@ -200,7 +202,7 @@ def _check_config(config: RunConfig) -> None:
                            config.array_elements)
         planner.pcg64_start(config.field_seed)
         # On an empty field: the check places no node.
-        build_scenario(config, planner.NodeField(width, height, np.empty((0, 2)), 0))
+        build_scenario(config, planner.NodeField(width, height, np.empty((0, 2))))
         count = config.field_count or planner.density_node_count(width, height,
                                                                  config.field_density)
         keys = SWEEP_FIELD_KEYS
@@ -208,7 +210,7 @@ def _check_config(config: RunConfig) -> None:
             _environment(config, frequency)
             _circuit(config, frequency)
         for elements in config.sweep_elements:
-            _array(elements)
+            lb.AntennaArray(elements)
     except ConfigurationError as exc:
         if exc.field not in keys:
             raise
@@ -218,6 +220,9 @@ def _check_config(config: RunConfig) -> None:
             f"field.density = {config.field_density:g} gives {count} nodes on a {width:g} m x "
             f"{height:g} m field, over the {planner.MAX_FIELD_NODES}-node limit"
         )
+    if count * config.plan_mc_seeds > MAX_MC_NODES:
+        raise ConfigurationError(f"plan.mc_seeds = {config.plan_mc_seeds} fields of {count} "
+                                 f"nodes exceed the {MAX_MC_NODES}-node Monte-Carlo limit")
     # The one-by-one tour visits every node.
     if config.plan_mode == "exact" and count > planner.EXACT_SOLVER_MAX_POINTS:
         raise ConfigurationError(
@@ -242,7 +247,7 @@ def _check_passive(config: RunConfig, key: str, distance_m: float, frequency_hz:
     UAV transmits: path loss there, which rises with distance, is at least the array gain."""
     if not distance_m > 0:
         raise ConfigurationError(f"{key} must be > 0, got {distance_m:g}")
-    excess_db = lb.array_gain_db(_array(elements)) - float(
+    excess_db = lb.array_gain_db(lb.AntennaArray(elements)) - float(
         lb.link_budget(_environment(config, frequency_hz), distance_m, distance_m).path_loss_db)
     if excess_db > 0:
         raise ConfigurationError(
@@ -254,11 +259,6 @@ def _check_passive(config: RunConfig, key: str, distance_m: float, frequency_hz:
 def default_lines() -> list[str]:
     """Every config key with its default, one `key = value` line each."""
     return [f"{_attr_to_key(f.name)} = {_format_value(f.default)}" for f in fields(RunConfig)]
-
-
-def _array(elements: int) -> lb.AntennaArray:
-    # 1 x N skips with_elements' divisor search; gain, the only output, needs just N.
-    return lb.AntennaArray(elements, 1, elements)
 
 
 def _environment(config: RunConfig, frequency_hz: float) -> lb.RadioEnvironment:
@@ -294,7 +294,7 @@ def build_scenario(config: RunConfig,
     return missionsim.MissionScenario(
         field=node_field or _field(config, config.field_seed),
         env=_environment(config, frequency),
-        array=_array(config.array_elements),
+        array=lb.AntennaArray(config.array_elements),
         circuit=_circuit(config, frequency),
         wpt_power_w=config.mission_wpt_power_w,
         wur_power_w=config.mission_wur_power_w,
@@ -362,7 +362,7 @@ def _sweep(config: RunConfig, path: Path, columns: list[str], values, **uplink) 
             env, circuit = _environment(config, frequency), _circuit(config, frequency)
             for elements in config.sweep_elements:
                 budget = lb.link_budget(env, distances, distances, config.mission_wpt_power_w,
-                                        _array(elements), circuit, **uplink)
+                                        lb.AntennaArray(elements), circuit, **uplink)
                 cells, arrays = ["%s", _cell(frequency), _cell(elements)], []
                 for value in values(budget, circuit):
                     is_array = isinstance(value, np.ndarray)

@@ -104,28 +104,13 @@ class RadioEnvironment:
 
 @dataclass(frozen=True)
 class AntennaArray:
-    """Uniform planar array on the UAV; gain depends only on element count."""
+    """Uniform planar array on the UAV; gain depends only on element count
+    (``upa_physical_size_m`` gives a layout's aperture)."""
 
     elements_n: int
-    rows: int
-    cols: int
 
     def __post_init__(self) -> None:
-        check_fields(self, "> 0", "elements_n", "rows", "cols")
-        if self.rows * self.cols != self.elements_n:
-            raise ConfigurationError(
-                f"rows x cols must equal elements_n, got {self.rows}x{self.cols} "
-                f"for {self.elements_n}", "rows"
-            )
-
-    @classmethod
-    def with_elements(cls, elements_n: int) -> "AntennaArray":
-        """Near-square layout for the given element count (32 -> 4x8)."""
-        rows = 1
-        for k in range(1, math.isqrt(max(elements_n, 0)) + 1):
-            if elements_n % k == 0:
-                rows = k
-        return cls(elements_n, rows, elements_n // rows)
+        check_fields(self, "> 0", "elements_n")
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,6 @@ class NodeField:
     width_m: float
     height_m: float
     positions: np.ndarray  # shape (n, 2)
-    seed: int
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.positions, dtype=float)
@@ -173,7 +172,7 @@ def generate_nodes(
     r = np.frombuffer(rotation, dtype=np.uint8).astype(np.uint64)
     x = x >> r | x << ((np.uint64(64) - r) & np.uint64(63))
     unit = (x >> np.uint64(11)).astype(float).reshape(count, 2) * 2.0**-53
-    return NodeField(width_m, height_m, unit * [width_m, height_m], seed)
+    return NodeField(width_m, height_m, unit * [width_m, height_m])
 
 
 @dataclass(frozen=True)
@@ -297,42 +296,18 @@ def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
 
 @dataclass(frozen=True)
 class TourPlan:
-    """An ordered visit sequence; ``closed`` adds the return leg.
+    """A closed tour: ``visit_order`` maps each stop to the caller's point index."""
 
-    ``visit_order`` maps each stop back to the caller's point indices.
-    """
-
-    ordered_points: np.ndarray  # shape (k, 2)
-    closed: bool
+    visit_order: tuple[int, ...]
     length_m: float
-    visit_order: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.ordered_points, dtype=float)
-        if pts.ndim != 2 or (pts.size and pts.shape[1] != 2):
-            raise ConfigurationError("ordered_points must have shape (k, 2)")
-        pts.flags.writeable = False
-        object.__setattr__(self, "ordered_points", pts)
-        if not self.visit_order:
-            object.__setattr__(self, "visit_order", tuple(range(len(pts))))
-        elif sorted(self.visit_order) != list(range(len(pts))):
+        if sorted(self.visit_order) != list(range(len(self.visit_order))):
             raise ConfigurationError("visit_order must be a permutation of the points")
 
     @property
     def point_count(self) -> int:
-        return len(self.ordered_points)
-
-
-def _path_length(points: np.ndarray, closed: bool) -> float:
-    if len(points) < 2:
-        return 0.0
-    legs = np.diff(points, axis=0, append=points[:1] if closed else points[:0])
-    return float(np.hypot(legs[:, 0], legs[:, 1]).sum())
-
-
-def tour_length_m(plan: TourPlan) -> float:
-    """Euclidean length of the plan's legs, plus the return leg when closed."""
-    return _path_length(plan.ordered_points, plan.closed)
+        return len(self.visit_order)
 
 
 def _neighbour_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -682,12 +657,8 @@ def plan_tour(points, mode: str = "heuristic") -> TourPlan:
     else:
         raise ConfigurationError(f"unknown tour mode {mode!r}")
     ordered = pts[order]
-    return TourPlan(
-        ordered,
-        closed=True,
-        length_m=_path_length(ordered, True),
-        visit_order=tuple(order),
-    )
+    legs = np.diff(ordered, axis=0, append=ordered[:1])  # and back to the start
+    return TourPlan(tuple(order), float(np.hypot(legs[:, 0], legs[:, 1]).sum()))
 
 
 @dataclass(frozen=True)
@@ -709,11 +680,22 @@ class StrategyResult:
         return self.plan.length_m
 
 
+def plan_strategy(
+    node_field: NodeField, eh_distance_m: float, height_m: float, mode: str = "heuristic"
+) -> StrategyResult:
+    """The grouped strategy at one hover height: coverage groups at
+    R(height) and a tour over their traversal points."""
+    radius = coverage_radius_m(height_m, eh_distance_m)
+    groups = tuple(form_wpc_groups(node_field, radius))
+    traversal_points = node_field.positions[[g.traversal_index for g in groups]]
+    return StrategyResult(f"H={height_m:g}", height_m, radius, groups,
+                          plan_tour(traversal_points, mode=mode))
+
+
 @dataclass(frozen=True)
 class StrategyComparison:
     """Per-strategy tours over one node field at a common powering range."""
 
-    eh_distance_m: float
     results: tuple[StrategyResult, ...]
 
     def by_name(self, name: str) -> StrategyResult:
@@ -741,33 +723,13 @@ def compare_strategies(
     """One-by-one baseline plus one grouped strategy per hover height.
 
     The baseline visits every node (coverage radius 0); each grouped
-    strategy forms coverage groups at R(height) and tours the traversal
-    points. All strategies use the same tour solver.
+    strategy is ``plan_strategy`` at its height. All strategies use the same
+    tour solver.
     """
-    results = []
-    baseline_groups = tuple(
-        WpcGroup(i, frozenset({i})) for i in range(node_field.node_count)
+    baseline = StrategyResult(
+        "one-by-one", height_m=None, radius_m=0.0,
+        groups=tuple(WpcGroup(i, frozenset({i})) for i in range(node_field.node_count)),
+        plan=plan_tour(node_field.positions, mode=mode),
     )
-    results.append(
-        StrategyResult(
-            name="one-by-one",
-            height_m=None,
-            radius_m=0.0,
-            groups=baseline_groups,
-            plan=plan_tour(node_field.positions, mode=mode),
-        )
-    )
-    for height in heights_m:
-        radius = coverage_radius_m(height, eh_distance_m)
-        groups = tuple(form_wpc_groups(node_field, radius))
-        traversal_points = node_field.positions[[g.traversal_index for g in groups]]
-        results.append(
-            StrategyResult(
-                name=f"H={height:g}",
-                height_m=height,
-                radius_m=radius,
-                groups=groups,
-                plan=plan_tour(traversal_points, mode=mode),
-            )
-        )
-    return StrategyComparison(eh_distance_m=eh_distance_m, results=tuple(results))
+    grouped = [plan_strategy(node_field, eh_distance_m, height, mode) for height in heights_m]
+    return StrategyComparison((baseline, *grouped))

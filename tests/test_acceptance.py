@@ -73,7 +73,7 @@ def test_criterion_2_coverage_radii():
 
 
 def test_criterion_3_calibration_targets():
-    array = AntennaArray.with_elements(32)
+    array = AntennaArray(32)
     eh_range = achievable_eh_distance_m(
         10.0, array, EhCircuit.for_band(400e6), RadioEnvironment(400e6), 10.0
     )
@@ -98,7 +98,7 @@ def test_criterion_4_link_budget_properties():
         env = RadioEnvironment(freq)
         eta = float(rng.uniform(0.05, 1.0))
         circuit = EhCircuit(freq, -20.0, conversion_efficiency=eta)
-        array = AntennaArray.with_elements(int(rng.integers(1, 65)))
+        array = AntennaArray(int(rng.integers(1, 65)))
         h = float(rng.uniform(0.0, 40.0))
         d = h + float(rng.uniform(0.01, 120.0))
         p = float(rng.uniform(0.5, 40.0))
@@ -109,7 +109,7 @@ def test_criterion_4_link_budget_properties():
 
     # strict monotonicity in distance at fixed height
     env = RadioEnvironment(400e6)
-    array = AntennaArray.with_elements(32)
+    array = AntennaArray(32)
     circuit = EhCircuit.for_band(400e6)
     values = [
         link_budget(env, 10.0, d, 10.0, array, circuit).harvested_dbm
@@ -120,7 +120,7 @@ def test_criterion_4_link_budget_properties():
     # exact array-gain spacing
     for n1, n2 in [(1, 16), (16, 32), (1, 32), (4, 64)]:
         h1, h2 = (
-            link_budget(env, 10.0, 30.0, 10.0, AntennaArray.with_elements(n), circuit).harvested_dbm
+            link_budget(env, 10.0, 30.0, 10.0, AntennaArray(n), circuit).harvested_dbm
             for n in (n1, n2)
         )
         delta = h2 - h1
@@ -181,9 +181,9 @@ def _random_group_scenario(rng):
     positions = np.clip(center + rng.uniform(-7.0, 7.0, size=(k, 2)), 0.0, 100.0)
     freq = float(rng.choice([400e6, 900e6]))
     scenario = MissionScenario(
-        field=NodeField(100.0, 100.0, positions, seed=0),
+        field=NodeField(100.0, 100.0, positions),
         env=RadioEnvironment(freq),
-        array=AntennaArray.with_elements(int(rng.choice([16, 32]))),
+        array=AntennaArray(int(rng.choice([16, 32]))),
         circuit=EhCircuit.for_band(freq),
         payload_bits=float(rng.uniform(1e6, 40e6)),
         latency_cap_s=float(rng.uniform(0.05, 1.0)),
@@ -256,7 +256,7 @@ def test_criterion_8_mission_invariants():
                 100.0, 100.0, float(rng.uniform(0.1, 0.4)), seed=int(rng.integers(0, 10_000))
             ),
             env=RadioEnvironment(freq),
-            array=AntennaArray.with_elements(32),
+            array=AntennaArray(32),
             circuit=EhCircuit.for_band(freq),
             payload_bits=float(rng.uniform(1e6, 30e6)),
             latency_cap_s=float(rng.uniform(0.5, 30.0)),

@@ -1,6 +1,5 @@
 """CLI tests: config parsing, CSV contracts, determinism, exit codes."""
 import contextlib
-import hashlib
 import io
 import math
 import tempfile
@@ -60,6 +59,9 @@ def run_configs(draw):
     bands = st.floats(1e8, 1e10) if threshold_dbm is not None else st.sampled_from(
         sorted(linkbudget.BAND_THRESHOLDS_DBM))
     start = draw(st.floats(250.0, 1e4))
+    width, height = draw(st.floats(10.0, 1e3)), draw(st.floats(10.0, 1e3))
+    density = draw(st.floats(1.0, 10.0))  # 1 to 10^5 nodes at field.count = 0
+    nodes = count or planner.density_node_count(width, height, density)
     return cli.RunConfig(
         link_frequency_hz=draw(bands),
         link_bandwidth_hz=draw(positive(1e12)),
@@ -76,15 +78,15 @@ def run_configs(draw):
         sweep_distance_step_m=draw(st.floats(0.1, 1e4)),  # at most 10^5 points
         sweep_frequencies_hz=tuple(draw(st.lists(bands, min_size=1, max_size=3))),
         sweep_elements=tuple(draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3))),
-        field_width_m=draw(st.floats(10.0, 1e3)),
-        field_height_m=draw(st.floats(10.0, 1e3)),
-        field_density=draw(st.floats(1.0, 10.0)),  # 1 to 10^5 nodes at field.count = 0
+        field_width_m=width,
+        field_height_m=height,
+        field_density=density,
         field_count=count,
         field_seed=draw(st.integers(0, 2**128)),
         plan_heights_m=tuple(draw(st.lists(st.floats(10.0, 1e3), min_size=1, max_size=3))),
         plan_d_eh_m=draw(st.none() | anything()),
         plan_mode=mode,
-        plan_mc_seeds=draw(st.integers(1, 10**6)),
+        plan_mc_seeds=draw(st.integers(1, cli.MAX_MC_NODES // nodes)),  # the work cap
         mission_wpt_power_w=draw(positive(1e300)),
         mission_wur_power_w=draw(positive(1e300)),
         mission_wur_wake_threshold_dbm=draw(anything()),
@@ -147,8 +149,8 @@ def test_run_config_checks_mode_and_empty_lists(overrides, key):
 
 def empty_scenario(**overrides):
     return missionsim.MissionScenario(
-        field=planner.NodeField(10.0, 10.0, np.empty((0, 2)), 0),
-        env=linkbudget.RadioEnvironment(400e6), array=linkbudget.AntennaArray(32, 1, 32),
+        field=planner.NodeField(10.0, 10.0, np.empty((0, 2))),
+        env=linkbudget.RadioEnvironment(400e6), array=linkbudget.AntennaArray(32),
         circuit=linkbudget.EhCircuit.for_band(400e6), **overrides,
     )
 
@@ -178,9 +180,9 @@ FIELD_KEY_CASES = [
      {"link_bandwidth_hz": 0.0}),
     ("noise_figure_db", "link.noise_figure_db", lambda v: linkbudget.noise_power_dbm(15e6, v),
      -1.0, {"link_noise_figure_db": -1.0}),
-    ("elements_n", "array.elements", lambda v: linkbudget.AntennaArray(v, 1, v), 0,
+    ("elements_n", "array.elements", lambda v: linkbudget.AntennaArray(v), 0,
      {"array_elements": 0}),
-    ("elements_n", "sweep.elements", lambda v: linkbudget.AntennaArray(v, 1, v), -3,
+    ("elements_n", "sweep.elements", lambda v: linkbudget.AntennaArray(v), -3,
      {"sweep_elements": (1, -3)}),
     ("conversion_efficiency", "circuit.efficiency",
      lambda v: linkbudget.EhCircuit(4e8, -20.0, v), 1.5, {"circuit_efficiency": 1.5}),
@@ -350,7 +352,7 @@ def test_sweep_eh_crossing_near_calibrated_range(tmp_path):
     assert len(crossings) == 1
     reference = achievable_eh_distance_m(
         10.0,
-        AntennaArray.with_elements(32),
+        AntennaArray(32),
         EhCircuit.for_band(400e6),
         RadioEnvironment(400e6),
         10.0,
@@ -385,7 +387,7 @@ def sweep_oracle(config, distances, values, **uplink):
     for frequency in config.sweep_frequencies_hz:
         env, circuit = cli._environment(config, frequency), cli._circuit(config, frequency)
         for elements in config.sweep_elements:
-            array = linkbudget.AntennaArray.with_elements(elements)
+            array = linkbudget.AntennaArray(elements)
             budget = linkbudget.link_budget(
                 env, distances, distances, config.mission_wpt_power_w, array, circuit, **uplink)
             columns = [v.tolist() if isinstance(v, np.ndarray) else [v] * len(distances)
@@ -438,7 +440,7 @@ def test_sweep_rows_match_per_cell_oracle(start, step, count, bands, elements):
     power_w = defaults.mission_wpt_power_w
     amplifies = any(  # a node at the start would receive more than the UAV transmits
         linkbudget.link_budget(cli._environment(defaults, band), start, start, power_w,
-                               linkbudget.AntennaArray.with_elements(n)).received_dbm
+                               linkbudget.AntennaArray(n)).received_dbm
         > linkbudget.watts_to_dbm(power_w)
         for band in bands for n in elements
     )
@@ -493,29 +495,6 @@ def test_sweep_memory_bounded_by_file_size(tmp_path):
     size = path.stat().st_size
     assert size > 10e6
     assert peak < 3 * size
-
-
-def test_cli_arrays_skip_the_divisor_search(tmp_path, monkeypatch):
-    # Gain depends on the element count alone, so the CLI builds 1 x N arrays and the
-    # golden runs keep their bytes without AntennaArray.with_elements.
-    import test_golden as golden
-
-    def no_layout_search(elements_n):
-        raise AssertionError(f"with_elements({elements_n}) called")
-
-    monkeypatch.setattr(linkbudget.AntennaArray, "with_elements", no_layout_search)
-    runs = [
-        ("", ["reproduce"], golden.GOLDEN_SHA256_PREFIXES),
-        (golden.DESIGN_CONFIG, ["sweep-eh", "sweep-rate"], golden.DESIGN_SHA256_PREFIXES),
-        (golden.FIELD_SCALE_CONFIG, ["simulate"], golden.FIELD_SCALE_SHA256_PREFIXES),
-    ]
-    for k, (text, commands, expected) in enumerate(runs):
-        out = tmp_path / str(k)
-        config = write_config(tmp_path, text)
-        for command in commands:
-            assert cli.main(["--config", str(config), "--out", str(out), command]) == 0
-        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
-                for name in expected} == expected
 
 
 # --- no inert keys ------------------------------------------------------------------
@@ -623,7 +602,7 @@ def test_single_node_field_saves_nothing(tmp_path, command):
 
 
 def test_saving_fraction_of_coincident_nodes_is_zero():
-    node_field = planner.NodeField(10.0, 10.0, np.full((4, 2), 5.0), seed=0)
+    node_field = planner.NodeField(10.0, 10.0, np.full((4, 2), 5.0))
     comparison = planner.compare_strategies(node_field, 10.0, [10.0, 5.0])
     assert [r.length_m for r in comparison.results] == [0.0, 0.0, 0.0]
     assert [comparison.saving_fraction(r.name) for r in comparison.results] == [0.0] * 3
@@ -767,6 +746,7 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("link.noise_figure_db = -1", "link.noise_figure_db"),  # a receiver adds noise
         ("plan.mode = fast", "plan.mode"),
         ("plan.heights_m = ,", "plan.heights_m"),
+        ("plan.mc_seeds = 1e18", "plan.mc_seeds"),  # 10^18 fields: over MAX_MC_NODES
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
@@ -877,7 +857,7 @@ def closest_link_amplifies(config, frequency, height, elements):
     """The overhead link at ``height`` loses less than ``elements`` gain."""
     budget = linkbudget.link_budget(cli._environment(config, frequency), height, height)
     return budget.path_loss_db < linkbudget.array_gain_db(
-        linkbudget.AntennaArray.with_elements(elements))
+        linkbudget.AntennaArray(elements))
 
 
 @settings(max_examples=30, deadline=None)

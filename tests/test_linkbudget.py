@@ -44,7 +44,7 @@ def hand_harvested_dbm(p_w, n, d, h, f, eta, e_los, e_nlos):
 
 SUBURBAN_400 = RadioEnvironment.suburban(400e6)
 CALIBRATED_400 = RadioEnvironment(400e6)
-ARRAY_32 = AntennaArray.with_elements(32)
+ARRAY_32 = AntennaArray(32)
 CIRCUIT_400 = EhCircuit.for_band(400e6)
 
 
@@ -88,22 +88,18 @@ def test_upa_size_formula_and_single_element():
 
 
 def test_array_gain():
-    assert array_gain_db(AntennaArray.with_elements(1)) == 0.0
-    assert array_gain_db(AntennaArray.with_elements(16)) == pytest.approx(
+    assert array_gain_db(AntennaArray(1)) == 0.0
+    assert array_gain_db(AntennaArray(16)) == pytest.approx(
         10.0 * math.log10(16.0)
     )
-    assert array_gain_db(AntennaArray.with_elements(32)) == pytest.approx(
+    assert array_gain_db(AntennaArray(32)) == pytest.approx(
         10.0 * math.log10(32.0)
     )
 
 
 def test_array_layout_validation():
-    assert AntennaArray.with_elements(32).rows * AntennaArray.with_elements(32).cols == 32
-    assert (AntennaArray.with_elements(32).rows, AntennaArray.with_elements(32).cols) == (4, 8)
     with pytest.raises(ConfigurationError):
-        AntennaArray(6, 2, 2)
-    with pytest.raises(ConfigurationError):
-        AntennaArray.with_elements(0)
+        AntennaArray(0)
 
 
 # --- geometry ----------------------------------------------------------------
@@ -240,7 +236,7 @@ def test_identity_random_cases():
         eta = float(rng.uniform(0.05, 1.0))
         circuit = EhCircuit(f, -20.0, conversion_efficiency=eta)
         n = int(rng.integers(1, 65))
-        array = AntennaArray.with_elements(n)
+        array = AntennaArray(n)
         h = float(rng.uniform(0.0, 50.0))
         d = h + float(rng.uniform(0.01, 150.0))
         p = float(rng.uniform(0.1, 50.0))
@@ -253,7 +249,7 @@ def test_identity_random_cases():
 def test_array_gain_spacing_exact():
     for n1, n2 in [(1, 16), (16, 32), (1, 32), (8, 64)]:
         h1, h2 = (
-            link_budget(CALIBRATED_400, 10.0, 25.0, 10.0, AntennaArray.with_elements(n),
+            link_budget(CALIBRATED_400, 10.0, 25.0, 10.0, AntennaArray(n),
                         CIRCUIT_400).harvested_dbm
             for n in (n1, n2)
         )
@@ -382,7 +378,7 @@ def test_rate_monotonicities():
     circuit = CIRCUIT_400
 
     def rate(d=15.0, n=32, bw=15e6):
-        array = AntennaArray.with_elements(n)
+        array = AntennaArray(n)
         return link_budget(env, 10.0, d, 10.0, array, circuit, bw, 5.0).rate_bps
 
     rates_d = [rate(d=d) for d in np.linspace(10.0, 100.0, 30)]
@@ -414,7 +410,7 @@ ELEMENTS = st.integers(min_value=1, max_value=64)
 def test_kernel_equals_scalar_wrappers(band, n, eta, power_w, points):
     # Every element of one array call equals the 0-d call for that link.
     env = RadioEnvironment(band)
-    array = AntennaArray.with_elements(n)
+    array = AntennaArray(n)
     circuit = EhCircuit(band, -20.0, conversion_efficiency=eta)
     heights = np.array([h for h, _ in points])
     slants = heights + np.array([extra for _, extra in points])
@@ -438,7 +434,7 @@ def test_kernel_monotone_in_slant(band, n, eta, height, gaps):
     env = RadioEnvironment(band)
     circuit = EhCircuit(band, -20.0, conversion_efficiency=eta)
     slants = height + np.cumsum(gaps)
-    budget = link_budget(env, height, slants, 10.0, AntennaArray.with_elements(n), circuit,
+    budget = link_budget(env, height, slants, 10.0, AntennaArray(n), circuit,
                          15e6, 5.0)
     assert np.all(np.diff(budget.path_loss_db) > 0)
     assert np.all(np.diff(budget.harvested_dbm) < 0)

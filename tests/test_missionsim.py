@@ -38,11 +38,11 @@ GRID_STEP_S = 1e-4
 
 
 def make_scenario(positions, **overrides):
-    field = NodeField(100.0, 100.0, np.asarray(positions, dtype=float), seed=0)
+    field = NodeField(100.0, 100.0, np.asarray(positions, dtype=float))
     defaults = dict(
         field=field,
         env=RadioEnvironment(400e6),
-        array=AntennaArray.with_elements(32),
+        array=AntennaArray(32),
         circuit=EhCircuit.for_band(400e6),
         payload_bits=10e6,
         latency_cap_s=30.0,
@@ -311,7 +311,7 @@ def full_scenario(seed=1, **overrides):
     defaults = dict(
         field=field,
         env=RadioEnvironment(400e6),
-        array=AntennaArray.with_elements(32),
+        array=AntennaArray(32),
         circuit=EhCircuit.for_band(400e6),
     )
     defaults.update(overrides)
@@ -562,7 +562,7 @@ def test_scenario_validation():
     kwargs = dict(
         field=field,
         env=RadioEnvironment(400e6),
-        array=AntennaArray.with_elements(32),
+        array=AntennaArray(32),
         circuit=EhCircuit.for_band(400e6),
     )
     with pytest.raises(ConfigurationError):

@@ -32,7 +32,6 @@ from uewpiot import (
     form_wpc_groups,
     generate_nodes,
     plan_tour,
-    tour_length_m,
 )
 
 
@@ -134,8 +133,6 @@ def assert_tour_properties(points):
     order = list(plan.visit_order)
     assert sorted(order) == list(range(len(pts)))
     assert order[0] == 0
-    assert np.array_equal(plan.ordered_points, pts[order])
-    assert plan.length_m == tour_length_m(plan)
     assert plan.length_m == pytest.approx(closed_length(pts, order), rel=1e-12, abs=1e-9)
     assert improving_candidate_moves(pts, order) == []
     neighbours, dist = planner._neighbour_lists(pts, planner.TOUR_NEIGHBOURS)
@@ -296,7 +293,7 @@ def test_generate_nodes_reads_seed_as_operator_index():
 
 def test_node_field_bounds_enforced():
     with pytest.raises(ConfigurationError):
-        NodeField(10.0, 10.0, np.array([[11.0, 5.0]]), seed=0)
+        NodeField(10.0, 10.0, np.array([[11.0, 5.0]]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -304,7 +301,7 @@ def test_non_finite_coordinates_rejected(bad):
     # A NaN position used to pass the bounds check (every comparison with NaN
     # is false) and fail later, in grouping, with a misleading message.
     with pytest.raises(ConfigurationError, match="finite"):
-        NodeField(10.0, 10.0, np.array([[1.0, 1.0], [bad, 2.0]]), seed=0)
+        NodeField(10.0, 10.0, np.array([[1.0, 1.0], [bad, 2.0]]))
     for mode in ("heuristic", "exact"):
         with pytest.raises(ConfigurationError, match="finite"):
             plan_tour([(1.0, 1.0), (2.0, bad), (3.0, 1.0)], mode=mode)
@@ -329,7 +326,7 @@ def test_groups_zero_radius_are_singletons():
 
 def test_groups_single_cluster():
     pts = np.array([[50.0, 50.0], [51.0, 50.0], [50.0, 51.5], [49.0, 49.5]])
-    field = NodeField(100.0, 100.0, pts, seed=0)
+    field = NodeField(100.0, 100.0, pts)
     groups = form_wpc_groups(field, 3.0)
     assert len(groups) == 1
     assert groups[0].member_indices == frozenset(range(4))
@@ -355,7 +352,7 @@ def test_greedy_vs_exhaustive_cover_oracle():
     pts = np.array(
         [[10.0, 10.0], [12.0, 11.0], [14.0, 9.0], [40.0, 40.0], [42.0, 41.0], [80.0, 15.0]]
     )
-    field = NodeField(100.0, 100.0, pts, seed=0)
+    field = NodeField(100.0, 100.0, pts)
     radius = 5.0
     groups = form_wpc_groups(field, radius)
     minimum = brute_force_min_cover(pts, radius)
@@ -370,13 +367,13 @@ def test_groups_reject_bad_radius_and_accept_empty_field():
     for radius in (-1.0, math.nan):
         with pytest.raises(ConfigurationError):
             form_wpc_groups(field, radius)
-    assert form_wpc_groups(NodeField(10.0, 10.0, np.empty((0, 2)), seed=0), 3.0) == []
+    assert form_wpc_groups(NodeField(10.0, 10.0, np.empty((0, 2))), 3.0) == []
 
 
 def test_greedy_tie_break_lowest_index():
     # Two disjoint pairs, all gains equal: the lowest index anchors first.
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
-    field = NodeField(20.0, 20.0, pts, seed=0)
+    field = NodeField(20.0, 20.0, pts)
     groups = form_wpc_groups(field, 1.5)
     assert [g.traversal_index for g in groups] == [0, 2]
 
@@ -401,11 +398,11 @@ def test_vectorized_planner_matches_references_on_lattice(spacing):
     k = 9
     grid = np.array([(x, y) for y in range(k) for x in range(k)], dtype=float) * spacing
     side = spacing * (k - 1)
-    assert_matches_references(NodeField(side, side, grid, seed=0), spacing)
+    assert_matches_references(NodeField(side, side, grid), spacing)
     shuffled = grid[np.random.default_rng(3).permutation(len(grid))]
-    assert_matches_references(NodeField(side, side, shuffled, seed=0), spacing)
+    assert_matches_references(NodeField(side, side, shuffled), spacing)
     # Node 10 at (1, 1) is the first of the 49 interior nodes, which all tie on gain 5.
-    assert form_wpc_groups(NodeField(side, side, grid, seed=0), spacing)[0].traversal_index == 10
+    assert form_wpc_groups(NodeField(side, side, grid), spacing)[0].traversal_index == 10
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,7 +420,7 @@ def test_grid_grouping_matches_dense_oracles(n, seed, radius, offset, copies):
     rng = np.random.default_rng(seed)
     distinct = rng.uniform(0.0, side, size=(-(-n // copies), 2))
     pts = rng.permutation(np.repeat(distinct, copies, axis=0)[:n]) + offset
-    assert_groups_match_oracles(NodeField(side + offset, side + offset, pts, seed=0), radius)
+    assert_groups_match_oracles(NodeField(side + offset, side + offset, pts), radius)
 
 
 @pytest.mark.parametrize("below", [0.0, 1e-9])
@@ -437,7 +434,7 @@ def test_grid_grouping_matches_dense_oracles_on_lattice(spacing, offset, below):
     k = 9
     grid = np.array([(x, y) for y in range(k) for x in range(k)], dtype=float)
     side = spacing * (k - 1 + offset)
-    field = NodeField(side, side, (grid + offset) * spacing, seed=0)
+    field = NodeField(side, side, (grid + offset) * spacing)
     assert_groups_match_oracles(field, spacing - below)
 
 
@@ -615,7 +612,7 @@ def test_tour_search_stops_at_the_move_cap(monkeypatch, cap):
     plan = plan_tour(pts)
     assert sorted(plan.visit_order) == list(range(200))
     assert plan.visit_order[0] == 0
-    assert plan.length_m == tour_length_m(plan)
+    assert plan.length_m == pytest.approx(closed_length(pts, list(plan.visit_order)), rel=1e-12)
     if cap == 0:  # no move at all: the greedy-edge start
         neighbours, dist = planner._neighbour_lists(pts, planner.TOUR_NEIGHBOURS)
         start = planner._greedy_edge_order(pts, neighbours, dist)
@@ -694,7 +691,7 @@ def test_two_opt_local_optimum():
     rng = np.random.default_rng(4)
     pts = rng.uniform(0.0, 100.0, size=(15, 2))
     plan = plan_tour(pts, mode="heuristic")
-    ordered = plan.ordered_points
+    ordered = pts[list(plan.visit_order)]
     n = len(ordered)
     base = plan.length_m
     for i in range(1, n - 1):
@@ -710,7 +707,6 @@ def test_tour_is_permutation_of_input():
     pts = rng.uniform(0.0, 100.0, size=(12, 2))
     plan = plan_tour(pts, mode="heuristic")
     assert sorted(plan.visit_order) == list(range(12))
-    assert np.array_equal(plan.ordered_points, pts[list(plan.visit_order)])
 
 
 def test_exact_capability_limit():
@@ -745,28 +741,19 @@ def test_plan_tour_deterministic():
 
 # --- tour length -----------------------------------------------------------------
 
-def test_tour_length_two_points_closed():
-    plan = TourPlan(np.array([[0.0, 0.0], [3.0, 4.0]]), closed=True, length_m=10.0)
-    assert tour_length_m(plan) == pytest.approx(10.0)
-
-
-def test_tour_length_degenerate():
-    assert tour_length_m(TourPlan(np.empty((0, 2)), closed=True, length_m=0.0)) == 0.0
-    assert tour_length_m(TourPlan(np.array([[1.0, 1.0]]), closed=True, length_m=0.0)) == 0.0
-
-
-def test_tour_length_collinear_open():
-    plan = TourPlan(
-        np.array([[0.0, 0.0], [3.0, 0.0], [7.0, 0.0]]), closed=False, length_m=7.0
-    )
-    assert tour_length_m(plan) == pytest.approx(7.0)
-
-
 def test_plan_length_field_matches_recomputation():
     rng = np.random.default_rng(17)
     pts = rng.uniform(0.0, 100.0, size=(10, 2))
     plan = plan_tour(pts)
-    assert plan.length_m == pytest.approx(tour_length_m(plan), abs=1e-12)
+    assert plan.length_m == pytest.approx(closed_length(pts, list(plan.visit_order)), abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 1), (0, 2, 3), (0, 1, 3), (0, 1, -1)],
+                         ids=["duplicated", "missing", "out-of-range", "negative"])
+def test_tour_plan_rejects_a_visit_order_that_is_not_a_permutation(order):
+    # A tour built by a caller reaches simulate_mission; only a permutation is flown.
+    with pytest.raises(ConfigurationError, match="permutation"):
+        TourPlan(order, 0.0)
 
 
 # --- strategy comparison ----------------------------------------------------------
