@@ -11,6 +11,7 @@ from uewpiot import (
     MissionScenario,
     RadioEnvironment,
     generate_nodes,
+    powering_cost,
     simulate_mission,
 )
 
@@ -33,12 +34,14 @@ print(f"{len(report.groups)} hover stops over {scenario.field.node_count} nodes,
 
 print(f"{'stop':>4} {'group':>5} {'nodes':>5} {'powering':>9} {'data':>8} {'cost':>8}")
 for stop, group in enumerate(report.groups):
+    cost = powering_cost(scenario, group.powering_s, group.data_s)
     print(f"{stop:4d} {group.group_id:5d} {group.activated_count:5d} "
-          f"{group.powering_s:8.3f}s {group.data_s:7.3f}s {group.cost:8.3f}")
+          f"{group.powering_s:8.3f}s {group.data_s:7.3f}s {cost:8.3f}")
 
-slowest = max(report.nodes, key=lambda n: n.tx_time_s)
-print(f"\nslowest node: #{slowest.node_index} at {slowest.slant_m:.1f} m slant, "
-      f"slot {slowest.tx_time_s * 1e3:.1f} ms")
+nodes = report.nodes  # per-node columns, in node order
+slowest = int(nodes["tx_time_s"].argmax())
+print(f"\nslowest node: #{slowest} at {nodes['slant_m'][slowest]:.1f} m slant, "
+      f"slot {nodes['tx_time_s'][slowest] * 1e3:.1f} ms")
 
 print(f"\nflight {report.flight_time_s:6.1f} s   service {report.service_time_s:6.1f} s"
       f"   total {report.mission_time_s:6.1f} s")

@@ -37,11 +37,8 @@ from .linkbudget import (
 from .missionsim import (
     MissionReport,
     MissionScenario,
-    optimize_powering,
-    required_tx,
+    powering_cost,
     simulate_mission,
-    tdma_schedule,
-    wake_up,
 )
 from .planner import (
     NodeField,

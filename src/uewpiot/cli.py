@@ -13,9 +13,11 @@ Configuration is a flat ``key = value`` text file with section-prefixed
 keys (``link.frequency_hz = 400e6``), spelt as ``defaults`` prints them.
 Building a ``RunConfig`` checks every key, whatever the command, so an
 unknown key or a value that some command could not run with is rejected,
-naming the key, before any file is written. All floating-point output
-uses a fixed %.10g format so reruns are byte-identical. Exit codes: 0 ok,
-2 configuration error, 3 infeasible request, 4 I/O error.
+naming the key, before any file is written. All five CSV files go
+through one writer, ``_lines``, which fills a row template from columns
+a block of rows at a time; floats use a fixed %.10g format so reruns are
+byte-identical. Exit codes: 0 ok, 2 configuration error, 3 infeasible
+request, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -35,10 +37,13 @@ FLOAT_FMT = "%.10g"
 
 # Distance points per sweep series; a finer grid is a configuration error.
 MAX_SWEEP_POINTS = 1_000_000
-# Sweep rows formatted per string operation; bounds the text held at once.
+# CSV rows formatted per string operation; bounds the text held at once.
 ROWS_PER_BLOCK = 4096
-# Nodes placed over all Monte-Carlo fields: 100 seeds fit any field size.
+# Nodes placed over all Monte-Carlo fields: 100 seeds fit any field size. A
+# field is charged at least MC_FIELD_MIN_NODES, since a small one costs its
+# per-field overhead: so at most 10,000 seeds.
 MAX_MC_NODES = 100 * planner.MAX_FIELD_NODES
+MC_FIELD_MIN_NODES = 1000
 
 REPRODUCE_FREQUENCIES_HZ = (400e6, 900e6, 2.4e9)
 REPRODUCE_ELEMENTS = (1, 16, 32)
@@ -220,9 +225,10 @@ def _check_config(config: RunConfig) -> None:
             f"field.density = {config.field_density:g} gives {count} nodes on a {width:g} m x "
             f"{height:g} m field, over the {planner.MAX_FIELD_NODES}-node limit"
         )
-    if count * config.plan_mc_seeds > MAX_MC_NODES:
-        raise ConfigurationError(f"plan.mc_seeds = {config.plan_mc_seeds} fields of {count} "
-                                 f"nodes exceed the {MAX_MC_NODES}-node Monte-Carlo limit")
+    if max(count, MC_FIELD_MIN_NODES) * config.plan_mc_seeds > MAX_MC_NODES:
+        raise ConfigurationError(
+            f"plan.mc_seeds = {config.plan_mc_seeds} fields of {count} nodes, each charged at "
+            f"least {MC_FIELD_MIN_NODES}, exceed the {MAX_MC_NODES}-node Monte-Carlo limit")
     # The one-by-one tour visits every node.
     if config.plan_mode == "exact" and count > planner.EXACT_SOLVER_MAX_POINTS:
         raise ConfigurationError(
@@ -308,12 +314,6 @@ def build_scenario(config: RunConfig,
     )
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return FLOAT_FMT % value
-    return "" if value is None else str(value)
-
-
 def _write_csv(path: Path, header: list[str], lines) -> Path:
     """Write the header, then ``lines`` (text ending in newlines); the file
     is moved into place once complete, so an error leaves no partial file."""
@@ -329,8 +329,20 @@ def _write_csv(path: Path, header: list[str], lines) -> Path:
     return path
 
 
-def _rows(rows: list[list]):
-    return (",".join(map(_cell, row)) + "\n" for row in rows)
+def _lines(template: str, columns):
+    """CSV text: ``template``, one row with one ``%`` field per column, filled
+    from ``columns`` (sequences of equal length) one ``%`` per block of
+    ``ROWS_PER_BLOCK`` rows. A numpy column is listed a block at a time, so
+    the text and cells held at once are bounded by the block.
+    """
+    width, count = len(columns), len(columns[0])
+    for lo in range(0, count, ROWS_PER_BLOCK):
+        hi = min(lo + ROWS_PER_BLOCK, count)
+        flat = [None] * (width * (hi - lo))  # the block's cells in row order
+        for k, column in enumerate(columns):
+            block = column[lo:hi]
+            flat[k::width] = block.tolist() if isinstance(block, np.ndarray) else block
+        yield (template * (hi - lo)) % tuple(flat)
 
 
 def _sweep_span(config: RunConfig) -> float:
@@ -352,7 +364,7 @@ def _sweep(config: RunConfig, path: Path, columns: list[str], values, **uplink) 
     the grid, given ``uplink`` for the rate stage. ``values(budget, circuit)``
     gives the remaining columns: each an array over the grid or one number.
     Each distance cell is formatted once per file and shared by every
-    series; a series formats its array columns one ``%`` per block of rows.
+    series; a series' constant cells are formatted into its row template.
     """
     distances = _sweep_distances(config)
     distance_cells = [FLOAT_FMT % distance for distance in distances.tolist()]
@@ -363,19 +375,12 @@ def _sweep(config: RunConfig, path: Path, columns: list[str], values, **uplink) 
             for elements in config.sweep_elements:
                 budget = lb.link_budget(env, distances, distances, config.mission_wpt_power_w,
                                         lb.AntennaArray(elements), circuit, **uplink)
-                cells, arrays = ["%s", _cell(frequency), _cell(elements)], []
+                cells, arrays = ["%s", FLOAT_FMT % frequency, str(elements)], [distance_cells]
                 for value in values(budget, circuit):
                     is_array = isinstance(value, np.ndarray)
-                    cells.append(FLOAT_FMT if is_array else _cell(value))
+                    cells.append(FLOAT_FMT if is_array else FLOAT_FMT % value)
                     arrays += [value] if is_array else []
-                row, width = ",".join(cells) + "\n", 1 + len(arrays)
-                for lo in range(0, len(distance_cells), ROWS_PER_BLOCK):
-                    hi = min(lo + ROWS_PER_BLOCK, len(distance_cells))
-                    flat = [None] * (width * (hi - lo))  # the block's cells in row order
-                    flat[::width] = distance_cells[lo:hi]
-                    for k, a in enumerate(arrays, 1):
-                        flat[k::width] = a[lo:hi].tolist()
-                    yield (row * (hi - lo)) % tuple(flat)
+                yield from _lines(",".join(cells) + "\n", arrays)
 
     return _write_csv(path, ["distance_m", "freq_hz", "elements", *columns], series())
 
@@ -436,75 +441,52 @@ def plan_and_simulate(
     ``planned`` is ``plan_mission(config)``, when the caller has it already.
     """
     scenario, comparison = planned or plan_mission(config)
-    node_field, d_eh = scenario.field, scenario.eh_distance_m
+    positions, f = scenario.field.positions, FLOAT_FMT
 
-    tour_rows = []
-    for result in comparison.results:
-        for stop, group_pos in enumerate(result.plan.visit_order):
-            group = result.groups[group_pos]
-            point = node_field.positions[group.traversal_index]
-            tour_rows.append(
-                [result.name, stop, float(point[0]), float(point[1]),
-                 group_pos, len(group.member_indices)]
-            )
-    paths = [
-        _write_csv(
-            out_dir / "tour.csv",
-            ["strategy", "visit_order", "x_m", "y_m", "group_id", "group_size"],
-            _rows(tour_rows),
-        )
-    ]
+    def tour_lines():
+        for result in comparison.results:
+            order = result.plan.visit_order
+            stops = [result.groups[group_id] for group_id in order]
+            points = positions[[group.traversal_index for group in stops]]
+            yield from _lines(f"%s,%d,{f},{f},%d,%d\n", [
+                [result.name] * len(stops), range(len(stops)), points[:, 0], points[:, 1],
+                order, [len(group.member_indices) for group in stops],
+            ])
+
+    paths = [_write_csv(out_dir / "tour.csv",
+                        ["strategy", "visit_order", "x_m", "y_m", "group_id", "group_size"],
+                        tour_lines())]
 
     if with_report:
         # results[0] is the one-by-one baseline, results[1] the first height.
-        report = missionsim.simulate_mission(scenario, comparison.results[1])
-        report_rows = []
-        for node in report.nodes:
-            x, y = node_field.positions[node.node_index]
-            report_rows.append(
-                [node.node_index, float(x), float(y), node.group_id, node.slant_m,
-                 node.harvested_energy_j, node.tx_power_w, node.tx_time_s,
-                 node.bits_delivered]
-            )
-        paths.append(
-            _write_csv(
-                out_dir / "report.csv",
-                ["node", "x_m", "y_m", "group_id", "slant_m", "harvested_energy_j",
-                 "tx_power_w", "tx_time_s", "bits_delivered"],
-                _rows(report_rows),
-            )
-        )
+        nodes = missionsim.simulate_mission(scenario, comparison.results[1]).nodes
+        paths.append(_write_csv(
+            out_dir / "report.csv", ["node", "x_m", "y_m", *missionsim.NODE_COLUMNS],
+            _lines(f"%d,{f},{f},%d,{f},{f},{f},{f},{f}\n",
+                   [range(len(positions)), positions[:, 0], positions[:, 1],
+                    *(nodes[name] for name in missionsim.NODE_COLUMNS)]),
+        ))
 
-    mc = _mc_lengths(config, d_eh, comparison)
+    mc = _mc_lengths(config, scenario.eh_distance_m, comparison)
     baseline_lengths = mc["one-by-one"]
-    summary_rows = []
+    summary = []
     for result in comparison.results:
         lengths = mc[result.name]
-        mc_mean = sum(lengths) / len(lengths)
         mc_saving = sum(
             1.0 - l / b if b > 0 else 0.0 for l, b in zip(lengths, baseline_lengths)
         ) / len(lengths)
-        summary_rows.append(
-            [
-                result.name,
-                result.height_m,
-                result.radius_m,
-                result.group_count,
-                result.length_m,
-                100.0 * comparison.saving_fraction(result.name),
-                len(lengths),
-                mc_mean,
-                100.0 * mc_saving,
-            ]
-        )
-    paths.append(
-        _write_csv(
-            out_dir / "summary.csv",
-            ["strategy", "height_m", "radius_m", "groups", "tour_length_m",
-             "saving_pct", "mc_seeds", "mc_mean_length_m", "mc_mean_saving_pct"],
-            _rows(summary_rows),
-        )
-    )
+        summary.append((
+            result.name, "" if result.height_m is None else f % result.height_m,  # baseline: ""
+            result.radius_m, result.group_count, result.length_m,
+            100.0 * comparison.saving_fraction(result.name), len(lengths),
+            sum(lengths) / len(lengths), 100.0 * mc_saving,
+        ))
+    paths.append(_write_csv(
+        out_dir / "summary.csv",
+        ["strategy", "height_m", "radius_m", "groups", "tour_length_m",
+         "saving_pct", "mc_seeds", "mc_mean_length_m", "mc_mean_saving_pct"],
+        _lines(f"%s,%s,{f},%d,{f},{f},%d,{f},{f}\n", list(zip(*summary))),
+    ))
     return paths
 
 

@@ -9,14 +9,19 @@ Nodes are energy neutral: a node transmits at exactly the power it
 harvests, so it needs powering for as long as its own slot lasts. tau is
 therefore the slowest activated member's transmit time, and that node is
 the binding one. A group whose tau plus data phase breaks the latency cap
-is skipped. The joint energy-and-latency cost of each stop is reported,
-not optimised: tau has no free variable.
+is skipped. ``powering_cost`` prices a stop's energy and latency jointly;
+it is not optimised, since tau has no free variable.
+
+``simulate_mission`` runs every stop in one pass: one kernel call prices
+every member link, and the report holds one outcome per stop and per-node
+columns.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+
+import numpy as np
 
 from . import linkbudget as lb
 from . import planner
@@ -57,104 +62,6 @@ class MissionScenario:
             raise ConfigurationError("eh_distance_m must be finite", "eh_distance_m")
 
 
-@dataclass(frozen=True)
-class TdmaSlot:
-    node_index: int
-    start_s: float  # offset from the start of the data phase
-    duration_s: float
-
-
-@dataclass(frozen=True)
-class NodeService:
-    """Link-budget snapshot for one activated node at its hover stop."""
-
-    node_index: int
-    slant_m: float
-    harvested_power_w: float  # also its transmit power: the node is energy neutral
-    rate_bps: float
-    tx_time_s: float
-
-
-@dataclass(frozen=True)
-class PoweringSolution:
-    """Powering duration, cost and TDMA slots of one group."""
-
-    tau_s: float
-    data_s: float
-    cost: float
-    slots: tuple[TdmaSlot, ...]
-    services: tuple[NodeService, ...]
-
-
-def _price(scenario: MissionScenario, stops) -> list[list[tuple]]:
-    """Every (hover point, member) link of ``stops``, priced in one kernel call.
-
-    ``stops`` holds (uav_xy, members) pairs. Per stop, the result holds one
-    (node, slant, path loss, harvested dBm, rate) tuple per member, in the
-    given member order. A slant is hypot(H, ground distance), computed as
-    ``math.hypot`` twice; ``np.hypot`` can differ in the last bit.
-    """
-    nodes, hover = [], []
-    for uav_xy, members in stops:
-        nodes += members
-        hover += [(float(uav_xy[0]), float(uav_xy[1]))] * len(members)
-    height = scenario.height_m
-    slants = [
-        math.hypot(height, math.hypot(x - ux, y - uy))
-        for (x, y), (ux, uy) in zip(scenario.field.positions[nodes].tolist(), hover)
-    ]
-    budget = lb.link_budget(
-        scenario.env, height, slants, scenario.wpt_power_w, scenario.array,
-        scenario.circuit, scenario.bandwidth_hz, scenario.noise_figure_db,
-    )
-    rest = zip(
-        nodes, slants, budget.path_loss_db.tolist(), budget.harvested_dbm.tolist(),
-        budget.rate_bps.tolist(),
-    )
-    return [list(islice(rest, len(members))) for _, members in stops]
-
-
-def _woken(scenario: MissionScenario, links) -> list[tuple]:
-    """The priced links whose received wake-up power (``link[2]`` is the path
-    loss) meets the threshold."""
-    wake_dbm = lb.watts_to_dbm(scenario.wur_power_w)
-    return [link for link in links if wake_dbm - link[2] >= scenario.wur_wake_threshold_dbm]
-
-
-def wake_up(scenario: MissionScenario, uav_xy, group: planner.WpcGroup) -> frozenset[int]:
-    """Nodes whose received wake-up power meets the wake threshold.
-
-    The wake-up radio is omnidirectional (no array gain); activation uses
-    a >= comparison, so a node exactly at the threshold wakes.
-    """
-    (links,) = _price(scenario, [(uav_xy, sorted(group.member_indices))])
-    return frozenset(link[0] for link in _woken(scenario, links))
-
-
-def required_tx(payload_bits: float, rate_bps: float) -> float:
-    """Transmit time of a payload: bits / rate, and 0 for an empty payload."""
-    if payload_bits == 0:
-        return 0.0
-    if rate_bps <= 0:
-        raise InfeasibilityError(
-            f"cannot deliver {payload_bits} bits over a zero-rate link"
-        )
-    return payload_bits / rate_bps
-
-
-def tdma_schedule(tx_times: dict[int, float]) -> tuple[TdmaSlot, ...]:
-    """Back-to-back slots in ascending node-index order, starting at 0."""
-    slots = []
-    start = 0.0
-    for index in sorted(tx_times):
-        duration = tx_times[index]
-        if duration < 0:
-            raise ConfigurationError("slot durations must be >= 0")
-        slots.append(TdmaSlot(index, start, duration))
-        start += duration
-    return tuple(slots)
-
-
 def powering_cost(scenario: MissionScenario, tau_s: float, data_s: float) -> float:
     """Joint energy-and-latency cost of one hover stop.
 
@@ -166,79 +73,31 @@ def powering_cost(scenario: MissionScenario, tau_s: float, data_s: float) -> flo
     return COST_WEIGHT_ENERGY * energy + COST_WEIGHT_TIME * service
 
 
-def optimize_powering(
-    scenario: MissionScenario, uav_xy, activated
-) -> PoweringSolution:
-    """Powering duration, its cost, and the slot schedule for one group.
-
-    Each node sends at the power it harvests, so harvesting for tau covers
-    its own transmission exactly when tau >= its transmit time. tau is the
-    slowest member's transmit time; ``powering_cost`` prices the stop at
-    that tau. Raises when tau plus the data phase breaks the latency cap,
-    naming the binding (lowest-index slowest) node.
-    """
-    members = sorted(activated)
-    if not members:
-        raise ConfigurationError("cannot optimize powering for an empty group")
-    (links,) = _price(scenario, [(uav_xy, members)])
-    return _powering(scenario, links)
-
-
-def _powering(scenario: MissionScenario, links) -> PoweringSolution:
-    """``optimize_powering`` over priced links of activated nodes, in
-    ascending node order, so ``max`` picks the lowest-index slowest node.
-    """
-    services = tuple(
-        NodeService(
-            index, slant, lb.dbm_to_watts(harvested_dbm), rate,
-            required_tx(scenario.payload_bits, rate),
-        )
-        for index, slant, _, harvested_dbm, rate in links
-    )
-    binding = max(services, key=lambda svc: svc.tx_time_s)
-    tau = binding.tx_time_s
-    data_s = sum(svc.tx_time_s for svc in services)
-
-    if tau + data_s > scenario.latency_cap_s:
-        raise InfeasibilityError(
-            f"group latency {tau + data_s:.4f} s exceeds cap {scenario.latency_cap_s} s "
-            f"(binding node {binding.node_index})"
-        )
-
-    return PoweringSolution(
-        tau_s=tau,
-        data_s=data_s,
-        cost=powering_cost(scenario, tau, data_s),
-        slots=tdma_schedule({svc.node_index: svc.tx_time_s for svc in services}),
-        services=services,
-    )
-
-
-@dataclass(frozen=True)
-class NodeOutcome:
-    node_index: int
-    group_id: int
-    slant_m: float
-    harvested_energy_j: float
-    tx_power_w: float
-    tx_time_s: float
-    bits_delivered: float
-
-
 @dataclass(frozen=True)
 class GroupOutcome:
+    """One hover stop; an empty diagnostic marks a served group."""
+
     group_id: int
     traversal_index: int
     member_count: int
     activated_count: int
-    feasible: bool
     diagnostic: str
-    slots: tuple[TdmaSlot, ...]
-    powering_s: float
+    powering_s: float  # tau
     data_s: float
-    latency_s: float  # powering + data, the capped quantity
-    supplied_energy_j: float  # radiated wake-up + powering energy
-    cost: float
+
+    @property
+    def feasible(self) -> bool:
+        return not self.diagnostic
+
+    @property
+    def latency_s(self) -> float:
+        """Powering plus data phase: the capped quantity."""
+        return self.powering_s + self.data_s
+
+
+# The per-node outcome columns; a node its stop does not serve has zeros past slant_m.
+NODE_COLUMNS = ("group_id", "slant_m", "harvested_energy_j", "tx_power_w", "tx_time_s",
+                "bits_delivered")
 
 
 @dataclass(frozen=True)
@@ -248,8 +107,8 @@ class MissionReport:
     eh_distance_m: float
     coverage_radius_m: float
     tour: planner.TourPlan
-    groups: tuple[GroupOutcome, ...]
-    nodes: tuple[NodeOutcome, ...]
+    groups: tuple[GroupOutcome, ...]  # in visit order
+    nodes: dict[str, np.ndarray]  # NODE_COLUMNS, each in node order
     flight_time_s: float
     service_time_s: float
     mission_time_s: float
@@ -261,7 +120,7 @@ class MissionReport:
 
     @property
     def total_bits_delivered(self) -> float:
-        return sum(node.bits_delivered for node in self.nodes)
+        return sum(self.nodes["bits_delivered"].tolist())
 
 
 def resolve_eh_distance_m(scenario: MissionScenario) -> float:
@@ -285,29 +144,24 @@ def resolve_eh_distance_m(scenario: MissionScenario) -> float:
     return eh_distance
 
 
-def _group_outcome(
-    scenario: MissionScenario,
-    group_id: int,
-    group: planner.WpcGroup,
-    activated_count: int,
-    solution: PoweringSolution,
-    diagnostic: str,
-) -> GroupOutcome:
-    """Outcome of one hover stop; an empty diagnostic marks a served group."""
-    return GroupOutcome(
-        group_id=group_id,
-        traversal_index=group.traversal_index,
-        member_count=len(group.member_indices),
-        activated_count=activated_count,
-        feasible=not diagnostic,
-        diagnostic=diagnostic,
-        slots=solution.slots,
-        powering_s=solution.tau_s,
-        data_s=solution.data_s,
-        latency_s=solution.tau_s + solution.data_s,
-        supplied_energy_j=scenario.wur_power_w * WAKE_DURATION_S
-        + scenario.wpt_power_w * solution.tau_s,
-        cost=solution.cost,
+def _price(scenario: MissionScenario, stops) -> tuple[list[int], list[float], lb.LinkBudget]:
+    """Every member of every group in ``stops``, priced from its hover point in one
+    kernel call: the members stop by stop, in ascending order, their slants and
+    their link budget. A slant is hypot(H, ground distance), computed as
+    ``math.hypot`` twice; ``np.hypot`` can differ in the last bit.
+    """
+    positions = scenario.field.positions
+    nodes = [index for group in stops for index in sorted(group.member_indices)]
+    hover = np.repeat(positions[[g.traversal_index for g in stops]],
+                      [len(g.member_indices) for g in stops], axis=0)
+    height = scenario.height_m
+    slants = [
+        math.hypot(height, math.hypot(x - ux, y - uy))
+        for (x, y), (ux, uy) in zip(positions[nodes].tolist(), hover.tolist())
+    ]
+    return nodes, slants, lb.link_budget(
+        scenario.env, height, slants, scenario.wpt_power_w, scenario.array,
+        scenario.circuit, scenario.bandwidth_hz, scenario.noise_figure_db,
     )
 
 
@@ -316,15 +170,20 @@ def simulate_mission(
 ) -> MissionReport:
     """Run the full wake/power/transmit mission over the scenario's field.
 
-    Groups whose latency requirement cannot be met are skipped with a
-    diagnostic (their wake attempt still costs time and energy) and their
-    nodes deliver nothing; the mission continues. Deterministic given the
-    scenario.
+    At each stop, a member wakes when its received wake-up power meets the
+    threshold (``>=``; the wake-up radio has no array gain). A woken member
+    needs bits / rate to send its payload, and tau is the slowest one's
+    time. A stop whose tau plus data phase breaks the latency cap is
+    skipped, naming the binding (lowest-index slowest) node; so is a stop
+    that wakes no node, or one with a woken node on a zero-rate link. A
+    skipped stop spends only its wake-up phase and serves no node; the
+    mission continues. Deterministic given the scenario.
 
     ``planned``, a strategy already planned on this field (for instance by
     ``planner.compare_strategies``), gives the groups and tour to fly; it
-    must be for the scenario's height and coverage radius. Without it the
-    mission plans one with ``planner.plan_strategy`` and a heuristic tour.
+    must be for the scenario's height and coverage radius, tour every
+    group, and group each node once. Without it the mission plans one with
+    ``planner.plan_strategy`` and a heuristic tour.
     """
     eh_distance = resolve_eh_distance_m(scenario)
     radius = planner.coverage_radius_m(scenario.height_m, eh_distance)
@@ -335,43 +194,58 @@ def simulate_mission(
             f"planned strategy {planned.name} does not match height {scenario.height_m} m "
             f"and radius {radius} m"
         )
-    groups, tour = planned.groups, planned.plan
-    visit_order = tour.visit_order
-
-    # A skipped group spends only its wake-up phase and serves no node.
-    skipped = PoweringSolution(0.0, 0.0, 0.0, (), ())
-    # Group ids are the planner's formation indices; the outcome list is in
-    # tour visit order. One kernel call prices every stop's members.
-    stops = [groups[group_id] for group_id in visit_order]
-    priced = _price(scenario, [
-        (scenario.field.positions[g.traversal_index], sorted(g.member_indices)) for g in stops
-    ])
-    node_outcomes: dict[int, NodeOutcome] = {}
-    group_outcomes = []
-    for group_id, group, links in zip(visit_order, stops, priced):
-        activated = _woken(scenario, links)
-        solution, diagnostic = skipped, "no nodes activated by the wake-up signal"
-        if activated:
-            try:
-                solution, diagnostic = _powering(scenario, activated), ""
-            except InfeasibilityError as exc:
-                diagnostic = str(exc)
-        group_outcomes.append(
-            _group_outcome(scenario, group_id, group, len(activated), solution, diagnostic)
+    elif planned.plan.point_count != len(planned.groups):
+        raise ConfigurationError(
+            f"planned strategy {planned.name} has {planned.plan.point_count} tour stops "
+            f"for {len(planned.groups)} groups"
         )
-        for svc in solution.services:
-            node_outcomes[svc.node_index] = NodeOutcome(
-                node_index=svc.node_index,
-                group_id=group_id,
-                slant_m=svc.slant_m,
-                harvested_energy_j=svc.harvested_power_w * solution.tau_s,
-                tx_power_w=svc.harvested_power_w,
-                tx_time_s=svc.tx_time_s,
-                bits_delivered=scenario.payload_bits,
-            )
-        for index, slant, *_ in links:
-            if index not in node_outcomes:
-                node_outcomes[index] = NodeOutcome(index, group_id, slant, 0.0, 0.0, 0.0, 0.0)
+    tour, visit_order = planned.plan, planned.plan.visit_order
+    payload, cap = scenario.payload_bits, scenario.latency_cap_s
+
+    # Group ids are the planner's formation indices; stops are in visit order.
+    stops = [planned.groups[group_id] for group_id in visit_order]
+    sizes = [len(group.member_indices) for group in stops]
+    nodes, slants, budget = _price(scenario, stops)
+    if sorted(nodes) != list(range(scenario.field.node_count)):
+        raise ConfigurationError(f"planned strategy {planned.name} must group each node once")
+    wake_dbm = lb.watts_to_dbm(scenario.wur_power_w)
+    woken = wake_dbm - budget.path_loss_db >= scenario.wur_wake_threshold_dbm
+    tx = np.zeros(len(nodes))  # an empty payload needs no link
+    if payload:
+        with np.errstate(divide="ignore", over="ignore"):  # inf, as Python's float division
+            tx = np.where(woken, payload / budget.rate_bps, 0.0)
+    tx_times, woken_list = tx.tolist(), woken.tolist()
+    no_rate = (woken & (budget.rate_bps <= 0)).tolist()
+
+    group_outcomes, hi = [], 0
+    for group_id, group, size in zip(visit_order, stops, sizes):
+        lo, hi = hi, hi + size
+        members = tx_times[lo:hi]
+        # An unwoken member's 0.0 changes neither the maximum nor the sum.
+        tau, data_s, activated = max(members), sum(members), sum(woken_list[lo:hi])
+        if not activated:
+            diagnostic = "no nodes activated by the wake-up signal"
+        elif payload and any(no_rate[lo:hi]):
+            diagnostic = f"cannot deliver {payload} bits over a zero-rate link"
+        elif tau + data_s > cap:  # so tau > 0, and no unwoken 0.0 is the binding node
+            diagnostic = (f"group latency {tau + data_s:.4f} s exceeds cap {cap} s "
+                          f"(binding node {nodes[lo + members.index(tau)]})")
+        else:
+            diagnostic = ""
+        if diagnostic:
+            tau = data_s = 0.0
+        group_outcomes.append(GroupOutcome(group_id, group.traversal_index, size, activated,
+                                           diagnostic, tau, data_s))
+
+    served = woken & np.repeat([g.feasible for g in group_outcomes], sizes)
+    tx_power = np.array([  # the node sends at the power it harvests
+        lb.dbm_to_watts(harvested) if up else 0.0
+        for harvested, up in zip(budget.harvested_dbm.tolist(), served.tolist())
+    ])
+    taus = np.repeat([g.powering_s for g in group_outcomes], sizes)
+    links = (np.repeat(visit_order, sizes), np.array(slants), tx_power * taus, tx_power,
+             np.where(served, tx, 0.0), np.where(served, payload, 0.0))
+    order = np.argsort(nodes)
 
     flight_time = tour.length_m / CRUISE_SPEED_MPS
     service_time = sum(WAKE_DURATION_S + g.latency_s for g in group_outcomes)
@@ -385,7 +259,7 @@ def simulate_mission(
         coverage_radius_m=radius,
         tour=tour,
         groups=tuple(group_outcomes),
-        nodes=tuple(node_outcomes[i] for i in sorted(node_outcomes)),
+        nodes={name: column[order] for name, column in zip(NODE_COLUMNS, links)},
         flight_time_s=flight_time,
         service_time_s=service_time,
         mission_time_s=flight_time + service_time,

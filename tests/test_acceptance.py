@@ -15,17 +15,18 @@ One test per shipped guarantee, each printing a PASS line (run with
  5. Tour statistics over 100 seeded 25-node fields: mean length ordering
     one-by-one > H=10 > H=5 and mean H=5 saving in [2%, 30%], under 60 s.
  6. Exact-solver subset dominance on 50 random instances.
- 7. Powering optimizer matches a 1e-4 s grid search on 100 random groups,
-    including feasibility verdicts.
+ 7. The powering duration of a one-stop mission, and its cost, match a
+    1e-4 s grid search on 100 random groups, including feasibility verdicts.
  8. Mission invariants on 50 random scenarios: per-node energy
-    conservation, disjoint TDMA slots, exact time decomposition,
-    byte-identical reruns.
+    conservation, back-to-back TDMA slots, exact time decomposition,
+    bit-identical reruns.
  9. ``reproduce`` emits its five CSV files deterministically in under
     5 minutes.
 """
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,21 +34,23 @@ import pytest
 from uewpiot import (
     AntennaArray,
     EhCircuit,
-    InfeasibilityError,
     MissionScenario,
     NodeField,
     RadioEnvironment,
+    TourPlan,
+    WpcGroup,
     achievable_eh_distance_m,
     compare_strategies,
     coverage_radius_m,
     generate_nodes,
     link_budget,
-    optimize_powering,
     plan_tour,
+    powering_cost,
     simulate_mission,
     upa_physical_size_m,
 )
 from uewpiot import cli, missionsim
+from uewpiot.planner import StrategyResult
 
 
 def test_criterion_1_upa_sizing():
@@ -188,8 +191,18 @@ def _random_group_scenario(rng):
         payload_bits=float(rng.uniform(1e6, 40e6)),
         latency_cap_s=float(rng.uniform(0.05, 1.0)),
         height_m=float(rng.uniform(2.0, 12.0)),
+        wur_wake_threshold_dbm=-1e3,  # every member wakes
     )
-    return scenario, center, set(range(k))
+    return scenario, positions[0], range(k)
+
+
+def _one_stop(scenario):
+    """The mission of one stop, over node 0, whose group is the whole field; d_EH,
+    which only sizes the plan, is pinned to the height."""
+    scenario = replace(scenario, eh_distance_m=scenario.height_m)
+    group = WpcGroup(0, frozenset(range(scenario.field.node_count)))
+    stop = StrategyResult("one stop", scenario.height_m, 0.0, (group,), TourPlan((0,), 0.0))
+    return simulate_mission(scenario, stop).groups[0]
 
 
 def test_criterion_7_optimizer_matches_grid_search():
@@ -229,22 +242,23 @@ def test_criterion_7_optimizer_matches_grid_search():
                 break
             tau += step
 
-        try:
-            solution = optimize_powering(scenario, uav_xy, members)
-        except InfeasibilityError:
+        stop = _one_stop(scenario)
+        assert stop.activated_count == len(members)
+        if not stop.feasible:
             assert grid_best is None
         else:
             assert grid_best is not None
-            assert abs(solution.tau_s - grid_best[0]) <= step
+            assert abs(stop.powering_s - grid_best[0]) <= step
             cost_slack = (
                 missionsim.COST_WEIGHT_ENERGY
                 * (scenario.wpt_power_w + missionsim.HOVER_POWER_W)
                 + missionsim.COST_WEIGHT_TIME
             ) * step
-            assert abs(solution.cost - grid_best[1]) <= cost_slack + 1e-9
+            cost = powering_cost(scenario, stop.powering_s, stop.data_s)
+            assert abs(cost - grid_best[1]) <= cost_slack + 1e-9
         agreements += 1
     assert agreements == 100
-    print("\nACCEPTANCE 7 PASS: optimizer agrees with grid search, 100/100 groups")
+    print("\nACCEPTANCE 7 PASS: one-stop tau and cost agree with grid search, 100/100 groups")
 
 
 def test_criterion_8_mission_invariants():
@@ -264,16 +278,18 @@ def test_criterion_8_mission_invariants():
         )
         report = simulate_mission(scenario)
 
-        for node in report.nodes:
-            assert node.tx_power_w * node.tx_time_s <= node.harvested_energy_j + 1e-12
-        for group in report.groups:
-            slots = group.slots
-            for a, b in zip(slots, slots[1:]):
-                assert b.start_s >= a.start_s + a.duration_s - 1e-12
+        nodes = report.nodes
+        assert np.all(nodes["tx_power_w"] * nodes["tx_time_s"]
+                      <= nodes["harvested_energy_j"] + 1e-12)
+        for group in report.groups:  # slots back to back: the data phase is their sum
+            slots = nodes["tx_time_s"][nodes["group_id"] == group.group_id]
+            assert np.sum(slots) == pytest.approx(group.data_s, rel=1e-12)
         service = sum(missionsim.WAKE_DURATION_S + g.latency_s for g in report.groups)
         assert report.service_time_s == service
         assert report.mission_time_s == report.flight_time_s + service
-        assert repr(simulate_mission(scenario)) == repr(report)
+        rerun = simulate_mission(scenario)
+        assert repr(replace(rerun, nodes={})) == repr(replace(report, nodes={}))
+        assert all(rerun.nodes[k].tolist() == nodes[k].tolist() for k in nodes)
     print("\nACCEPTANCE 8 PASS: mission invariants hold on 50 random scenarios")
 
 

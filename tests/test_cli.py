@@ -32,6 +32,13 @@ def read_rows(path):
 COMMANDS = ("sweep-eh", "sweep-rate", "plan", "simulate", "reproduce")
 
 
+def cell(value):
+    """One CSV cell, as the oracles format it: %.10g for a float, empty for None."""
+    if isinstance(value, float):
+        return cli.FLOAT_FMT % value
+    return "" if value is None else str(value)
+
+
 # --- configuration -------------------------------------------------------------
 
 def test_defaults_round_trip(tmp_path):
@@ -86,7 +93,8 @@ def run_configs(draw):
         plan_heights_m=tuple(draw(st.lists(st.floats(10.0, 1e3), min_size=1, max_size=3))),
         plan_d_eh_m=draw(st.none() | anything()),
         plan_mode=mode,
-        plan_mc_seeds=draw(st.integers(1, cli.MAX_MC_NODES // nodes)),  # the work cap
+        plan_mc_seeds=draw(st.integers(  # the work cap
+            1, cli.MAX_MC_NODES // max(nodes, cli.MC_FIELD_MIN_NODES))),
         mission_wpt_power_w=draw(positive(1e300)),
         mission_wur_power_w=draw(positive(1e300)),
         mission_wur_wake_threshold_dbm=draw(anything()),
@@ -394,7 +402,7 @@ def sweep_oracle(config, distances, values, **uplink):
                        for v in values(budget, circuit)]
             for i, distance in enumerate(distances.tolist()):
                 cells = [distance, frequency, elements, *(column[i] for column in columns)]
-                rows.append(",".join(cli._cell(v) for v in cells))
+                rows.append(",".join(cell(v) for v in cells))
     return rows
 
 
@@ -579,6 +587,37 @@ def test_plan_and_simulate_files(tmp_path, fast_config):
     assert len(rows) == 3
 
 
+def test_simulate_files_across_a_block_match_per_cell_oracle(tmp_path):
+    # 4,100 report rows and more tour rows cross ROWS_PER_BLOCK = 4096; summary.csv
+    # is one short block. The oracle formats each cell of each file on its own.
+    config = cli.RunConfig(field_count=4100, plan_mc_seeds=1)
+    assert cli.ROWS_PER_BLOCK < 4100
+    planned = cli.plan_mission(config)
+    cli.plan_and_simulate(config, tmp_path, planned=planned)
+    scenario, comparison = planned
+    positions = scenario.field.positions.tolist()
+    tour = []
+    for result in comparison.results:
+        for stop, group_id in enumerate(result.plan.visit_order):
+            group = result.groups[group_id]
+            tour.append([result.name, stop, *positions[group.traversal_index], group_id,
+                         len(group.member_indices)])
+    nodes = missionsim.simulate_mission(scenario, comparison.results[1]).nodes
+    columns = [nodes[name].tolist() for name in missionsim.NODE_COLUMNS]
+    report = [[i, *positions[i], *(column[i] for column in columns)]
+              for i in range(len(positions))]
+    summary = [  # one Monte-Carlo field: the field at field.seed itself
+        [r.name, r.height_m, r.radius_m, r.group_count, r.length_m,
+         100.0 * comparison.saving_fraction(r.name), 1, r.length_m,
+         100.0 * comparison.saving_fraction(r.name)]
+        for r in comparison.results
+    ]
+    for name, rows in (("tour.csv", tour), ("report.csv", report), ("summary.csv", summary)):
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()[1:]
+        assert lines == [",".join(cell(v) for v in row) for row in rows], name
+    assert len(report) == 4100 and len(tour) > 4100
+
+
 def test_savings_recomputable_from_columns(tmp_path, fast_config):
     cli.plan_and_simulate(fast_config, tmp_path, with_report=False)
     _, rows = read_rows(tmp_path / "summary.csv")
@@ -747,6 +786,8 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("plan.mode = fast", "plan.mode"),
         ("plan.heights_m = ,", "plan.heights_m"),
         ("plan.mc_seeds = 1e18", "plan.mc_seeds"),  # 10^18 fields: over MAX_MC_NODES
+        # A field is charged at least MC_FIELD_MIN_NODES: 10^7 one-node fields are over.
+        ("field.count = 1\nplan.mc_seeds = 10000000", "plan.mc_seeds"),
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):

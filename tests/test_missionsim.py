@@ -1,10 +1,13 @@
 """Mission simulation unit tests.
 
-The powering optimizer is checked against a grid-search oracle that
-recomputes every per-node quantity directly from the link budget and
-scans candidate powering durations at 1e-4 s resolution.
+The per-stop behaviour (wake test, powering duration tau, data phase,
+binding node) is checked through one-stop missions and against a
+node-by-node oracle that recomputes every quantity directly from the link
+budget. tau is also checked against a grid search that scans candidate
+powering durations at 1e-4 s resolution.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,25 +19,24 @@ from uewpiot import (
     AntennaArray,
     ConfigurationError,
     EhCircuit,
-    InfeasibilityError,
     MissionScenario,
     NodeField,
     RadioEnvironment,
+    TourPlan,
     WpcGroup,
     compare_strategies,
     coverage_radius_m,
     form_wpc_groups,
     generate_nodes,
     link_budget,
-    optimize_powering,
-    required_tx,
+    powering_cost,
     simulate_mission,
-    tdma_schedule,
-    wake_up,
 )
-from uewpiot.missionsim import NodeOutcome, resolve_eh_distance_m
+from uewpiot.missionsim import resolve_eh_distance_m
+from uewpiot.planner import StrategyResult
 
 GRID_STEP_S = 1e-4
+NOT_WOKEN = "no nodes activated by the wake-up signal"
 
 
 def make_scenario(positions, **overrides):
@@ -49,6 +51,23 @@ def make_scenario(positions, **overrides):
     )
     defaults.update(overrides)
     return MissionScenario(**defaults)
+
+
+def one_stop(scenario, traversal=0):
+    """The mission of one hover stop, over node ``traversal``, whose group is the
+    whole field: the stop's outcome and the per-node columns. d_EH only sizes
+    the plan, so it is pinned to the height (coverage radius 0)."""
+    scenario = replace(scenario, eh_distance_m=scenario.height_m)
+    group = WpcGroup(traversal, frozenset(range(scenario.field.node_count)))
+    stop = StrategyResult("one stop", scenario.height_m, 0.0, (group,), TourPlan((0,), 0.0))
+    report = simulate_mission(scenario, stop)
+    return report.groups[0], report.nodes
+
+
+def assert_same_report(a, b):
+    assert repr(replace(a, nodes={})) == repr(replace(b, nodes={}))
+    for name in missionsim.NODE_COLUMNS:
+        assert a.nodes[name].tolist() == b.nodes[name].tolist(), name
 
 
 def node_link(scenario, uav_xy, index):
@@ -93,35 +112,62 @@ def grid_search_tau(scenario, uav_xy, members):
     return best
 
 
+def stop_oracle(scenario, group):
+    """One stop, node by node: (activated count, diagnostic, tau, data phase,
+    {served node: (harvested W, transmit s)})."""
+    uav_xy = scenario.field.positions[group.traversal_index]
+    woken = [i for i in sorted(group.member_indices)
+             if wake_received_dbm(scenario, uav_xy, i) >= scenario.wur_wake_threshold_dbm]
+    if not woken:
+        return 0, NOT_WOKEN, 0.0, 0.0, {}
+    bits, cap = scenario.payload_bits, scenario.latency_cap_s
+    links = {i: node_link(scenario, uav_xy, i) for i in woken}
+    if bits and any(rate <= 0 for _, rate in links.values()):
+        return len(woken), f"cannot deliver {bits} bits over a zero-rate link", 0.0, 0.0, {}
+    tx = {i: bits / rate if bits else 0.0 for i, (_, rate) in links.items()}
+    tau = max(tx.values())
+    data_s = sum(tx[i] for i in woken)  # the TDMA slots, back to back in ascending node order
+    if tau + data_s > cap:
+        binding = next(i for i in woken if tx[i] == tau)
+        diagnostic = (f"group latency {tau + data_s:.4f} s exceeds cap {cap} s "
+                      f"(binding node {binding})")
+        return len(woken), diagnostic, 0.0, 0.0, {}
+    return len(woken), "", tau, data_s, {i: (links[i][0], tx[i]) for i in woken}
+
+
+# Every node wakes: the optimizer checks below price tau for the whole group.
+WAKE_ALL_DBM = -1e3
+
+
 # --- wake-up -----------------------------------------------------------------
 
 def test_wake_up_boundary_node_activates():
-    scenario = make_scenario([[50.0, 50.0], [60.0, 50.0]])
-    uav_xy = scenario.field.positions[0]
-    boundary = make_scenario(
-        [[50.0, 50.0], [60.0, 50.0]],
-        wur_wake_threshold_dbm=wake_received_dbm(scenario, uav_xy, 1),
-    )
-    group = WpcGroup(0, frozenset({0, 1}))
-    assert wake_up(boundary, uav_xy, group) == frozenset({0, 1})
+    # A node whose received wake-up power equals the threshold wakes (>=).
+    positions = [[50.0, 50.0], [60.0, 50.0]]
+    threshold = wake_received_dbm(make_scenario(positions), positions[0], 1)
+    stop, _ = one_stop(make_scenario(positions, wur_wake_threshold_dbm=threshold))
+    assert stop.activated_count == 2
+    above = make_scenario(positions, wur_wake_threshold_dbm=math.nextafter(threshold, math.inf))
+    assert one_stop(above)[0].activated_count == 1
 
 
 def test_wake_up_all_out_of_range():
     scenario = make_scenario(
         [[0.0, 0.0], [90.0, 90.0]], wur_wake_threshold_dbm=30.0
     )
-    group = WpcGroup(0, frozenset({0, 1}))
-    assert wake_up(scenario, scenario.field.positions[0], group) == frozenset()
+    stop, nodes = one_stop(scenario)
+    assert (stop.activated_count, stop.diagnostic, stop.powering_s) == (0, NOT_WOKEN, 0.0)
+    assert nodes["bits_delivered"].tolist() == [0.0, 0.0]
 
 
 def test_wake_up_mixed_group_matches_per_node_oracle():
     rng = np.random.default_rng(3)
     positions = rng.uniform(0.0, 100.0, size=(5, 2))
-    scenario = make_scenario(positions, wur_wake_threshold_dbm=-55.0)
-    uav_xy = positions[2]
-    group = WpcGroup(2, frozenset(range(5)))
-    expected = {i for i in range(5) if wake_received_dbm(scenario, uav_xy, i) >= -55.0}
-    assert wake_up(scenario, uav_xy, group) == frozenset(expected)
+    scenario = make_scenario(positions, wur_wake_threshold_dbm=-55.0, latency_cap_s=1e9)
+    expected = [i for i in range(5) if wake_received_dbm(scenario, positions[2], i) >= -55.0]
+    stop, nodes = one_stop(scenario, traversal=2)
+    assert 0 < stop.activated_count == len(expected) < 5 and stop.feasible
+    assert np.flatnonzero(nodes["bits_delivered"]).tolist() == expected
 
 
 # --- powering phase -------------------------------------------------------------
@@ -137,7 +183,7 @@ def test_powering_phase_zero_duration():
     report = simulate_mission(scenario)
     outcomes = [(g.feasible, g.activated_count, g.powering_s) for g in report.groups]
     assert outcomes == [(True, 3, 0.0)]
-    assert [n.harvested_energy_j for n in report.nodes] == [0.0, 0.0, 0.0]
+    assert report.nodes["harvested_energy_j"].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_powering_phase_linear_in_tau():
@@ -148,9 +194,9 @@ def test_powering_phase_linear_in_tau():
         for bits in (1e6, 2e6)
     )
     assert twice.groups[0].powering_s == 2.0 * once.groups[0].powering_s > 0.0
-    for a, b in zip(once.nodes, twice.nodes):
-        assert a.harvested_energy_j > 0.0
-        assert b.harvested_energy_j == pytest.approx(2.0 * a.harvested_energy_j, rel=1e-12)
+    energy = once.nodes["harvested_energy_j"]
+    assert np.all(energy > 0.0)
+    np.testing.assert_allclose(twice.nodes["harvested_energy_j"], 2.0 * energy, rtol=1e-12)
 
 
 def test_powering_phase_matches_link_oracle():
@@ -159,76 +205,70 @@ def test_powering_phase_matches_link_oracle():
     (group,) = report.groups
     assert group.feasible and group.powering_s > 0.0
     uav_xy = scenario.field.positions[group.traversal_index]
-    for node in report.nodes:
-        harvested_w, _ = node_link(scenario, uav_xy, node.node_index)
-        assert node.harvested_energy_j == pytest.approx(harvested_w * group.powering_s, rel=1e-12)
+    for index, energy in enumerate(report.nodes["harvested_energy_j"].tolist()):
+        harvested_w, _ = node_link(scenario, uav_xy, index)
+        assert energy == pytest.approx(harvested_w * group.powering_s, rel=1e-12)
 
 
 # --- required transmission --------------------------------------------------------
 
 def test_required_tx_basic():
-    assert required_tx(15e6, 15e6) == 1.0
-    assert required_tx(10e6, 4e6) == 2.5
+    # A woken node needs bits / rate to send its payload.
+    for bits in (15e6, 10e6):
+        scenario = make_scenario([[50.0, 50.0]], payload_bits=bits)
+        _, rate = node_link(scenario, scenario.field.positions[0], 0)
+        stop, nodes = one_stop(scenario)
+        assert nodes["tx_time_s"].tolist() == [bits / rate] == [stop.powering_s]
 
 
 def test_required_tx_zero_payload():
-    assert required_tx(0.0, 1e6) == 0.0
-    assert required_tx(0.0, 0.0) == 0.0  # an empty payload needs no link
+    # An empty payload needs no time, even over a zero-rate link.
+    for noise_figure_db in (linkbudget.CALIBRATED_NOISE_FIGURE_DB, 1e300):
+        scenario = make_scenario([[50.0, 50.0]], payload_bits=0.0,
+                                 noise_figure_db=noise_figure_db)
+        stop, nodes = one_stop(scenario)
+        assert stop.feasible and nodes["tx_time_s"].tolist() == [0.0]
 
 
 def test_required_tx_zero_rate():
-    with pytest.raises(InfeasibilityError):
-        required_tx(1e6, 0.0)
-
-
-# --- TDMA schedule -----------------------------------------------------------------
-
-def test_tdma_sequential_slots():
-    slots = tdma_schedule({0: 1.0, 1: 2.0, 2: 3.0})
-    assert [s.start_s for s in slots] == [0.0, 1.0, 3.0]
-    assert sum(s.duration_s for s in slots) == 6.0
-
-
-def test_tdma_single_and_empty():
-    single = tdma_schedule({4: 2.5})
-    assert len(single) == 1 and single[0].start_s == 0.0
-    assert tdma_schedule({}) == ()
-
-
-def test_tdma_ascending_node_order():
-    slots = tdma_schedule({5: 1.0, 1: 2.0, 3: 0.5})
-    assert [s.node_index for s in slots] == [1, 3, 5]
-    for a, b in zip(slots, slots[1:]):
-        assert b.start_s == pytest.approx(a.start_s + a.duration_s)
+    # A noise figure of 1e300 dB leaves no rate: the stop cannot be served.
+    scenario = make_scenario([[50.0, 50.0], [52.0, 50.0]], noise_figure_db=1e300)
+    assert node_link(scenario, scenario.field.positions[0], 0)[1] == 0.0
+    stop, nodes = one_stop(scenario)
+    assert stop.diagnostic == "cannot deliver 10000000.0 bits over a zero-rate link"
+    assert (stop.activated_count, stop.powering_s, stop.data_s) == (2, 0.0, 0.0)
+    assert nodes["bits_delivered"].tolist() == [0.0, 0.0]
 
 
 # --- powering optimizer --------------------------------------------------------------
 
 def test_optimizer_zero_payload():
     scenario = make_scenario([[50.0, 50.0], [52.0, 50.0]], payload_bits=0.0)
-    solution = optimize_powering(scenario, scenario.field.positions[0], {0, 1})
-    assert solution.tau_s == 0.0
-    assert solution.data_s == 0.0
-    assert solution.cost == 0.0
+    stop, _ = one_stop(scenario)
+    assert (stop.feasible, stop.powering_s, stop.data_s) == (True, 0.0, 0.0)
+    assert powering_cost(scenario, stop.powering_s, stop.data_s) == 0.0
 
 
 def test_optimizer_single_node_matches_grid():
     scenario = make_scenario([[50.0, 50.0]], latency_cap_s=2.0)
     uav_xy = scenario.field.positions[0]
-    solution = optimize_powering(scenario, uav_xy, {0})
+    stop, _ = one_stop(scenario)
     oracle = grid_search_tau(scenario, uav_xy, [0])
     assert oracle is not None
-    assert abs(solution.tau_s - oracle[0]) <= GRID_STEP_S
+    assert abs(stop.powering_s - oracle[0]) <= GRID_STEP_S
     harvested_w, rate = node_link(scenario, uav_xy, 0)
-    assert solution.tau_s == pytest.approx(scenario.payload_bits / rate, rel=1e-12)
+    assert stop.powering_s == pytest.approx(scenario.payload_bits / rate, rel=1e-12)
 
 
 def test_optimizer_infeasible_latency_names_binding_node():
+    # Node 1, 7 m out, is the slower one.
     scenario = make_scenario(
         [[50.0, 50.0], [57.0, 50.0]], latency_cap_s=0.05
     )
-    with pytest.raises(InfeasibilityError, match="binding node"):
-        optimize_powering(scenario, scenario.field.positions[0], {0, 1})
+    stop, _ = one_stop(scenario)
+    assert not stop.feasible and stop.activated_count == 2
+    assert stop.diagnostic.startswith("group latency ")
+    assert stop.diagnostic.endswith("exceeds cap 0.05 s (binding node 1)")
 
 
 def test_optimizer_grid_equivalence_random_groups():
@@ -241,29 +281,26 @@ def test_optimizer_grid_equivalence_random_groups():
             np.clip(center + offsets, 0.0, 100.0),
             payload_bits=float(rng.uniform(1e6, 30e6)),
             latency_cap_s=2.0,
+            wur_wake_threshold_dbm=WAKE_ALL_DBM,
         )
-        uav_xy = scenario.field.positions[0]
-        members = set(range(k))
-        oracle = grid_search_tau(scenario, uav_xy, members)
-        try:
-            solution = optimize_powering(scenario, uav_xy, members)
-        except InfeasibilityError:
+        oracle = grid_search_tau(scenario, scenario.field.positions[0], range(k))
+        stop, _ = one_stop(scenario)
+        assert stop.activated_count == k
+        if not stop.feasible:
             assert oracle is None
         else:
             assert oracle is not None
-            assert abs(solution.tau_s - oracle[0]) <= GRID_STEP_S
-            assert solution.cost <= oracle[1] + 1e-9
+            assert abs(stop.powering_s - oracle[0]) <= GRID_STEP_S
+            assert powering_cost(scenario, stop.powering_s, stop.data_s) <= oracle[1] + 1e-9
 
 
 def test_optimizer_feasibility_monotone_in_latency_cap():
     positions = [[50.0, 50.0], [55.0, 52.0], [47.0, 46.0]]
-    base = make_scenario(positions, latency_cap_s=1.0)
-    uav_xy = base.field.positions[0]
-    solution = optimize_powering(base, uav_xy, {0, 1, 2})
+    stop, _ = one_stop(make_scenario(positions, latency_cap_s=1.0))
+    assert stop.feasible
     for cap in (2.0, 5.0, 50.0):
-        relaxed = make_scenario(positions, latency_cap_s=cap)
-        widened = optimize_powering(relaxed, uav_xy, {0, 1, 2})
-        assert widened.tau_s == pytest.approx(solution.tau_s, rel=1e-12)
+        widened, _ = one_stop(make_scenario(positions, latency_cap_s=cap))
+        assert widened.powering_s == pytest.approx(stop.powering_s, rel=1e-12)
 
 
 def count_link_budget_calls(monkeypatch):
@@ -284,24 +321,17 @@ FOUR_NODES = [[50.0, 50.0], [55.0, 50.0], [58.0, 53.0], [47.0, 46.0]]
 def test_optimizer_evaluates_link_budget_once_per_node(monkeypatch):
     # One kernel call prices every node of the group.
     calls = count_link_budget_calls(monkeypatch)
-    scenario = make_scenario(FOUR_NODES)
-    solution = optimize_powering(scenario, scenario.field.positions[0], {0, 1, 2, 3})
-    assert len(solution.services) == 4
-    assert len(calls) == 1
+    stop, nodes = one_stop(make_scenario(FOUR_NODES))
+    assert stop.feasible and np.all(nodes["tx_time_s"] > 0.0)
+    assert len(calls) == 1 and len(calls[0][2]) == 4
 
 
 def test_wake_up_evaluates_link_budget_once(monkeypatch):
+    # The wake test reads the path loss of the same call that prices the powering.
     calls = count_link_budget_calls(monkeypatch)
-    scenario = make_scenario(FOUR_NODES)
-    group = WpcGroup(0, frozenset(range(4)))
-    assert wake_up(scenario, scenario.field.positions[0], group) == frozenset(range(4))
+    stop, _ = one_stop(make_scenario(FOUR_NODES))
+    assert stop.activated_count == 4
     assert len(calls) == 1
-
-
-def test_optimizer_rejects_empty_group():
-    scenario = make_scenario([[50.0, 50.0]])
-    with pytest.raises(ConfigurationError):
-        optimize_powering(scenario, scenario.field.positions[0], set())
 
 
 # --- full mission -----------------------------------------------------------------
@@ -320,7 +350,7 @@ def full_scenario(seed=1, **overrides):
 
 def test_mission_deterministic_rerun():
     scenario = full_scenario(seed=6)
-    assert repr(simulate_mission(scenario)) == repr(simulate_mission(scenario))
+    assert_same_report(simulate_mission(scenario), simulate_mission(scenario))
 
 
 def test_mission_time_decomposition_exact():
@@ -333,20 +363,21 @@ def test_mission_time_decomposition_exact():
 
 
 def test_mission_energy_conservation_per_node():
-    report = simulate_mission(full_scenario(seed=4))
-    for node in report.nodes:
-        spent = node.tx_power_w * node.tx_time_s
-        assert spent <= node.harvested_energy_j + 1e-12
-    assert all(n.bits_delivered in (0.0, 10e6) for n in report.nodes)
+    nodes = simulate_mission(full_scenario(seed=4)).nodes
+    spent = nodes["tx_power_w"] * nodes["tx_time_s"]
+    assert np.all(spent <= nodes["harvested_energy_j"] + 1e-12)
+    assert set(nodes["bits_delivered"].tolist()) <= {0.0, 10e6}
 
 
 def test_mission_slots_disjoint():
+    # The TDMA slots run back to back: a served stop's data phase is the sum of
+    # its served members' transmit times, and tau covers the longest slot.
     report = simulate_mission(full_scenario(seed=9))
+    nodes = report.nodes
     for group in report.groups:
-        slots = group.slots
-        for a, b in zip(slots, slots[1:]):
-            assert b.start_s >= a.start_s + a.duration_s - 1e-12
-        assert sum(s.duration_s for s in slots) == pytest.approx(group.data_s, rel=1e-12)
+        slots = nodes["tx_time_s"][nodes["group_id"] == group.group_id]
+        assert np.sum(slots) == pytest.approx(group.data_s, rel=1e-12)
+        assert np.max(slots) == group.powering_s
 
 
 def test_mission_totals_equal_sum_of_parts():
@@ -371,19 +402,25 @@ def test_mission_per_node_values_recomputable():
     traversal = {
         g.group_id: scenario.field.positions[g.traversal_index] for g in report.groups
     }
-    for node in report.nodes:
-        if node.bits_delivered == 0.0:
+    rows = zip(*(report.nodes[name].tolist() for name in missionsim.NODE_COLUMNS))
+    served = 0
+    for index, (group_id, _, energy_j, power_w, tx_s, bits) in enumerate(rows):
+        if bits == 0.0:
             continue
-        harvested_w, rate = node_link(scenario, traversal[node.group_id], node.node_index)
-        assert node.harvested_energy_j == harvested_w * group_tau[node.group_id]
-        assert node.tx_power_w == harvested_w
-        assert node.tx_time_s == scenario.payload_bits / rate
+        harvested_w, rate = node_link(scenario, traversal[group_id], index)
+        assert energy_j == harvested_w * group_tau[group_id]
+        assert power_w == harvested_w
+        assert tx_s == scenario.payload_bits / rate
+        served += 1
+    assert served > 0
 
 
 def test_mission_all_nodes_reported_once():
     scenario = full_scenario(seed=3)
     report = simulate_mission(scenario)
-    assert [n.node_index for n in report.nodes] == list(range(25))
+    assert all(len(report.nodes[name]) == 25 for name in missionsim.NODE_COLUMNS)
+    assert sorted(report.nodes["group_id"].tolist()) == sorted(
+        g.group_id for g in report.groups for _ in range(g.member_count))
     assert report.total_bits_delivered == 25 * 10e6
 
 
@@ -403,19 +440,21 @@ def test_mission_infeasible_group_skipped_not_fatal():
 
 
 def test_mission_no_nodes_activated():
-    # A wake threshold no node can reach skips every stop before powering.
+    # A wake threshold no node can reach skips every stop before powering:
+    # each spends only its wake-up phase.
     scenario = full_scenario(seed=7, wur_wake_threshold_dbm=100.0)
     report = simulate_mission(scenario)
-    wake_energy = scenario.wur_power_w * missionsim.WAKE_DURATION_S
     for group in report.groups:
         assert group.activated_count == 0
         assert not group.feasible
-        assert group.diagnostic == "no nodes activated by the wake-up signal"
-        assert group.supplied_energy_j == wake_energy
-        assert group.cost == 0.0
+        assert group.diagnostic == NOT_WOKEN
+        assert powering_cost(scenario, group.powering_s, group.data_s) == 0.0
         assert group.latency_s == 0.0
+    assert report.wpt_energy_j == 0.0
+    assert report.wur_energy_j == pytest.approx(len(report.groups) * (
+        scenario.wur_power_w * missionsim.WAKE_DURATION_S))
     assert report.total_bits_delivered == 0.0
-    assert [n.node_index for n in report.nodes] == list(range(25))
+    assert len(report.nodes["slant_m"]) == 25
 
 
 def test_mission_derived_range_matches_explicit():
@@ -432,11 +471,13 @@ def test_mission_flies_the_planned_strategy():
     scenario = full_scenario(field=generate_nodes(100.0, 100.0, 0.0, seed=8, count=12))
     d_eh = resolve_eh_distance_m(scenario)
     planned = compare_strategies(scenario.field, d_eh, [scenario.height_m]).results[1]
-    assert repr(simulate_mission(scenario, planned)) == repr(simulate_mission(scenario))
+    assert_same_report(simulate_mission(scenario, planned), simulate_mission(scenario))
     exact = compare_strategies(scenario.field, d_eh, [scenario.height_m], mode="exact")
     report = simulate_mission(scenario, exact.results[1])
     assert report.tour is exact.results[1].plan
-    assert report.nodes == simulate_mission(scenario).nodes  # visit order changes no node
+    heuristic = simulate_mission(scenario).nodes
+    for name in missionsim.NODE_COLUMNS:  # visit order changes no node
+        assert report.nodes[name].tolist() == heuristic[name].tolist()
 
 
 def test_mission_rejects_a_plan_for_another_height_or_range():
@@ -448,6 +489,23 @@ def test_mission_rejects_a_plan_for_another_height_or_range():
             simulate_mission(scenario, planned)
 
 
+def test_mission_rejects_a_tour_short_of_its_groups():
+    # A one-stop tour of an 18-group plan would fly 1 group and report 3 nodes.
+    scenario = full_scenario(seed=1)
+    planned = compare_strategies(
+        scenario.field, resolve_eh_distance_m(scenario), [scenario.height_m]).results[1]
+    assert len(planned.groups) == 18
+    with pytest.raises(ConfigurationError, match="has 1 tour stops for 18 groups"):
+        simulate_mission(scenario, replace(planned, plan=TourPlan((0,), 0.0)))
+    # Per-node columns need every node in exactly one group.
+    first = planned.groups[0]
+    assert len(first.member_indices) > 1
+    alone = WpcGroup(first.traversal_index, frozenset({first.traversal_index}))
+    for groups in ((alone, *planned.groups[1:]), (planned.groups[1], *planned.groups[1:])):
+        with pytest.raises(ConfigurationError, match="must group each node once"):
+            simulate_mission(scenario, replace(planned, groups=groups))
+
+
 @pytest.mark.parametrize(("side_m", "count"), [(100.0, 25), (400.0, 400)])
 def test_mission_prices_every_stop_in_one_kernel_call(monkeypatch, side_m, count):
     # The groups partition the nodes, so the one call prices each node once.
@@ -457,7 +515,7 @@ def test_mission_prices_every_stop_in_one_kernel_call(monkeypatch, side_m, count
     calls = count_link_budget_calls(monkeypatch)
     report = simulate_mission(scenario, planned)
     assert len(calls) == 1
-    assert len(calls[0][2]) == len(report.nodes) == count
+    assert len(calls[0][2]) == len(report.nodes["slant_m"]) == count
 
 
 @settings(max_examples=60, deadline=None)
@@ -485,8 +543,8 @@ def test_mission_prices_every_stop_in_one_kernel_call(monkeypatch, side_m, count
 def test_mission_matches_per_stop_oracle_and_conserves(
     points, eh_distance_m, latency_cap_s, payload_mbit, wake_threshold_dbm
 ):
-    # Each stop of the batched mission equals the public per-stop wake_up and
-    # optimize_powering, and the report conserves time, energy and bits.
+    # Each stop of the one-pass mission equals the node-by-node stop_oracle, bit
+    # for bit, and the report conserves time, energy and bits.
     scenario = make_scenario(
         points, eh_distance_m=eh_distance_m, latency_cap_s=latency_cap_s,
         payload_bits=payload_mbit * 1e6, wur_wake_threshold_dbm=wake_threshold_dbm,
@@ -494,53 +552,31 @@ def test_mission_matches_per_stop_oracle_and_conserves(
     report = simulate_mission(scenario)
     groups = form_wpc_groups(scenario.field, coverage_radius_m(scenario.height_m, eh_distance_m))
     assert sorted(g.group_id for g in report.groups) == list(range(len(groups)))
-    assert [n.node_index for n in report.nodes] == list(range(len(points)))
+    columns = [report.nodes[name].tolist() for name in missionsim.NODE_COLUMNS]
+    assert all(len(column) == len(points) for column in columns)
     served = 0
     for outcome in report.groups:
         group = groups[outcome.group_id]
         members = sorted(group.member_indices)
-        assert [n.node_index for n in report.nodes if n.group_id == outcome.group_id] == members
         assert (outcome.traversal_index, outcome.member_count) == (group.traversal_index, len(members))
+        activated, diagnostic, tau, data_s, links = stop_oracle(scenario, group)
+        assert (outcome.activated_count, outcome.feasible, outcome.diagnostic) == (
+            activated, not diagnostic, diagnostic)
+        assert (outcome.powering_s, outcome.data_s) == (tau, data_s)
+        assert outcome.latency_s <= latency_cap_s or diagnostic
+        served += len(links)
         uav_xy = scenario.field.positions[group.traversal_index]
-        activated = wake_up(scenario, uav_xy, group)
-        assert outcome.activated_count == len(activated)
-        try:
-            solution = optimize_powering(scenario, uav_xy, activated) if activated else None
-            diagnostic = "" if activated else "no nodes activated by the wake-up signal"
-        except InfeasibilityError as exc:
-            solution, diagnostic = None, str(exc)
-        assert (outcome.feasible, outcome.diagnostic) == (not diagnostic, diagnostic)
-        if solution is None:
-            assert (outcome.powering_s, outcome.data_s, outcome.slots) == (0.0, 0.0, ())
-            served_nodes = {}
-        else:
-            assert (outcome.powering_s, outcome.data_s, outcome.cost) == (
-                solution.tau_s, solution.data_s, solution.cost
-            )
-            assert outcome.slots == solution.slots
-            assert outcome.latency_s <= latency_cap_s
-            served_nodes = {svc.node_index: svc for svc in solution.services}
-            # tau is the slowest served node's transmit time, bit for bit.
-            assert outcome.powering_s == max(
-                report.nodes[index].tx_time_s for index in served_nodes
-            )
-        served += len(served_nodes)
         for index in members:
-            node = report.nodes[index]
             node_xy = scenario.field.positions[index]
             ground = math.hypot(node_xy[0] - uav_xy[0], node_xy[1] - uav_xy[1])
-            slant = math.hypot(scenario.height_m, ground)
-            svc = served_nodes.get(index)
-            if svc is None:
-                assert node == NodeOutcome(index, outcome.group_id, slant, 0.0, 0.0, 0.0, 0.0)
-                continue
-            assert node == NodeOutcome(
-                index, outcome.group_id, slant, svc.harvested_power_w * solution.tau_s,
-                svc.harvested_power_w, svc.tx_time_s, scenario.payload_bits,
-            )
+            row = [column[index] for column in columns]
+            harvested_w, tx_s = links.get(index, (0.0, 0.0))
+            bits = scenario.payload_bits if index in links else 0.0
+            assert row == [outcome.group_id, math.hypot(scenario.height_m, ground),
+                           harvested_w * tau, harvested_w, tx_s, bits]
             # tau >= tx_time and the node sends at its harvested power, so
             # the rounded products keep that order.
-            assert node.harvested_energy_j >= node.tx_power_w * node.tx_time_s
+            assert row[2] >= row[3] * row[4]
 
     assert report.total_bits_delivered == payload_mbit * 1e6 * served
     assert report.service_time_s == sum(
