@@ -42,7 +42,6 @@ from .missionsim import (
 )
 from .planner import (
     NodeField,
-    StrategyComparison,
     TourPlan,
     WpcGroup,
     compare_strategies,

@@ -13,11 +13,12 @@ Configuration is a flat ``key = value`` text file with section-prefixed
 keys (``link.frequency_hz = 400e6``), spelt as ``defaults`` prints them.
 Building a ``RunConfig`` checks every key, whatever the command, so an
 unknown key or a value that some command could not run with is rejected,
-naming the key, before any file is written. All five CSV files go
-through one writer, ``_lines``, which fills a row template from columns
-a block of rows at a time; floats use a fixed %.10g format so reruns are
-byte-identical. Exit codes: 0 ok, 2 configuration error, 3 infeasible
-request, 4 I/O error.
+naming the key, before any file is written. ``plan``, ``simulate`` and
+``reproduce`` plan the mission in one function, ``plan_and_simulate``.
+All five CSV files go through one writer, ``_lines``, which fills a row
+template from columns a block of rows at a time; floats use a fixed
+%.10g format so reruns are byte-identical. Exit codes: 0 ok, 2
+configuration error, 3 infeasible request, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -245,16 +246,24 @@ def _check_config(config: RunConfig) -> None:
         raise ConfigurationError("empty distance grid: sweep.distance_stop_m is below the start")
     if not span < MAX_SWEEP_POINTS:
         raise ConfigurationError(f"sweep.distance_step_m gives over {MAX_SWEEP_POINTS} points")
+    for frequency in config.sweep_frequencies_hz:  # path loss rises, so the stop bounds the grid
+        _check_passive(config, "sweep.distance_stop_m", config.sweep_distance_stop_m,
+                       frequency, max(config.sweep_elements))
 
 
 def _check_passive(config: RunConfig, key: str, distance_m: float, frequency_hz: float,
                    elements: int) -> None:
-    """A node directly below the UAV at ``distance_m`` > 0 must not receive more than the
-    UAV transmits: path loss there, which rises with distance, is at least the array gain."""
+    """A node directly below the UAV at ``distance_m`` > 0 must see a finite path loss, at
+    least the array gain, so that it receives no more than the UAV transmits."""
     if not distance_m > 0:
         raise ConfigurationError(f"{key} must be > 0, got {distance_m:g}")
-    excess_db = lb.array_gain_db(lb.AntennaArray(elements)) - float(
-        lb.link_budget(_environment(config, frequency_hz), distance_m, distance_m).path_loss_db)
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        path_loss_db = float(lb.link_budget(_environment(config, frequency_hz), distance_m,
+                                            distance_m).path_loss_db)
+    if not math.isfinite(path_loss_db):
+        raise ConfigurationError(
+            f"{key} = {distance_m:g} is too far: its path loss overflows at {frequency_hz:g} Hz")
+    excess_db = lb.array_gain_db(lb.AntennaArray(elements)) - path_loss_db
     if excess_db > 0:
         raise ConfigurationError(
             f"{key} = {distance_m:g} is too close: a node there would receive {excess_db:.4g} dB "
@@ -403,48 +412,25 @@ def sweep_rate(config: RunConfig, out_dir: Path) -> Path:
     )
 
 
-def _mc_lengths(config: RunConfig, d_eh: float, first) -> dict[str, list[float]]:
-    """Per-strategy tour lengths over the Monte-Carlo seed range; ``first``
-    is the comparison already made on the field at ``field.seed``."""
-    lengths: dict[str, list[float]] = {}
-    for seed in range(config.field_seed, config.field_seed + config.plan_mc_seeds):
-        comparison = first if seed == config.field_seed else planner.compare_strategies(
-            _field(config, seed), d_eh, list(config.plan_heights_m), mode=config.plan_mode
-        )
-        for result in comparison.results:
-            lengths.setdefault(result.name, []).append(result.length_m)
-    return lengths
+def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True) -> list[Path]:
+    """Plan the mission, then write its tours, report and strategy summary.
 
-
-def plan_mission(
-    config: RunConfig,
-) -> tuple[missionsim.MissionScenario, planner.StrategyComparison]:
-    """The scenario with d_EH resolved, and its field's strategies."""
+    The strategies are compared on the field at ``field.seed`` before any
+    file is written. ``tour.csv`` holds each strategy's visit sequence,
+    ``report.csv`` the per-node mission outcomes at the first configured
+    height, and ``summary.csv`` per-strategy lengths, savings, and means
+    over ``plan.mc_seeds`` fields from ``field.seed`` on, by strategy
+    position. A one-by-one tour of length 0 (one node, or coincident
+    nodes) counts a saving of 0.
+    """
     scenario = build_scenario(config)
     scenario = replace(scenario, eh_distance_m=missionsim.resolve_eh_distance_m(scenario))
-    comparison = planner.compare_strategies(
-        scenario.field, scenario.eh_distance_m, list(config.plan_heights_m), mode=config.plan_mode
-    )
-    return scenario, comparison
-
-
-def plan_and_simulate(
-    config: RunConfig, out_dir: Path, with_report: bool = True, planned: tuple | None = None
-) -> list[Path]:
-    """Tours for every strategy, a mission report, and the strategy summary.
-
-    ``tour.csv`` holds each strategy's visit sequence, ``report.csv`` the
-    per-node mission outcomes at the first configured height, and
-    ``summary.csv`` per-strategy lengths, savings, and Monte-Carlo means
-    over ``plan.mc_seeds`` seeded fields. A field whose one-by-one tour has
-    length 0 (one node, or coincident nodes) counts a saving of 0.
-    ``planned`` is ``plan_mission(config)``, when the caller has it already.
-    """
-    scenario, comparison = planned or plan_mission(config)
+    d_eh, heights, mode = scenario.eh_distance_m, list(config.plan_heights_m), config.plan_mode
+    strategies = planner.compare_strategies(scenario.field, d_eh, heights, mode=mode)
     positions, f = scenario.field.positions, FLOAT_FMT
 
     def tour_lines():
-        for result in comparison.results:
+        for result in strategies:
             order = result.plan.visit_order
             stops = [result.groups[group_id] for group_id in order]
             points = positions[[group.traversal_index for group in stops]]
@@ -458,8 +444,8 @@ def plan_and_simulate(
                         tour_lines())]
 
     if with_report:
-        # results[0] is the one-by-one baseline, results[1] the first height.
-        nodes = missionsim.simulate_mission(scenario, comparison.results[1]).nodes
+        # strategies[0] is the one-by-one baseline, strategies[1] the first height.
+        nodes = missionsim.simulate_mission(scenario, strategies[1]).nodes
         paths.append(_write_csv(
             out_dir / "report.csv", ["node", "x_m", "y_m", *missionsim.NODE_COLUMNS],
             _lines(f"%d,{f},{f},%d,{f},{f},{f},{f},{f}\n",
@@ -467,20 +453,20 @@ def plan_and_simulate(
                     *(nodes[name] for name in missionsim.NODE_COLUMNS)]),
         ))
 
-    mc = _mc_lengths(config, scenario.eh_distance_m, comparison)
-    baseline_lengths = mc["one-by-one"]
-    summary = []
-    for result in comparison.results:
-        lengths = mc[result.name]
-        mc_saving = sum(
-            1.0 - l / b if b > 0 else 0.0 for l, b in zip(lengths, baseline_lengths)
-        ) / len(lengths)
-        summary.append((
-            result.name, "" if result.height_m is None else f % result.height_m,  # baseline: ""
-            result.radius_m, result.group_count, result.length_m,
-            100.0 * comparison.saving_fraction(result.name), len(lengths),
-            sum(lengths) / len(lengths), 100.0 * mc_saving,
-        ))
+    # Per field, in seed order: each strategy's tour length, and its saving.
+    lengths = [[result.length_m for result in strategies]] + [
+        [result.length_m for result in planner.compare_strategies(
+            _field(config, seed), d_eh, heights, mode=mode)]
+        for seed in range(config.field_seed + 1, config.field_seed + config.plan_mc_seeds)
+    ]
+    savings = [[1.0 - l / row[0] if row[0] > 0 else 0.0 for l in row] for row in lengths]
+    n = len(lengths)
+    summary = [
+        (result.name, "" if result.height_m is None else f % result.height_m,  # baseline: ""
+         result.radius_m, result.group_count, result.length_m, 100.0 * saving[0], n,
+         sum(length) / n, 100.0 * (sum(saving) / n))
+        for result, length, saving in zip(strategies, zip(*lengths), zip(*savings))
+    ]
     paths.append(_write_csv(
         out_dir / "summary.csv",
         ["strategy", "height_m", "radius_m", "groups", "tour_length_m",
@@ -493,19 +479,18 @@ def plan_and_simulate(
 def reproduce(config: RunConfig, out_dir: Path) -> list[Path]:
     """Regenerate all figure data: both sweeps on the full reference grid
     (three carrier bands, three array sizes) plus tours, mission report,
-    and the Monte-Carlo strategy summary. Emits exactly five CSV files.
-    The mission is planned first, so a config it rejects writes no file;
-    the reference bands are checked when ``replace`` builds their config.
+    and the Monte-Carlo strategy summary. Emits exactly five CSV files,
+    listed sweeps first. The plan files are written first, so a mission
+    that cannot be planned writes no file; the reference bands are checked
+    when ``replace`` builds their config.
     """
     full = replace(
         config,
         sweep_frequencies_hz=REPRODUCE_FREQUENCIES_HZ,
         sweep_elements=REPRODUCE_ELEMENTS,
     )
-    planned = plan_mission(full)
-    paths = [sweep_eh(full, out_dir), sweep_rate(full, out_dir)]
-    paths.extend(plan_and_simulate(full, out_dir, with_report=True, planned=planned))
-    return paths
+    planned = plan_and_simulate(full, out_dir, with_report=True)
+    return [sweep_eh(full, out_dir), sweep_rate(full, out_dir), *planned]
 
 
 def _build_parser() -> argparse.ArgumentParser:

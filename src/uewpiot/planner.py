@@ -692,44 +692,21 @@ def plan_strategy(
                           plan_tour(traversal_points, mode=mode))
 
 
-@dataclass(frozen=True)
-class StrategyComparison:
-    """Per-strategy tours over one node field at a common powering range."""
-
-    results: tuple[StrategyResult, ...]
-
-    def by_name(self, name: str) -> StrategyResult:
-        for result in self.results:
-            if result.name == name:
-                return result
-        raise KeyError(name)
-
-    def saving_fraction(self, name: str) -> float:
-        """Relative length saving of a strategy vs the one-by-one baseline.
-
-        0 when the baseline length is 0 (one node, or coincident nodes):
-        every strategy's tour is then 0 long too.
-        """
-        baseline = self.results[0].length_m
-        return 1.0 - self.by_name(name).length_m / baseline if baseline > 0 else 0.0
-
-
 def compare_strategies(
     node_field: NodeField,
     eh_distance_m: float,
     heights_m: list[float],
     mode: str = "heuristic",
-) -> StrategyComparison:
-    """One-by-one baseline plus one grouped strategy per hover height.
-
-    The baseline visits every node (coverage radius 0); each grouped
-    strategy is ``plan_strategy`` at its height. All strategies use the same
-    tour solver.
+) -> tuple[StrategyResult, ...]:
+    """The one-by-one baseline, then ``plan_strategy`` at each hover height
+    in ``heights_m`` order; two heights may share a name, so a strategy is
+    known by its position. The baseline visits every node (coverage radius
+    0). All strategies use the same tour solver.
     """
     baseline = StrategyResult(
         "one-by-one", height_m=None, radius_m=0.0,
         groups=tuple(WpcGroup(i, frozenset({i})) for i in range(node_field.node_count)),
         plan=plan_tour(node_field.positions, mode=mode),
     )
-    grouped = [plan_strategy(node_field, eh_distance_m, height, mode) for height in heights_m]
-    return StrategyComparison((baseline, *grouped))
+    return (baseline, *(plan_strategy(node_field, eh_distance_m, height, mode)
+                        for height in heights_m))

@@ -146,10 +146,11 @@ def test_criterion_5_tour_statistics():
     savings = []
     for seed in range(100):
         field = generate_nodes(100.0, 100.0, 0.25, seed=seed)
-        comparison = compare_strategies(field, 13.0, [10.0, 5.0])
-        for name in lengths:
-            lengths[name].append(comparison.by_name(name).length_m)
-        savings.append(comparison.saving_fraction("H=5"))
+        strategies = compare_strategies(field, 13.0, [10.0, 5.0])
+        assert [result.name for result in strategies] == list(lengths)
+        for result in strategies:
+            lengths[result.name].append(result.length_m)
+        savings.append(1.0 - strategies[2].length_m / strategies[0].length_m)
     means = {name: sum(vals) / len(vals) for name, vals in lengths.items()}
     mean_saving = sum(savings) / len(savings)
     assert means["one-by-one"] > means["H=10"] > means["H=5"]

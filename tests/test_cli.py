@@ -592,25 +592,28 @@ def test_simulate_files_across_a_block_match_per_cell_oracle(tmp_path):
     # is one short block. The oracle formats each cell of each file on its own.
     config = cli.RunConfig(field_count=4100, plan_mc_seeds=1)
     assert cli.ROWS_PER_BLOCK < 4100
-    planned = cli.plan_mission(config)
-    cli.plan_and_simulate(config, tmp_path, planned=planned)
-    scenario, comparison = planned
+    cli.plan_and_simulate(config, tmp_path)
+    scenario = cli.build_scenario(config)
+    scenario = replace(scenario, eh_distance_m=missionsim.resolve_eh_distance_m(scenario))
+    strategies = planner.compare_strategies(
+        scenario.field, scenario.eh_distance_m, list(config.plan_heights_m))
     positions = scenario.field.positions.tolist()
     tour = []
-    for result in comparison.results:
+    for result in strategies:
         for stop, group_id in enumerate(result.plan.visit_order):
             group = result.groups[group_id]
             tour.append([result.name, stop, *positions[group.traversal_index], group_id,
                          len(group.member_indices)])
-    nodes = missionsim.simulate_mission(scenario, comparison.results[1]).nodes
+    nodes = missionsim.simulate_mission(scenario, strategies[1]).nodes
     columns = [nodes[name].tolist() for name in missionsim.NODE_COLUMNS]
     report = [[i, *positions[i], *(column[i] for column in columns)]
               for i in range(len(positions))]
+    baseline_m = strategies[0].length_m
     summary = [  # one Monte-Carlo field: the field at field.seed itself
         [r.name, r.height_m, r.radius_m, r.group_count, r.length_m,
-         100.0 * comparison.saving_fraction(r.name), 1, r.length_m,
-         100.0 * comparison.saving_fraction(r.name)]
-        for r in comparison.results
+         100.0 * (1.0 - r.length_m / baseline_m), 1, r.length_m,
+         100.0 * (1.0 - r.length_m / baseline_m)]
+        for r in strategies
     ]
     for name, rows in (("tour.csv", tour), ("report.csv", report), ("summary.csv", summary)):
         lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()[1:]
@@ -640,11 +643,27 @@ def test_single_node_field_saves_nothing(tmp_path, command):
         assert (row[length], row[saving], row[mc_saving]) == ("0", "0", "0")
 
 
-def test_saving_fraction_of_coincident_nodes_is_zero():
+def test_saving_fraction_of_coincident_nodes_is_zero(tmp_path, monkeypatch):
     node_field = planner.NodeField(10.0, 10.0, np.full((4, 2), 5.0))
-    comparison = planner.compare_strategies(node_field, 10.0, [10.0, 5.0])
-    assert [r.length_m for r in comparison.results] == [0.0, 0.0, 0.0]
-    assert [comparison.saving_fraction(r.name) for r in comparison.results] == [0.0] * 3
+    strategies = planner.compare_strategies(node_field, 10.0, [10.0, 5.0])
+    assert [r.length_m for r in strategies] == [0.0, 0.0, 0.0]
+    # Every Monte-Carlo field is that field: each saving, and each mean, is 0.
+    monkeypatch.setattr(cli, "_field", lambda config, seed: node_field)
+    cli.plan_and_simulate(cli.RunConfig(plan_mc_seeds=2), tmp_path, with_report=False)
+    header, rows = read_rows(tmp_path / "summary.csv")
+    columns = [header.index(name) for name in ("saving_pct", "mc_mean_saving_pct")]
+    assert [[row[k] for k in columns] for row in rows] == [["0", "0"]] * 3
+
+
+def test_summary_keeps_strategies_that_print_alike_apart(tmp_path):
+    # Two heights of one name each average their own Monte-Carlo fields.
+    def summary(heights):
+        config = cli.RunConfig(plan_heights_m=heights, plan_mc_seeds=3)
+        return read_rows(cli.plan_and_simulate(config, tmp_path, with_report=False)[-1])[1]
+
+    one = summary((10.0,))
+    assert summary((10.0, 10.0)) == [one[0], one[1], one[1]]
+    assert [row[6] for row in summary((5.0, 5.000001))] == ["3"] * 3  # both named H=5
 
 
 def test_rerun_byte_identical(tmp_path, fast_config):
@@ -788,6 +807,9 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("plan.mc_seeds = 1e18", "plan.mc_seeds"),  # 10^18 fields: over MAX_MC_NODES
         # A field is charged at least MC_FIELD_MIN_NODES: 10^7 one-node fields are over.
         ("field.count = 1\nplan.mc_seeds = 10000000", "plan.mc_seeds"),
+        # A path loss that overflows, at a hover height or at the far end of the sweep.
+        ("plan.heights_m = 1e300", "plan.heights_m"),
+        ("sweep.distance_stop_m = 1e300\nsweep.distance_step_m = 1e298", "sweep.distance_stop_m"),
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):

@@ -470,11 +470,11 @@ def test_mission_flies_the_planned_strategy():
     # 12 nodes, so the exact solver can also plan the one-by-one baseline.
     scenario = full_scenario(field=generate_nodes(100.0, 100.0, 0.0, seed=8, count=12))
     d_eh = resolve_eh_distance_m(scenario)
-    planned = compare_strategies(scenario.field, d_eh, [scenario.height_m]).results[1]
+    _, planned = compare_strategies(scenario.field, d_eh, [scenario.height_m])
     assert_same_report(simulate_mission(scenario, planned), simulate_mission(scenario))
-    exact = compare_strategies(scenario.field, d_eh, [scenario.height_m], mode="exact")
-    report = simulate_mission(scenario, exact.results[1])
-    assert report.tour is exact.results[1].plan
+    _, exact = compare_strategies(scenario.field, d_eh, [scenario.height_m], mode="exact")
+    report = simulate_mission(scenario, exact)
+    assert report.tour is exact.plan
     heuristic = simulate_mission(scenario).nodes
     for name in missionsim.NODE_COLUMNS:  # visit order changes no node
         assert report.nodes[name].tolist() == heuristic[name].tolist()
@@ -484,7 +484,7 @@ def test_mission_rejects_a_plan_for_another_height_or_range():
     scenario = full_scenario(seed=8)
     d_eh = resolve_eh_distance_m(scenario)
     for field_d_eh, height in ((d_eh, 5.0), (d_eh + 1.0, scenario.height_m)):
-        planned = compare_strategies(scenario.field, field_d_eh, [height]).results[1]
+        _, planned = compare_strategies(scenario.field, field_d_eh, [height])
         with pytest.raises(ConfigurationError, match="does not match"):
             simulate_mission(scenario, planned)
 
@@ -492,8 +492,8 @@ def test_mission_rejects_a_plan_for_another_height_or_range():
 def test_mission_rejects_a_tour_short_of_its_groups():
     # A one-stop tour of an 18-group plan would fly 1 group and report 3 nodes.
     scenario = full_scenario(seed=1)
-    planned = compare_strategies(
-        scenario.field, resolve_eh_distance_m(scenario), [scenario.height_m]).results[1]
+    _, planned = compare_strategies(
+        scenario.field, resolve_eh_distance_m(scenario), [scenario.height_m])
     assert len(planned.groups) == 18
     with pytest.raises(ConfigurationError, match="has 1 tour stops for 18 groups"):
         simulate_mission(scenario, replace(planned, plan=TourPlan((0,), 0.0)))
@@ -511,7 +511,7 @@ def test_mission_prices_every_stop_in_one_kernel_call(monkeypatch, side_m, count
     # The groups partition the nodes, so the one call prices each node once.
     field = generate_nodes(side_m, side_m, 0.0, seed=1, count=count)
     scenario = full_scenario(field=field, eh_distance_m=13.0)
-    planned = compare_strategies(field, 13.0, [scenario.height_m]).results[1]
+    _, planned = compare_strategies(field, 13.0, [scenario.height_m])
     calls = count_link_budget_calls(monkeypatch)
     report = simulate_mission(scenario, planned)
     assert len(calls) == 1

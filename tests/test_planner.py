@@ -760,9 +760,8 @@ def test_tour_plan_rejects_a_visit_order_that_is_not_a_permutation(order):
 
 def test_height_equal_to_range_reduces_to_one_by_one():
     field = generate_nodes(100.0, 100.0, 0.25, seed=8)
-    comparison = compare_strategies(field, 13.0, [13.0])
-    baseline = comparison.by_name("one-by-one")
-    degenerate = comparison.by_name("H=13")
+    baseline, degenerate = compare_strategies(field, 13.0, [13.0])
+    assert (baseline.name, degenerate.name) == ("one-by-one", "H=13")
     assert degenerate.radius_m == 0.0
     assert degenerate.group_count == baseline.group_count == field.node_count
     assert degenerate.length_m == pytest.approx(baseline.length_m)
@@ -770,12 +769,12 @@ def test_height_equal_to_range_reduces_to_one_by_one():
 
 def test_compare_strategies_structure():
     field = generate_nodes(100.0, 100.0, 0.25, seed=12)
-    comparison = compare_strategies(field, 13.0, [10.0, 5.0])
-    assert [r.name for r in comparison.results] == ["one-by-one", "H=10", "H=5"]
-    h10 = comparison.by_name("H=10")
+    baseline, h10, h5 = compare_strategies(field, 13.0, [10.0, 5.0])
+    assert [r.name for r in (baseline, h10, h5)] == ["one-by-one", "H=10", "H=5"]
+    assert [r.height_m for r in (baseline, h10, h5)] == [None, 10.0, 5.0]
     assert h10.radius_m == pytest.approx(8.3066, abs=1e-4)
-    assert comparison.by_name("H=5").radius_m == pytest.approx(12.0)
-    assert 0.0 <= comparison.saving_fraction("H=10") < 1.0
+    assert h5.radius_m == pytest.approx(12.0)
+    assert 0.0 < h10.length_m <= baseline.length_m
 
 
 def test_compare_strategies_infeasible_height():
@@ -788,7 +787,8 @@ def test_compare_strategies_deterministic():
     field = generate_nodes(100.0, 100.0, 0.25, seed=30)
     a = compare_strategies(field, 13.0, [10.0, 5.0])
     b = compare_strategies(field, 13.0, [10.0, 5.0])
-    for ra, rb in zip(a.results, b.results):
+    assert len(a) == len(b) == 3
+    for ra, rb in zip(a, b):
         assert ra.length_m == rb.length_m
         assert ra.plan.visit_order == rb.plan.visit_order
         assert [g.member_indices for g in ra.groups] == [g.member_indices for g in rb.groups]
