@@ -14,13 +14,7 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREA
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .errors import (
-    CapabilityError,
-    ConfigurationError,
-    GeometryError,
-    InfeasibilityError,
-    UewpiotError,
-)
+from .errors import ConfigurationError, InfeasibilityError, UewpiotError
 from .linkbudget import (
     AntennaArray,
     EhCircuit,

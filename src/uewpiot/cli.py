@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linkbudget as lb
 from . import missionsim, planner
-from .errors import ConfigurationError, InfeasibilityError, UewpiotError
+from .errors import ConfigurationError, InfeasibilityError
 
 FLOAT_FMT = "%.10g"
 
@@ -168,7 +168,7 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
 # The config key of each library field or argument that can reject a value.
 # A sweep series reads its band and element count from the sweep keys.
 FIELD_KEYS = {
-    "carrier_frequency_hz": "link.frequency_hz", "band_hz": "link.frequency_hz",
+    "carrier_frequency_hz": "link.frequency_hz", "height_m": "plan.heights_m",
     "los_a": "link.los_a", "los_b": "link.los_b", "bandwidth_hz": "link.bandwidth_hz",
     "excess_loss_los_db": "link.excess_los_db", "excess_loss_nlos_db": "link.excess_nlos_db",
     "noise_figure_db": "link.noise_figure_db", "elements_n": "array.elements",
@@ -177,9 +177,10 @@ FIELD_KEYS = {
     "density_per_cell": "field.density", "payload_bits": "mission.payload_bits",
     "wpt_power_w": "mission.wpt_power_w", "wur_power_w": "mission.wur_power_w",
     "latency_cap_s": "mission.latency_cap_s", "eh_distance_m": "plan.d_eh_m",
+    "wur_wake_threshold_dbm": "mission.wur_wake_threshold_dbm",
 }
 SWEEP_FIELD_KEYS = {**FIELD_KEYS, "carrier_frequency_hz": "sweep.frequencies_hz",
-                    "band_hz": "sweep.frequencies_hz", "elements_n": "sweep.elements"}
+                    "elements_n": "sweep.elements"}
 
 
 def _check_config(config: RunConfig) -> None:
@@ -203,12 +204,21 @@ def _check_config(config: RunConfig) -> None:
     width, height, keys = config.field_width_m, config.field_height_m, FIELD_KEYS
     try:
         lb.noise_power_dbm(config.link_bandwidth_hz, config.link_noise_figure_db)
+        planner.pcg64_start(config.field_seed)
+        # On an empty field: the check places no node.
+        scenario = build_scenario(config, planner.NodeField(width, height, np.empty((0, 2))))
         for hover_m in config.plan_heights_m:  # the traversal node sits below the hover point
             _check_passive(config, "plan.heights_m", hover_m, config.link_frequency_hz,
                            config.array_elements)
-        planner.pcg64_start(config.field_seed)
-        # On an empty field: the check places no node.
-        build_scenario(config, planner.NodeField(width, height, np.empty((0, 2))))
+        if config.plan_d_eh_m is None:  # harvested power falls with range: one link bounds d_EH
+            # The search tries up to twice d_EH: keep that short of where 4 pi d f overflows.
+            far_m = max(scenario.height_m, min(planner.MAX_EH_DISTANCE_M, np.finfo(float).max
+                                               / (8.0 * math.pi * config.link_frequency_hz)))
+            threshold = scenario.circuit.input_threshold_dbm
+            if not lb.link_budget(scenario.env, scenario.height_m, far_m, scenario.wpt_power_w,
+                                  scenario.array, scenario.circuit).harvested_dbm < threshold:
+                raise ConfigurationError(f"circuit.threshold_dbm = {threshold:g} is met beyond "
+                                         f"{far_m:.4g} m, past the d_EH search; set plan.d_eh_m")
         count = config.field_count or planner.density_node_count(width, height,
                                                                  config.field_density)
         keys = SWEEP_FIELD_KEYS
@@ -254,21 +264,28 @@ def _check_config(config: RunConfig) -> None:
 def _check_passive(config: RunConfig, key: str, distance_m: float, frequency_hz: float,
                    elements: int) -> None:
     """A node directly below the UAV at ``distance_m`` > 0 must see a finite path loss, at
-    least the array gain, so that it receives no more than the UAV transmits."""
+    least the array gain, so that it receives no more than the UAV transmits, and a finite
+    uplink rate, which falls as the link gets longer: the closest link bounds the rest."""
     if not distance_m > 0:
         raise ConfigurationError(f"{key} must be > 0, got {distance_m:g}")
+    array, bandwidth = lb.AntennaArray(elements), config.link_bandwidth_hz
     with np.errstate(over="ignore"):  # an overflow is rejected below
-        path_loss_db = float(lb.link_budget(_environment(config, frequency_hz), distance_m,
-                                            distance_m).path_loss_db)
-    if not math.isfinite(path_loss_db):
+        budget = lb.link_budget(_environment(config, frequency_hz), distance_m, distance_m,
+                                config.mission_wpt_power_w, array, _circuit(config, frequency_hz),
+                                bandwidth, config.link_noise_figure_db)
+    if not math.isfinite(budget.path_loss_db):
         raise ConfigurationError(
             f"{key} = {distance_m:g} is too far: its path loss overflows at {frequency_hz:g} Hz")
-    excess_db = lb.array_gain_db(lb.AntennaArray(elements)) - path_loss_db
+    excess_db = lb.array_gain_db(array) - float(budget.path_loss_db)
     if excess_db > 0:
         raise ConfigurationError(
             f"{key} = {distance_m:g} is too close: a node there would receive {excess_db:.4g} dB "
             f"more than the UAV transmits at {frequency_hz:g} Hz"
         )
+    if not math.isfinite(budget.rate_bps):
+        raise ConfigurationError(
+            f"link.bandwidth_hz = {bandwidth:g} is too narrow: the uplink SNR overflows at "
+            f"{key} = {distance_m:g} and {frequency_hz:g} Hz")
 
 
 def default_lines() -> list[str]:
@@ -289,7 +306,7 @@ def _environment(config: RunConfig, frequency_hz: float) -> lb.RadioEnvironment:
 def _circuit(config: RunConfig, frequency_hz: float) -> lb.EhCircuit:
     if config.circuit_threshold_dbm is None:
         return lb.EhCircuit.for_band(frequency_hz, config.circuit_efficiency)
-    return lb.EhCircuit(frequency_hz, config.circuit_threshold_dbm, config.circuit_efficiency)
+    return lb.EhCircuit(config.circuit_threshold_dbm, config.circuit_efficiency)
 
 
 def _field(config: RunConfig, seed: int) -> planner.NodeField:
@@ -536,9 +553,6 @@ def main(argv=None) -> int:
     except InfeasibilityError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except UewpiotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4

@@ -1,9 +1,8 @@
-"""Exception types shared across the package, and the bound check that the
-library dataclasses share.
+"""The package's two error types, and the bound check the library dataclasses share.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, infeasible requests with 3, and I/O failures (plain OSError)
-with 4.
+The library raises ``ConfigurationError`` (CLI exit code 2) for a bad value, an
+unphysical geometry or a request past a solver's limit, and ``InfeasibilityError``
+(exit 3) for a request that no plan can meet. I/O failures (plain OSError) exit 4.
 """
 
 
@@ -12,8 +11,8 @@ class UewpiotError(Exception):
 
 
 class ConfigurationError(UewpiotError, ValueError):
-    """A parameter, config key, or value is invalid or unknown. ``field``, when
-    set, is the dataclass field or argument at fault; the message names it."""
+    """A key, value or geometry is invalid, unknown or past a solver's limit. ``field``,
+    when set, is the dataclass field or argument at fault; the message names it."""
 
     def __init__(self, message: str, field: str | None = None) -> None:
         super().__init__(message)
@@ -29,13 +28,5 @@ def check_fields(obj, rule: str, *names: str) -> None:
             raise ConfigurationError(f"{name} must be {rule}, got {value:g}", name)
 
 
-class GeometryError(UewpiotError, ValueError):
-    """A link geometry is unphysical (e.g. slant range below hover height)."""
-
-
 class InfeasibilityError(UewpiotError, RuntimeError):
     """A request cannot be satisfied (coverage, latency, or link limits)."""
-
-
-class CapabilityError(UewpiotError, ValueError):
-    """A solver was asked for more than it supports (e.g. exact tour size)."""

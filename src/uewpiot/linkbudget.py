@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, GeometryError, check_fields
+from .errors import ConfigurationError, check_fields
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, kept at the exact round value by convention
 
@@ -117,12 +117,10 @@ class AntennaArray:
 class EhCircuit:
     """Energy-harvester front end: input threshold and RF-to-DC efficiency."""
 
-    band_hz: float
     input_threshold_dbm: float
     conversion_efficiency: float = DEFAULT_CONVERSION_EFFICIENCY
 
     def __post_init__(self) -> None:
-        check_fields(self, "> 0", "band_hz")
         if not math.isfinite(self.input_threshold_dbm):
             raise ConfigurationError("input_threshold_dbm must be finite", "input_threshold_dbm")
         if not 0 < self.conversion_efficiency <= 1:
@@ -145,7 +143,7 @@ class EhCircuit:
                 f"input_threshold_dbm has no default for the {band_hz:g} Hz band; set it",
                 "input_threshold_dbm",
             ) from None
-        return cls(band_hz, threshold, conversion_efficiency)
+        return cls(threshold, conversion_efficiency)
 
 
 def wavelength_m(env: RadioEnvironment) -> float:
@@ -201,10 +199,10 @@ def link_budget(
         heights, slants = np.broadcast_arrays(height, slant)
         h, d = float(heights[bad][0]), float(slants[bad][0])
         if h < 0:
-            raise GeometryError(f"hover height must be >= 0, got {h}")
+            raise ConfigurationError(f"hover height must be >= 0, got {h}")
         if d < h:
-            raise GeometryError(f"slant distance {d} m is below hover height {h} m")
-        raise GeometryError("zero slant distance: path loss is singular")
+            raise ConfigurationError(f"slant distance {d} m is below hover height {h} m")
+        raise ConfigurationError("zero slant distance: path loss is singular")
     theta = np.degrees(np.arcsin(height / slant))
     with np.errstate(over="ignore"):  # an overflow to inf gives the exact limit P_LoS = 0
         p_los = 1.0 / (1.0 + env.los_a * np.exp(-env.los_b * (theta - env.los_a)))
@@ -231,7 +229,7 @@ def _fspl_db(distance_m, frequency_hz: float):
 def free_space_path_loss_db(distance_m, frequency_hz: float):
     """FSPL(dB) = 20*log10(4*pi*d*f/c), elementwise over an array of distances."""
     if np.less_equal(distance_m, 0).any():
-        raise GeometryError(f"distance must be positive, got {np.min(distance_m)} m")
+        raise ConfigurationError(f"distance must be positive, got {np.min(distance_m)} m")
     return _fspl_db(distance_m, frequency_hz)
 
 

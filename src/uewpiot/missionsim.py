@@ -58,8 +58,14 @@ class MissionScenario:
     def __post_init__(self) -> None:
         check_fields(self, "> 0", "wpt_power_w", "wur_power_w", "latency_cap_s")
         check_fields(self, ">= 0", "payload_bits", "height_m")
-        if self.eh_distance_m is not None and not math.isfinite(self.eh_distance_m):
-            raise ConfigurationError("eh_distance_m must be finite", "eh_distance_m")
+        if not math.isfinite(self.wur_wake_threshold_dbm):
+            raise ConfigurationError("wur_wake_threshold_dbm must be finite",
+                                     "wur_wake_threshold_dbm")
+        if self.eh_distance_m is not None and not (
+                -math.inf < self.eh_distance_m < planner.MAX_EH_DISTANCE_M):
+            raise ConfigurationError(
+                f"eh_distance_m must be finite and below {planner.MAX_EH_DISTANCE_M:.4g} m, "
+                f"got {self.eh_distance_m:g}", "eh_distance_m")
 
 
 def powering_cost(scenario: MissionScenario, tau_s: float, data_s: float) -> float:

@@ -24,7 +24,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigurationError, InfeasibilityError
+from .errors import ConfigurationError, InfeasibilityError
 
 # Nodes this close beyond the disk edge still count as covered.
 MEMBERSHIP_SLACK_M = 1e-9
@@ -35,6 +35,9 @@ CELL_MARGIN = 2.0**-20
 # Largest node field the CLI accepts. Grouping and tours take linear memory,
 # tens of MB here.
 MAX_FIELD_NODES = 100_000
+
+# The largest d_EH whose coverage radius is finite: d_EH**2 overflows above it.
+MAX_EH_DISTANCE_M = math.sqrt(np.finfo(float).max)  # about 1.34e154 m
 
 EXACT_SOLVER_MAX_POINTS = 12
 # Candidate neighbours per point in the heuristic tour search.
@@ -648,7 +651,7 @@ def plan_tour(points, mode: str = "heuristic") -> TourPlan:
         raise ConfigurationError("tour points must be finite")
     if mode == "exact":
         if len(pts) > EXACT_SOLVER_MAX_POINTS:
-            raise CapabilityError(
+            raise ConfigurationError(
                 f"exact solver limited to {EXACT_SOLVER_MAX_POINTS} points, got {len(pts)}"
             )
         order = _held_karp_order(pts)

@@ -100,7 +100,7 @@ def test_criterion_4_link_budget_properties():
         freq = float(rng.choice([400e6, 900e6, 2.4e9]))
         env = RadioEnvironment(freq)
         eta = float(rng.uniform(0.05, 1.0))
-        circuit = EhCircuit(freq, -20.0, conversion_efficiency=eta)
+        circuit = EhCircuit(-20.0, conversion_efficiency=eta)
         array = AntennaArray(int(rng.integers(1, 65)))
         h = float(rng.uniform(0.0, 40.0))
         d = h + float(rng.uniform(0.01, 120.0))

@@ -60,7 +60,10 @@ def run_configs(draw):
     excess_los_db = draw(st.floats(0.0, 50.0))
     count = draw(st.integers(0, 200))
     mode = draw(st.sampled_from(["heuristic", "exact"] if count and count <= 12 else ["heuristic"]))
-    threshold_dbm = draw(st.none() | anything())
+    d_eh_m = draw(st.none() | st.floats(-1e300, 1e154))  # below planner.MAX_EH_DISTANCE_M
+    # An auto d_EH's threshold must be missed within MAX_EH_DISTANCE_M, where at most 10^150 W
+    # (1,530 dBm) and 64 elements harvest under -1,500 dBm at 100 MHz and up.
+    threshold_dbm = draw(st.none() | st.floats(-1e300 if d_eh_m is not None else -1e3, 1e300))
     # An auto threshold needs a band with a default; 100 MHz and up keeps 250 m
     # from the UAV lossier than 10^6 elements gain, so no sweep start amplifies.
     bands = st.floats(1e8, 1e10) if threshold_dbm is not None else st.sampled_from(
@@ -71,7 +74,8 @@ def run_configs(draw):
     nodes = count or planner.density_node_count(width, height, density)
     return cli.RunConfig(
         link_frequency_hz=draw(bands),
-        link_bandwidth_hz=draw(positive(1e12)),
+        # Noise above -1,474 dBm keeps the SNR under 3,004 dB at 1,530 dBm: a finite rate.
+        link_bandwidth_hz=draw(st.floats(1e-130, 1e12)),
         link_noise_figure_db=draw(st.floats(0.0, 1e300)),  # a receiver adds noise
         link_los_a=draw(positive(1e300)),  # P_LoS may overflow to its limit, 0
         link_los_b=draw(positive(10.0)),
@@ -91,11 +95,11 @@ def run_configs(draw):
         field_count=count,
         field_seed=draw(st.integers(0, 2**128)),
         plan_heights_m=tuple(draw(st.lists(st.floats(10.0, 1e3), min_size=1, max_size=3))),
-        plan_d_eh_m=draw(st.none() | anything()),
+        plan_d_eh_m=d_eh_m,
         plan_mode=mode,
         plan_mc_seeds=draw(st.integers(  # the work cap
             1, cli.MAX_MC_NODES // max(nodes, cli.MC_FIELD_MIN_NODES))),
-        mission_wpt_power_w=draw(positive(1e300)),
+        mission_wpt_power_w=draw(positive(1e150)),
         mission_wur_power_w=draw(positive(1e300)),
         mission_wur_wake_threshold_dbm=draw(anything()),
         mission_payload_bits=draw(st.floats(0.0, 1e300)),
@@ -170,10 +174,6 @@ FIELD_KEY_CASES = [
      {"link_frequency_hz": 0.0}),
     ("carrier_frequency_hz", "sweep.frequencies_hz", linkbudget.RadioEnvironment, -1.0,
      {"sweep_frequencies_hz": (4e8, -1.0)}),
-    ("band_hz", "link.frequency_hz", lambda v: linkbudget.EhCircuit(v, -20.0), -1.0,
-     {"link_frequency_hz": -1.0}),
-    ("band_hz", "sweep.frequencies_hz", lambda v: linkbudget.EhCircuit(v, -20.0), 0.0,
-     {"sweep_frequencies_hz": (0.0,)}),
     ("los_a", "link.los_a", lambda v: linkbudget.RadioEnvironment(4e8, los_a=v), 0.0,
      {"link_los_a": 0.0}),
     ("los_b", "link.los_b", lambda v: linkbudget.RadioEnvironment(4e8, los_b=v), -0.43,
@@ -193,7 +193,7 @@ FIELD_KEY_CASES = [
     ("elements_n", "sweep.elements", lambda v: linkbudget.AntennaArray(v), -3,
      {"sweep_elements": (1, -3)}),
     ("conversion_efficiency", "circuit.efficiency",
-     lambda v: linkbudget.EhCircuit(4e8, -20.0, v), 1.5, {"circuit_efficiency": 1.5}),
+     lambda v: linkbudget.EhCircuit(-20.0, v), 1.5, {"circuit_efficiency": 1.5}),
     ("input_threshold_dbm", "circuit.threshold_dbm", linkbudget.EhCircuit.for_band, 5.8e9,
      {"link_frequency_hz": 5.8e9}),  # a band with no default threshold
     ("density_per_cell", "field.density", lambda v: planner.density_node_count(100.0, 100.0, v),
@@ -207,12 +207,17 @@ FIELD_KEY_CASES = [
     ("latency_cap_s", "mission.latency_cap_s", lambda v: empty_scenario(latency_cap_s=v), 0.0,
      {"mission_latency_cap_s": 0.0}),
     ("input_threshold_dbm", "circuit.threshold_dbm",
-     lambda v: linkbudget.EhCircuit(4e8, v), -math.inf, {"circuit_threshold_dbm": math.nan}),
+     lambda v: linkbudget.EhCircuit(v), -math.inf, {"circuit_threshold_dbm": math.nan}),
     ("eh_distance_m", "plan.d_eh_m", lambda v: empty_scenario(eh_distance_m=v), math.inf,
      {"plan_d_eh_m": math.inf}),
     ("eh_distance_m", "plan.d_eh_m", lambda v: empty_scenario(eh_distance_m=v), -math.inf,
      {"plan_d_eh_m": math.nan}),
     ("seed", "field.seed", planner.pcg64_start, -1, {"field_seed": -1}),
+    ("height_m", "plan.heights_m", lambda v: empty_scenario(height_m=v), -1.0,
+     {"plan_heights_m": (-1.0, 5.0)}),
+    ("wur_wake_threshold_dbm", "mission.wur_wake_threshold_dbm",
+     lambda v: empty_scenario(wur_wake_threshold_dbm=v), math.inf,
+     {"mission_wur_wake_threshold_dbm": math.inf}),
 ]
 # field-key; a second case of one table entry also names its config value.
 FIELD_KEY_CASE_IDS = [
@@ -810,6 +815,13 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         # A path loss that overflows, at a hover height or at the far end of the sweep.
         ("plan.heights_m = 1e300", "plan.heights_m"),
         ("sweep.distance_stop_m = 1e300\nsweep.distance_step_m = 1e298", "sweep.distance_stop_m"),
+        # An uplink SNR that overflows at the closest link, where the rate is highest.
+        ("link.bandwidth_hz = 1e-300", "link.bandwidth_hz"),
+        ("mission.wpt_power_w = 1e300\nlink.bandwidth_hz = 1e-12", "link.bandwidth_hz"),
+        # A d_EH whose coverage radius overflows, explicit or found by the range search.
+        ("plan.d_eh_m = 1e300", "plan.d_eh_m"),
+        ("circuit.threshold_dbm = -1e300", "circuit.threshold_dbm"),
+        ("circuit.threshold_dbm = -1e150", "circuit.threshold_dbm"),
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
@@ -819,6 +831,46 @@ def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
         assert cli.main(["--config", str(config), "--out", str(out), command]) == 2, command
         assert key in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
+
+
+CONFIG_KEYS = [line.split(" = ")[0] for line in cli.default_lines()]
+# Magnitudes from each end of the float range. The middle ones stay out: there,
+# field.count or field.density can legally ask for 10^4-10^5 nodes.
+EXTREMES = [0.0, *(sign * m for m in (1e-300, 1e-12, 1e12, 1e150, 1e300) for sign in (1, -1))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(CONFIG_KEYS), st.sampled_from(EXTREMES),
+                                 min_size=1, max_size=2))
+@example(overrides={"link.bandwidth_hz": 1e-300})  # an uplink SNR that overflows
+@example(overrides={"mission.wpt_power_w": 1e300, "link.bandwidth_hz": 1e-12})
+@example(overrides={"plan.d_eh_m": 1e300})  # a coverage radius that overflows
+@example(overrides={"circuit.threshold_dbm": -1e300})  # and one the range search finds
+@example(overrides={"circuit.threshold_dbm": -1e150})
+# The path loss of a 10^300 Hz link overflows long before d_EH**2 does.
+@example(overrides={"link.frequency_hz": 1e300, "circuit.threshold_dbm": -1e12})
+def test_every_command_keeps_the_exit_contract(overrides):
+    # Exit 0 with every cell finite and nothing on stderr, exit 2 naming a key, or
+    # exit 3; a run that fails leaves no file. A numpy warning fails the test.
+    values = {"field.count": 20, "plan.mc_seeds": 1, **overrides}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), "".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        for command in COMMANDS:
+            out, err = Path(tmp) / command, io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["--config", str(path), "--out", str(out), command])
+            message = err.getvalue()
+            if code:
+                assert code == 3 or code == 2 and any(key in message for key in CONFIG_KEYS), (
+                    command, code, message)
+                assert not out.exists() or not any(out.iterdir()), command
+                continue
+            assert not message, command
+            for table in out.glob("*.csv"):
+                header, rows = read_rows(table)
+                numeric = [j for j, name in enumerate(header) if name != "strategy"]
+                assert all(math.isfinite(float(row[j])) for row in rows for j in numeric
+                           if row[j]), (command, table.name)
 
 
 @pytest.mark.parametrize(
@@ -987,6 +1039,17 @@ def test_reproduce_rejects_mission_before_any_file(tmp_path, capsys, lines, code
     assert cli.main(["--config", str(config), "--out", str(out), "reproduce"]) == code
     assert capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_largest_eh_distance_runs(tmp_path):
+    # A d_EH just below planner.MAX_EH_DISTANCE_M has a finite coverage radius; the
+    # bound itself is rejected.
+    below = math.nextafter(planner.MAX_EH_DISTANCE_M, 0.0)
+    config = cli.RunConfig(plan_d_eh_m=below, field_count=20, plan_mc_seeds=1)
+    header, rows = read_rows(cli.plan_and_simulate(config, tmp_path)[2])
+    assert [row[header.index("radius_m")] for row in rows[1:]] == [cell(below)] * 2
+    with pytest.raises(ConfigurationError, match="plan.d_eh_m"):
+        replace(config, plan_d_eh_m=planner.MAX_EH_DISTANCE_M)
 
 
 def test_simulate_resolves_eh_distance_once(tmp_path, monkeypatch):

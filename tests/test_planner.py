@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from uewpiot import planner
 from uewpiot import (
-    CapabilityError,
     ConfigurationError,
     InfeasibilityError,
     NodeField,
@@ -711,7 +710,7 @@ def test_tour_is_permutation_of_input():
 
 def test_exact_capability_limit():
     pts = np.random.default_rng(0).uniform(0.0, 10.0, size=(13, 2))
-    with pytest.raises(CapabilityError):
+    with pytest.raises(ConfigurationError, match="exact solver limited to 12 points, got 13"):
         plan_tour(pts, mode="exact")
 
 
