@@ -207,13 +207,11 @@ def _check_config(config: RunConfig) -> None:
         planner.pcg64_start(config.field_seed)
         # On an empty field: the check places no node.
         scenario = build_scenario(config, planner.NodeField(width, height, np.empty((0, 2))))
-        for hover_m in config.plan_heights_m:  # the traversal node sits below the hover point
-            _check_passive(config, "plan.heights_m", hover_m, config.link_frequency_hz,
-                           config.array_elements)
+        # A node sits below each hover point, and the lowest binds (np.min keeps a NaN).
+        _check_passive(config, "plan.heights_m", np.min(config.plan_heights_m),
+                       config.link_frequency_hz, config.array_elements)
         if config.plan_d_eh_m is None:  # harvested power falls with range: one link bounds d_EH
-            # The search tries up to twice d_EH: keep that short of where 4 pi d f overflows.
-            far_m = max(scenario.height_m, min(planner.MAX_EH_DISTANCE_M, np.finfo(float).max
-                                               / (8.0 * math.pi * config.link_frequency_hz)))
+            far_m = max(scenario.height_m, planner.MAX_EH_DISTANCE_M)
             threshold = scenario.circuit.input_threshold_dbm
             if not lb.link_budget(scenario.env, scenario.height_m, far_m, scenario.wpt_power_w,
                                   scenario.array, scenario.circuit).harvested_dbm < threshold:
@@ -222,9 +220,9 @@ def _check_config(config: RunConfig) -> None:
         count = config.field_count or planner.density_node_count(width, height,
                                                                  config.field_density)
         keys = SWEEP_FIELD_KEYS
-        for frequency in config.sweep_frequencies_hz:
-            _environment(config, frequency)
-            _circuit(config, frequency)
+        for frequency in config.sweep_frequencies_hz:  # the closest link, at the largest gain
+            _check_passive(config, "sweep.distance_start_m", config.sweep_distance_start_m,
+                           frequency, max(config.sweep_elements))
         for elements in config.sweep_elements:
             lb.AntennaArray(elements)
     except ConfigurationError as exc:
@@ -248,34 +246,26 @@ def _check_config(config: RunConfig) -> None:
         )
     if not config.sweep_distance_step_m > 0:
         raise ConfigurationError("sweep.distance_step_m must be > 0")
-    for frequency in config.sweep_frequencies_hz:  # the closest link, at the largest gain
-        _check_passive(config, "sweep.distance_start_m", config.sweep_distance_start_m,
-                       frequency, max(config.sweep_elements))
     span = _sweep_span(config)
     if span < 0:
         raise ConfigurationError("empty distance grid: sweep.distance_stop_m is below the start")
     if not span < MAX_SWEEP_POINTS:
         raise ConfigurationError(f"sweep.distance_step_m gives over {MAX_SWEEP_POINTS} points")
-    for frequency in config.sweep_frequencies_hz:  # path loss rises, so the stop bounds the grid
-        _check_passive(config, "sweep.distance_stop_m", config.sweep_distance_stop_m,
-                       frequency, max(config.sweep_elements))
 
 
 def _check_passive(config: RunConfig, key: str, distance_m: float, frequency_hz: float,
                    elements: int) -> None:
-    """A node directly below the UAV at ``distance_m`` > 0 must see a finite path loss, at
-    least the array gain, so that it receives no more than the UAV transmits, and a finite
-    uplink rate, which falls as the link gets longer: the closest link bounds the rest."""
+    """A node directly below the UAV at ``distance_m`` > 0 must see a path loss of at least
+    the array gain, so that it receives no more than the UAV transmits, and a finite uplink
+    rate. Path loss rises and the rate falls as the link gets longer, and the path loss is
+    finite at every distance: the closest link bounds the rest."""
     if not distance_m > 0:
         raise ConfigurationError(f"{key} must be > 0, got {distance_m:g}")
     array, bandwidth = lb.AntennaArray(elements), config.link_bandwidth_hz
-    with np.errstate(over="ignore"):  # an overflow is rejected below
+    with np.errstate(over="ignore"):  # an SNR that overflows is rejected below
         budget = lb.link_budget(_environment(config, frequency_hz), distance_m, distance_m,
                                 config.mission_wpt_power_w, array, _circuit(config, frequency_hz),
                                 bandwidth, config.link_noise_figure_db)
-    if not math.isfinite(budget.path_loss_db):
-        raise ConfigurationError(
-            f"{key} = {distance_m:g} is too far: its path loss overflows at {frequency_hz:g} Hz")
     excess_db = lb.array_gain_db(array) - float(budget.path_loss_db)
     if excess_db > 0:
         raise ConfigurationError(

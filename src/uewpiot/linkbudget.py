@@ -82,6 +82,9 @@ class RadioEnvironment:
 
     def __post_init__(self) -> None:
         check_fields(self, "> 0", "carrier_frequency_hz", "los_a", "los_b")
+        if not math.isfinite(wavelength_m(self)):
+            raise ConfigurationError(f"carrier_frequency_hz = {self.carrier_frequency_hz:g} "
+                                     "has no finite wavelength", "carrier_frequency_hz")
         check_fields(self, ">= 0", "excess_loss_los_db")
         if not self.excess_loss_nlos_db >= self.excess_loss_los_db:
             # A lighter NLoS than LoS loss would make range finding non-monotone.
@@ -222,15 +225,16 @@ def link_budget(
     return LinkBudget(p_los, path_loss, received, harvested, rate)
 
 
-def _fspl_db(distance_m, frequency_hz: float):
-    return 20.0 * np.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
+def _fspl_db(distance_m, frequency_hz: float):  # a sum of logs: no finite link overflows
+    return (20.0 * np.log10(distance_m)
+            + 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT * frequency_hz))
 
 
 def free_space_path_loss_db(distance_m, frequency_hz: float):
-    """FSPL(dB) = 20*log10(4*pi*d*f/c), elementwise over an array of distances."""
+    """FSPL(dB) = 20*log10(d) + 20*log10(4*pi*f/c), elementwise over an array of distances."""
     if np.less_equal(distance_m, 0).any():
         raise ConfigurationError(f"distance must be positive, got {np.min(distance_m)} m")
-    return _fspl_db(distance_m, frequency_hz)
+    return _fspl_db(distance_m, RadioEnvironment(frequency_hz).carrier_frequency_hz)
 
 
 def achievable_eh_distance_m(

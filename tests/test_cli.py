@@ -174,6 +174,8 @@ FIELD_KEY_CASES = [
      {"link_frequency_hz": 0.0}),
     ("carrier_frequency_hz", "sweep.frequencies_hz", linkbudget.RadioEnvironment, -1.0,
      {"sweep_frequencies_hz": (4e8, -1.0)}),
+    ("carrier_frequency_hz", "link.frequency_hz", linkbudget.RadioEnvironment, 1e-320,
+     {"link_frequency_hz": 1e-320, "circuit_threshold_dbm": -20.0}),  # no finite wavelength
     ("los_a", "link.los_a", lambda v: linkbudget.RadioEnvironment(4e8, los_a=v), 0.0,
      {"link_los_a": 0.0}),
     ("los_b", "link.los_b", lambda v: linkbudget.RadioEnvironment(4e8, los_b=v), -0.43,
@@ -812,9 +814,9 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("plan.mc_seeds = 1e18", "plan.mc_seeds"),  # 10^18 fields: over MAX_MC_NODES
         # A field is charged at least MC_FIELD_MIN_NODES: 10^7 one-node fields are over.
         ("field.count = 1\nplan.mc_seeds = 10000000", "plan.mc_seeds"),
-        # A path loss that overflows, at a hover height or at the far end of the sweep.
-        ("plan.heights_m = 1e300", "plan.heights_m"),
-        ("sweep.distance_stop_m = 1e300\nsweep.distance_step_m = 1e298", "sweep.distance_stop_m"),
+        # A subnormal band, whose wavelength c/f overflows.
+        ("link.frequency_hz = 1e-320\ncircuit.threshold_dbm = -20", "link.frequency_hz"),
+        ("sweep.frequencies_hz = 1e-320\ncircuit.threshold_dbm = -20", "sweep.frequencies_hz"),
         # An uplink SNR that overflows at the closest link, where the rate is highest.
         ("link.bandwidth_hz = 1e-300", "link.bandwidth_hz"),
         ("mission.wpt_power_w = 1e300\nlink.bandwidth_hz = 1e-12", "link.bandwidth_hz"),
@@ -836,7 +838,8 @@ def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
 CONFIG_KEYS = [line.split(" = ")[0] for line in cli.default_lines()]
 # Magnitudes from each end of the float range. The middle ones stay out: there,
 # field.count or field.density can legally ask for 10^4-10^5 nodes.
-EXTREMES = [0.0, *(sign * m for m in (1e-300, 1e-12, 1e12, 1e150, 1e300) for sign in (1, -1))]
+EXTREMES = [0.0, *(sign * m for m in (5e-324, 1e-300, 1e-12, 1e12, 1e150, 1e300)
+                   for sign in (1, -1))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -847,8 +850,13 @@ EXTREMES = [0.0, *(sign * m for m in (1e-300, 1e-12, 1e12, 1e150, 1e300) for sig
 @example(overrides={"plan.d_eh_m": 1e300})  # a coverage radius that overflows
 @example(overrides={"circuit.threshold_dbm": -1e300})  # and one the range search finds
 @example(overrides={"circuit.threshold_dbm": -1e150})
-# The path loss of a 10^300 Hz link overflows long before d_EH**2 does.
+# A threshold met past MAX_EH_DISTANCE_M at a 10^300 Hz band: the d_EH search could not end.
 @example(overrides={"link.frequency_hz": 1e300, "circuit.threshold_dbm": -1e12})
+# Mission links past d*f = 1.4e307, where 4 pi d f / c as one product overflows.
+@example(overrides={"link.frequency_hz": 1e160, "circuit.threshold_dbm": -20,
+                    "field.width_m": 1e150, "plan.d_eh_m": 1e150})
+@example(overrides={"link.frequency_hz": 1e-320, "circuit.threshold_dbm": -20})  # c/f overflows
+@example(overrides={"sweep.frequencies_hz": 1e-320, "circuit.threshold_dbm": -20})
 def test_every_command_keeps_the_exit_contract(overrides):
     # Exit 0 with every cell finite and nothing on stderr, exit 2 naming a key, or
     # exit 3; a run that fails leaves no file. A numpy warning fails the test.
@@ -866,11 +874,15 @@ def test_every_command_keeps_the_exit_contract(overrides):
                 assert not out.exists() or not any(out.iterdir()), command
                 continue
             assert not message, command
-            for table in out.glob("*.csv"):
-                header, rows = read_rows(table)
-                numeric = [j for j, name in enumerate(header) if name != "strategy"]
-                assert all(math.isfinite(float(row[j])) for row in rows for j in numeric
-                           if row[j]), (command, table.name)
+            assert_cells_finite(out, command)
+
+
+def assert_cells_finite(out, command):
+    for table in out.glob("*.csv"):
+        header, rows = read_rows(table)
+        numeric = [j for j, name in enumerate(header) if name != "strategy"]
+        assert all(math.isfinite(float(row[j])) for row in rows for j in numeric if row[j]), (
+            command, table.name)
 
 
 @pytest.mark.parametrize(
@@ -1027,6 +1039,7 @@ def test_no_link_amplifies(heights, start, count, band, elements, power_w, seed)
     [
         ("plan.heights_m = 14\nplan.d_eh_m = 13", 3),  # hovers above the EH range
         ("circuit.threshold_dbm = 40", 3),  # no node harvests enough, even overhead
+        ("plan.heights_m = 1e300", 3),  # a finite path loss, far above the EH range
         ("link.frequency_hz = 1e9", 2),  # no default threshold for the band
         ("array.elements = 0", 2),
     ],
@@ -1039,6 +1052,41 @@ def test_reproduce_rejects_mission_before_any_file(tmp_path, capsys, lines, code
     assert cli.main(["--config", str(config), "--out", str(out), "reproduce"]) == code
     assert capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    ("lines", "codes"),
+    [
+        # A hover height far above d_EH: the sweeps do not read it, and no mission is planned.
+        ("plan.heights_m = 1e300", (0, 0, 3, 3, 3)),
+        # A grid of 101 points whose far end, 10^300 m, is 10^308.6 Hz*m at 400 MHz.
+        ("sweep.distance_stop_m = 1e300\nsweep.distance_step_m = 1e298", (0,) * 5),
+        # 20 nodes across 10^150 m at 10^160 Hz: mission links far past d*f = 1.4e307.
+        ("link.frequency_hz = 1e160\ncircuit.threshold_dbm = -20\nfield.width_m = 1e150\n"
+         "plan.d_eh_m = 1e150\nfield.count = 20", (0,) * 5),
+    ],
+    ids=["hover-1e300", "sweep-stop-1e300", "mission-1e150-at-1e160-hz"],
+)
+def test_links_of_any_finite_length_run(tmp_path, capsys, lines, codes):
+    # Path loss is a sum of logs, finite at every finite distance, even where
+    # 4 pi d f / c as one product overflows (d*f past 1.4e307).
+    config = write_config(tmp_path, lines + "\nplan.mc_seeds = 1\n")
+    for command, code in zip(COMMANDS, codes):
+        out = tmp_path / command
+        assert cli.main(["--config", str(config), "--out", str(out), command]) == code, command
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("infeasible:") and not list(out.glob("*.csv")), command
+        else:
+            assert not err, command
+            assert_cells_finite(out, command)
+
+
+@pytest.mark.parametrize("heights", [(10.0, 0.01), (5.0, math.nan)])
+def test_every_hover_height_is_checked(heights):
+    # One passive-link check at the lowest height binds them all; a NaN anywhere fails it.
+    with pytest.raises(ConfigurationError, match="plan.heights_m"):
+        cli.RunConfig(plan_heights_m=heights)
 
 
 def test_largest_eh_distance_runs(tmp_path):

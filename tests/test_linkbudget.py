@@ -194,6 +194,21 @@ def test_expected_path_loss_floor():
         assert link_budget(env, 10.0, d).path_loss_db >= fspl + 0.1
 
 
+def test_path_loss_is_finite_for_every_finite_link():
+    # A sum of logs, finite even where 4 pi d f / c as one product overflows.
+    for d in (5e-324, 1.0, 1e300, np.finfo(float).max):
+        for band_hz in (2e-300, 400e6, np.finfo(float).max):  # 2e-300: c/f is finite
+            assert math.isfinite(free_space_path_loss_db(d, band_hz))
+            assert math.isfinite(link_budget(RadioEnvironment(band_hz), 0.0, d).path_loss_db)
+
+
+@pytest.mark.parametrize("band_hz", [0.0, -4e8, 1e-320, math.nan])
+def test_path_loss_rejects_a_band_with_no_finite_wavelength(band_hz):
+    with pytest.raises(ConfigurationError) as raised:
+        free_space_path_loss_db(10.0, band_hz)
+    assert raised.value.field == "carrier_frequency_hz"
+
+
 def test_path_loss_geometry_errors():
     with pytest.raises(ConfigurationError, match="zero slant distance: path loss is singular"):
         link_budget(SUBURBAN_400, 0.0, 0.0)

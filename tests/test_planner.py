@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uewpiot import planner
+from uewpiot import linkbudget, missionsim, planner
 from uewpiot import (
     ConfigurationError,
     InfeasibilityError,
@@ -643,6 +643,56 @@ def test_plan_tour_memory_stays_linear():
         tracemalloc.stop()
     assert sorted(plan.visit_order) == list(range(n))
     assert peak < n * n * 8 / 4
+
+
+# Beardwood-Halton-Hammersley: an optimal tour of n uniform points on area A is
+# about 0.7124 * sqrt(n * A) long for large n (the constant of Percus & Martin, 1996).
+BHH_CONSTANT = 0.7124
+
+
+def test_tour_quality_at_scale():
+    # 1.0431 at 5,000 points, near the ~5% above Held-Karp that Johnson & McGeoch
+    # (1997) report for neighbour-list 2-opt; a binding move cap would show here.
+    n, side = 5000, 100.0
+    plan = plan_tour(generate_nodes(side, side, 0.0, seed=1, count=n).positions)
+    assert plan.length_m / (BHH_CONSTANT * math.sqrt(n * side * side)) <= 1.044
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def layer_peaks(n):
+    """The tracemalloc peak of each layer on n nodes at the default density."""
+    side = 20.0 * math.sqrt(n)  # 0.25 nodes per 10 m x 10 m cell
+    field, generate = traced_peak(lambda: generate_nodes(side, side, 0.25, seed=1))
+    scenario = missionsim.MissionScenario(
+        field=field, env=linkbudget.RadioEnvironment(400e6), array=linkbudget.AntennaArray(32),
+        circuit=linkbudget.EhCircuit.for_band(400e6),
+    )
+    d_eh = missionsim.resolve_eh_distance_m(scenario)
+    radius = coverage_radius_m(scenario.height_m, d_eh)
+    # The mission flies a strategy planned untraced: its own planning is the two layers
+    # above, and a traced tour search runs 20-30x slower.
+    planned = planner.plan_strategy(field, d_eh, scenario.height_m)
+    return {
+        "generate_nodes": generate,
+        "form_wpc_groups": traced_peak(lambda: form_wpc_groups(field, radius))[1],
+        "plan_tour": traced_peak(lambda: plan_tour(field.positions))[1],
+        "simulate_mission": traced_peak(lambda: missionsim.simulate_mission(scenario, planned))[1],
+    }
+
+
+def test_each_layer_peak_memory_grows_at_most_linearly():
+    # 4x the nodes: the peaks grew 3.63x, 4.15x, 3.20x and 3.93x, in the order
+    # above; a quadratic table would grow 16x.
+    small, large = layer_peaks(2000), layer_peaks(8000)
+    growth = {layer: large[layer] / small[layer] for layer in small}
+    assert max(growth.values()) <= 5.0, growth
 
 
 # --- tours -----------------------------------------------------------------------
