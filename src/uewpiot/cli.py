@@ -238,6 +238,11 @@ def _check_config(config: RunConfig) -> None:
         raise ConfigurationError(
             f"plan.mc_seeds = {config.plan_mc_seeds} fields of {count} nodes, each charged at "
             f"least {MC_FIELD_MIN_NODES}, exceed the {MAX_MC_NODES}-node Monte-Carlo limit")
+    # No tour leg is longer than the field's diagonal: this bounds every tour and their sum.
+    if not math.isfinite(config.plan_mc_seeds * count * math.hypot(width, height)):
+        key = "field.height_m" if height > width else "field.width_m"
+        raise ConfigurationError(f"{key} = {max(width, height):g} is too long: plan.mc_seeds "
+                                 f"× {count} tour legs, each up to its diagonal, could overflow")
     # The one-by-one tour visits every node.
     if config.plan_mode == "exact" and count > planner.EXACT_SOLVER_MAX_POINTS:
         raise ConfigurationError(

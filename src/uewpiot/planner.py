@@ -6,8 +6,8 @@ node-anchored disks: a grid hash finds the pairs within R as compressed
 sparse rows, in O(n + pairs) memory, and a lazy greedy heap picks each
 disk. The UAV flies a closed tour over the anchors, either heuristic or,
 for up to 12 points, exact by dynamic programming. The heuristic tour
-gives each point its TOUR_NEIGHBOURS nearest points from a grid, in
-O(n k) memory, starts from a greedy-edge tour over those candidate edges,
+gives each point its TOUR_NEIGHBOURS nearest points from the same grid,
+in O(n k) memory, starts from a greedy-edge tour over those candidate edges,
 and improves it by 2-opt and Or-opt moves over the candidates, driven by
 don't-look bits (Bentley 1992; Johnson & McGeoch 1997), until no candidate
 move shortens it.
@@ -28,8 +28,8 @@ from .errors import ConfigurationError, InfeasibilityError
 
 # Nodes this close beyond the disk edge still count as covered.
 MEMBERSHIP_SLACK_M = 1e-9
-# Grid cells are this much (relative) wider than the coverage reach, and at
-# least this fraction of the field's extent; see form_wpc_groups.
+# Grid cells are this much (relative) wider than the search reach, and at
+# least this fraction of the points' extent; see _grid.
 CELL_MARGIN = 2.0**-20
 
 # Largest node field the CLI accepts. Grouping and tours take linear memory,
@@ -190,29 +190,32 @@ class WpcGroup:
             raise ConfigurationError("traversal point must belong to its own group")
 
 
-def _grid(pts: np.ndarray, cell: float) -> tuple:
-    """Square cells of side ``cell`` from the lowest corner: each point's
-    cell and key, the points and keys in key order, and the key stride.
-
-    A key is ``column * stride + row``. With m the largest cell index, the
-    stride leaves 2m + 2 empty rows above the last one, so the rows within
-    2m + 2 of any point's row, in any one column, are one range of the
-    sorted keys that no other column's points fall in."""
-    cells = np.floor((pts - pts.min(axis=0)) / cell).astype(np.int64)
-    stride = int(cells[:, 1].max()) + 2 * int(cells.max()) + 3
+def _grid(pts: np.ndarray, reach: float) -> tuple:
+    """Square cells from the lowest corner: each point's key, the points and
+    keys in key order, and the key stride. Cells are CELL_MARGIN wider than
+    ``reach``: at exactly the reach, rounding in the floor division can put a
+    pair within reach two cells apart. They are at least the points' extent
+    times CELL_MARGIN, which keeps the cell index and its rounding error small.
+    A key is ``column * stride + row``, and the stride leaves one empty row
+    above the last: the rows next to a point's row, in any one column, are
+    one range of the sorted keys that no other column's points fall in."""
+    lo = pts.min(axis=0)
+    cell = max(reach * (1.0 + CELL_MARGIN), float((pts.max(axis=0) - lo).max()) * CELL_MARGIN)
+    cells = np.floor((pts - lo) / cell).astype(np.int64)
+    stride = int(cells[:, 1].max()) + 2
     key = cells[:, 0] * stride + cells[:, 1]
     by_key = np.argsort(key)
-    return cells, key, by_key, key[by_key], stride
+    return key, by_key, key[by_key], stride
 
 
-def _block_pairs(grid, query: np.ndarray, r: int):
-    """Yield (rows, cols): every point in the (2r + 1) x (2r + 1) cells
-    around each ``query`` point, which is ``query[rows]``. Each chunk holds
-    whole rows, in order, and about GRID_CHUNK pairs."""
-    _, key, by_key, sorted_key, stride = grid
-    centre = key[query, None] + np.arange(-r * stride, (r + 1) * stride, stride)
-    first = np.searchsorted(sorted_key, centre - r)
-    counts = np.searchsorted(sorted_key, centre + r, "right") - first
+def _block_pairs(grid, query: np.ndarray):
+    """Yield (rows, cols): every point in the 3 x 3 cells around each
+    ``query`` point, which is ``query[rows]``. Each chunk holds whole rows,
+    in order, and about GRID_CHUNK pairs."""
+    key, by_key, sorted_key, stride = grid
+    centre = key[query, None] + np.array([-stride, 0, stride])
+    first = np.searchsorted(sorted_key, centre - 1)
+    counts = np.searchsorted(sorted_key, centre + 1, "right") - first
     per_query = counts.sum(axis=1)
     ends = np.cumsum(per_query)
     cuts = []
@@ -235,13 +238,12 @@ def _pairs_within(pts: np.ndarray, reach: float) -> tuple[list[int], list[int]]:
     around each point are priced, GRID_CHUNK candidates at a time.
     """
     n = len(pts)
-    extent = float((pts.max(axis=0) - pts.min(axis=0)).max())
-    grid = _grid(pts, max(reach * (1.0 + CELL_MARGIN), extent * CELL_MARGIN))
     start = np.zeros(n + 1, dtype=np.int64)
     kept = []
-    for rows, cols in _block_pairs(grid, np.arange(n), 1):
+    for rows, cols in _block_pairs(_grid(pts, reach), np.arange(n)):
         d = pts[rows] - pts[cols]
-        keep = (d**2).sum(axis=-1) <= reach**2
+        with np.errstate(over="ignore"):  # a square that overflows is inf: out of reach
+            keep = (d**2).sum(axis=-1) <= reach**2
         start[1:] += np.bincount(rows[keep], minlength=n)
         kept += cols[keep].tolist()
     np.cumsum(start, out=start)
@@ -257,14 +259,11 @@ def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
     resulting groups partition the field.
 
     The pairs within reach come from a fixed-radius grid hash (Bentley,
-    Stanat & Williams 1977), in O(n + pairs) memory. Cells are
-    ``CELL_MARGIN`` wider than the reach: at exactly the reach, rounding in
-    the floor division can put a pair within reach two cells apart. Cells
-    are also at least the field's extent times ``CELL_MARGIN``, which keeps
-    the cell index and its rounding error small. Picks follow Minoux's lazy
-    greedy (1978): gains only fall, so a heap entry (-gain, index) that is
-    still current when popped is the argmax, lowest index first. A pick
-    decrements gains only over the rows of the nodes it newly covers.
+    Stanat & Williams 1977) on ``_grid``'s cells, in O(n + pairs) memory.
+    Picks follow Minoux's lazy greedy (1978): gains only fall, so a heap
+    entry (-gain, index) that is still current when popped is the argmax,
+    lowest index first. A pick decrements gains only over the rows of the
+    nodes it newly covers.
     """
     if not radius_m >= 0:
         raise ConfigurationError("coverage radius must be >= 0")
@@ -318,12 +317,12 @@ def _neighbour_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the neighbour indices and their distances ``np.hypot(dx, dy)``,
     both of shape (n, k); equal distances rank by index. Up to
-    DENSE_NEIGHBOURS_MAX points, one n x n table is ranked. Larger sets use
-    a grid of about two points per cell, searched in blocks of
-    (2r + 1) x (2r + 1) cells around each point, r = 2, 4, 8, ... A point's
-    list is final once its k-th distance is within the nearest block edge
-    that has cells beyond it: every point outside the block is farther.
-    Memory is O(n k) plus GRID_CHUNK candidates at a time.
+    DENSE_NEIGHBOURS_MAX points, one n x n table is ranked. Larger sets list
+    the pairs within a reach rho from the 3 x 3 cells of ``_grid``. A point
+    with at least k of them is final, as every other point is farther; rho
+    doubles for the rest. It starts where cells hold about k/2 points each,
+    at sqrt(k A / 2n), A the points' bounding-box area (extent**2 on a line
+    along an axis). Memory is O(n k) plus GRID_CHUNK candidates at a time.
     """
     n = len(pts)
     k = min(k, n - 1)
@@ -334,23 +333,18 @@ def _neighbour_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         return order, dist[np.arange(n)[:, None], order]
     neighbours = np.zeros((n, k), dtype=np.int64)
     dist = np.zeros((n, k))
-    extent = float((pts.max(axis=0) - pts.min(axis=0)).max())
-    cell = extent / math.ceil(math.sqrt(n / 2)) if extent > 0 else 1.0
-    grid = _grid(pts, cell)
-    cells = grid[0]
-    last = cells.max(axis=0)
-    inside = (pts - pts.min(axis=0)) / cell - cells  # offset within the cell, in cells
+    span = pts.max(axis=0) - pts.min(axis=0)
+    extent = float(span.max())
+    # Root by root, as A can overflow; at least _grid's smallest cell; 1.0 if all coincide.
+    root_area = math.sqrt(extent) * math.sqrt(span.min() or extent)
+    reach = max(math.sqrt(k / (2 * n)) * root_area, extent * CELL_MARGIN) or 1.0
     todo = np.arange(n)
-    r = 2
     while todo.size:
-        c, f = cells[todo], inside[todo]
-        edge = np.minimum(np.where(c > r, r + f, np.inf), np.where(c + r < last, r + 1 - f, np.inf))
-        reach = (edge.min(axis=1) - CELL_MARGIN) * cell  # CELL_MARGIN covers rounding
         done = np.zeros(len(todo), dtype=bool)
-        for rows, cols in _block_pairs(grid, todo, r):
+        for rows, cols in _block_pairs(_grid(pts, reach), todo):
             query = todo[rows]
             d = np.hypot(pts[query, 0] - pts[cols, 0], pts[query, 1] - pts[cols, 1])
-            keep = (cols != query) & (d <= reach[rows])
+            keep = (cols != query) & (d <= reach)
             rows, cols, d = rows[keep], cols[keep], d[keep]
             # Sort by (row, distance, index), the distance as its dense rank.
             by_d = np.argsort(d)
@@ -368,7 +362,7 @@ def _neighbour_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             dist[todo[rows[first]]] = d[take]
             done[rows[first]] = True
         todo = todo[~done]
-        r *= 2
+        reach *= 2
     return neighbours, dist
 
 

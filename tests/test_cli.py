@@ -824,6 +824,10 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("plan.d_eh_m = 1e300", "plan.d_eh_m"),
         ("circuit.threshold_dbm = -1e300", "circuit.threshold_dbm"),
         ("circuit.threshold_dbm = -1e150", "circuit.threshold_dbm"),
+        # Monte-Carlo tours whose legs, each up to the field's diagonal, could sum past the
+        # largest float: the longer side is named.
+        ("field.width_m = 1e308\nfield.height_m = 1\nfield.count = 20", "field.width_m"),
+        ("field.height_m = 1e306\nfield.count = 20", "field.height_m"),
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
@@ -857,6 +861,11 @@ EXTREMES = [0.0, *(sign * m for m in (5e-324, 1e-300, 1e-12, 1e12, 1e150, 1e300)
                     "field.width_m": 1e150, "plan.d_eh_m": 1e150})
 @example(overrides={"link.frequency_hz": 1e-320, "circuit.threshold_dbm": -20})  # c/f overflows
 @example(overrides={"sweep.frequencies_hz": 1e-320, "circuit.threshold_dbm": -20})
+# Pairs on a 1e300 m strip whose squared distance overflows: out of reach, with no warning.
+@example(overrides={"field.count": 2000, "field.width_m": 1e300, "field.height_m": 1})
+@example(overrides={"field.width_m": 1e308, "field.height_m": 1})  # a tour past the largest float
+# A bounding-box area past the largest float, in the tours' first search reach.
+@example(overrides={"field.count": 100, "field.width_m": 1e200, "field.height_m": 1e200})
 def test_every_command_keeps_the_exit_contract(overrides):
     # Exit 0 with every cell finite and nothing on stderr, exit 2 naming a key, or
     # exit 3; a run that fails leaves no file. A numpy warning fails the test.

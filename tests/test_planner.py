@@ -574,7 +574,14 @@ def test_grid_neighbour_lists_match_all_pairs(monkeypatch, k):
     kinds = ("uniform", "duplicates", "identical", "collinear", "lattice")
     sets = [tour_points(kind, n, n) for kind in kinds for n in (1, 2, 5, 40, 150)]
     sets.append(np.r_[rng.normal(0.0, 1.0, size=(60, 2)), rng.uniform(1e3, 2e3, size=(3, 2))])
-    for pts in sets + [pts + 1e6 for pts in sets]:
+    # Points whose search reach doubles two or more times: a 2,000 m x 1 m strip,
+    # and a cluster with three far outliers. Then sets whose bounding-box area
+    # overflows: a 1e200 m line along an axis, and a 1e200 m square.
+    far = [rng.uniform(0.0, 1.0, size=(1000, 2)) * [2000.0, 1.0],
+           np.r_[rng.normal(0.0, 1.0, size=(1000, 2)), rng.uniform(1e3, 2e3, size=(3, 2))],
+           np.c_[rng.uniform(0.0, 1e200, size=100), np.zeros(100)],
+           rng.uniform(0.0, 1e200, size=(300, 2))]
+    for pts in sets + [pts + 1e6 for pts in sets] + far:
         neighbours, dist = planner._neighbour_lists(pts, k)
         assert neighbours.tolist() == candidate_lists(pts, k)
         z = [complex(x, y) for x, y in pts.tolist()]
