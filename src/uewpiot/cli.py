@@ -11,7 +11,8 @@ Subcommands:
 
 Configuration is a flat ``key = value`` text file with section-prefixed
 keys (``link.frequency_hz = 400e6``), spelt as ``defaults`` prints them.
-Building a ``RunConfig`` checks every key, whatever the command, so an
+Building a ``RunConfig`` checks every key, whatever the command: each value
+against its physical range in ``RANGES``, then the rules that span keys. So an
 unknown key or a value that some command could not run with is rejected,
 naming the key, before any file is written. ``plan``, ``simulate`` and
 ``reproduce`` plan the mission in one function, ``plan_and_simulate``.
@@ -27,6 +28,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,122 +167,114 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
     return RunConfig(**values)
 
 
-# The config key of each library field or argument that can reject a value.
-# A sweep series reads its band and element count from the sweep keys.
-FIELD_KEYS = {
-    "carrier_frequency_hz": "link.frequency_hz", "height_m": "plan.heights_m",
-    "los_a": "link.los_a", "los_b": "link.los_b", "bandwidth_hz": "link.bandwidth_hz",
-    "excess_loss_los_db": "link.excess_los_db", "excess_loss_nlos_db": "link.excess_nlos_db",
-    "noise_figure_db": "link.noise_figure_db", "elements_n": "array.elements",
-    "conversion_efficiency": "circuit.efficiency", "seed": "field.seed",
-    "input_threshold_dbm": "circuit.threshold_dbm",  # not finite, or no default for the band
-    "density_per_cell": "field.density", "payload_bits": "mission.payload_bits",
-    "wpt_power_w": "mission.wpt_power_w", "wur_power_w": "mission.wur_power_w",
-    "latency_cap_s": "mission.latency_cap_s", "eh_distance_m": "plan.d_eh_m",
-    "wur_wake_threshold_dbm": "mission.wur_wake_threshold_dbm",
+class Range(NamedTuple):
+    """``low`` to ``high``, ``low`` excluded if ``open_low``; int bounds hold only integers."""
+
+    low: float
+    high: float
+    open_low: bool = False
+
+    def __contains__(self, value) -> bool:
+        if isinstance(self.low, int) and not hasattr(type(value), "__index__"):
+            return False
+        return (self.low < value if self.open_low else self.low <= value) and value <= self.high
+
+    def __str__(self) -> str:
+        return f"{'[('[self.open_low]}{self.low:g}, {self.high:g}]"
+
+
+# Each config key's physical range, which each value of a list key lies in too. Inside
+# them no product in the link budget, grouping, tours or Monte-Carlo sums overflows.
+RANGES = {
+    # Up to 10,000 km: a squared distance is below 1e15 m^2, every tour length sum below 1e17 m.
+    **dict.fromkeys(["sweep.distance_start_m", "sweep.distance_stop_m", "sweep.distance_step_m",
+                     "field.width_m", "field.height_m", "plan.heights_m", "plan.d_eh_m"],
+                    Range(0.0, 1e7, open_low=True)),
+    # The radio spectrum: 20 log10(4 pi f / c) is -88 to 102 dB.
+    **dict.fromkeys(["link.frequency_hz", "sweep.frequencies_hz"], Range(1e3, 3e12)),
+    # Up to 1 MW (90 dBm) and 60 dB of gain; with no link amplifying, no node gets more.
+    **dict.fromkeys(["mission.wpt_power_w", "mission.wur_power_w"],
+                    Range(0.0, 1e6, open_low=True)),
+    **dict.fromkeys(["array.elements", "sweep.elements"], Range(1, 10**6)),
+    "circuit.efficiency": Range(0.0, 1.0, open_low=True),
+    # -1,000 dBm is met within 1e62 m (path loss > 20 log10 d - 88 dB): auto d_EH^2 is finite.
+    **dict.fromkeys(["circuit.threshold_dbm", "mission.wur_wake_threshold_dbm"], Range(-1e3, 1e3)),
+    # Noise of at least -174 dBm keeps the uplink SNR under 90 + 174 dB: every rate is finite.
+    "link.bandwidth_hz": Range(1.0, 1e12),
+    # Losses in dB are sums; P_LoS's exp may pass the float range, and link_budget takes 0.
+    **dict.fromkeys(["link.noise_figure_db", "link.excess_los_db", "link.excess_nlos_db"],
+                    Range(0.0, 1e3)),
+    **dict.fromkeys(["link.los_a", "link.los_b"], Range(0.0, 1e3, open_low=True)),
+    # Node counts: density x area is at most 1e20, and the node limits below then bind.
+    "field.density": Range(0.0, 1e6, open_low=True),
+    "field.count": Range(0, planner.MAX_FIELD_NODES),
+    "plan.mc_seeds": Range(1, MAX_MC_NODES // MC_FIELD_MIN_NODES),
+    "field.seed": Range(0, sys.float_info.max),  # what a finite number spells: 32 words to hash
+    "plan.mode": ("heuristic", "exact"),
+    # A served node is powered at most for the cap: 1e12 J at 1 MW.
+    "mission.payload_bits": Range(0.0, 1e12),
+    "mission.latency_cap_s": Range(0.0, 1e6, open_low=True),
 }
-SWEEP_FIELD_KEYS = {**FIELD_KEYS, "carrier_frequency_hz": "sweep.frequencies_hz",
-                    "elements_n": "sweep.elements"}
+# The config key of each library field that rejects some config inside RANGES.
+FIELD_KEYS = {"excess_loss_nlos_db": "link.excess_nlos_db",  # below the LoS excess loss
+              "input_threshold_dbm": "circuit.threshold_dbm",  # no default for the band
+              "density_per_cell": "field.density"}  # no node on the field
 
 
 def _check_config(config: RunConfig) -> None:
     """Reject a config that some command could not run with, naming the key.
-    Every RunConfig runs this once, when it is built. The library objects the
-    commands build check their own fields; the rest is checked here."""
-    for attr in ("plan_heights_m", "sweep_frequencies_hz", "sweep_elements"):
-        if not getattr(config, attr):
-            raise ConfigurationError(f"{_attr_to_key(attr)} needs at least one value")
-    if config.plan_mode not in ("heuristic", "exact"):
-        raise ConfigurationError(f"plan.mode must be heuristic or exact, got {config.plan_mode!r}")
-    for attr in ("field_width_m", "field_height_m", "plan_mc_seeds"):
-        value = getattr(config, attr)
-        if not value > 0:
-            raise ConfigurationError(f"{_attr_to_key(attr)} must be > 0, got {value:g}")
-    if not 0 <= config.field_count <= planner.MAX_FIELD_NODES:
-        raise ConfigurationError(
-            f"field.count must be in 0..{planner.MAX_FIELD_NODES} (0: use field.density), "
-            f"got {config.field_count}"
-        )
-    width, height, keys = config.field_width_m, config.field_height_m, FIELD_KEYS
+    Every RunConfig runs this once, when it is built: each value against its
+    row of RANGES, then the rules that span keys, some in library objects."""
+    for f in fields(config):
+        key, value = _attr_to_key(f.name), getattr(config, f.name)
+        values = value if isinstance(value, tuple) else (value,)
+        if not values:
+            raise ConfigurationError(f"{key} needs at least one value")
+        for item in values:
+            if not (item is None is f.default or item in RANGES[key]):  # None: auto
+                raise ConfigurationError(f"{key} must be in {RANGES[key]}, got {item!r}")
+    width, height = config.field_width_m, config.field_height_m
+    # A node below the UAV must lose at least the array gain, so that it receives no more
+    # than the UAV transmits. Path loss rises with distance, so the closest links bind: the
+    # lowest hover height, and in each sweep band the start at the largest array.
+    links = [("plan.heights_m", min(config.plan_heights_m), config.link_frequency_hz,
+              config.array_elements)] + [
+        ("sweep.distance_start_m", config.sweep_distance_start_m, frequency,
+         max(config.sweep_elements)) for frequency in config.sweep_frequencies_hz]
     try:
-        lb.noise_power_dbm(config.link_bandwidth_hz, config.link_noise_figure_db)
-        planner.pcg64_start(config.field_seed)
-        # On an empty field: the check places no node.
-        scenario = build_scenario(config, planner.NodeField(width, height, np.empty((0, 2))))
-        # A node sits below each hover point, and the lowest binds (np.min keeps a NaN).
-        _check_passive(config, "plan.heights_m", np.min(config.plan_heights_m),
-                       config.link_frequency_hz, config.array_elements)
-        if config.plan_d_eh_m is None:  # harvested power falls with range: one link bounds d_EH
-            far_m = max(scenario.height_m, planner.MAX_EH_DISTANCE_M)
-            threshold = scenario.circuit.input_threshold_dbm
-            if not lb.link_budget(scenario.env, scenario.height_m, far_m, scenario.wpt_power_w,
-                                  scenario.array, scenario.circuit).harvested_dbm < threshold:
-                raise ConfigurationError(f"circuit.threshold_dbm = {threshold:g} is met beyond "
-                                         f"{far_m:.4g} m, past the d_EH search; set plan.d_eh_m")
+        for key, distance, frequency, elements in links:
+            env, array = _environment(config, frequency), lb.AntennaArray(elements)
+            _circuit(config, frequency)  # a band with no default threshold needs one set
+            loss_db = float(lb.link_budget(env, distance, distance).path_loss_db)
+            if lb.array_gain_db(array) > loss_db:
+                raise ConfigurationError(
+                    f"{key} = {distance:g} is too close: a node there would receive "
+                    f"{lb.array_gain_db(array) - loss_db:.4g} dB more than the UAV transmits "
+                    f"at {frequency:g} Hz")
         count = config.field_count or planner.density_node_count(width, height,
                                                                  config.field_density)
-        keys = SWEEP_FIELD_KEYS
-        for frequency in config.sweep_frequencies_hz:  # the closest link, at the largest gain
-            _check_passive(config, "sweep.distance_start_m", config.sweep_distance_start_m,
-                           frequency, max(config.sweep_elements))
-        for elements in config.sweep_elements:
-            lb.AntennaArray(elements)
     except ConfigurationError as exc:
-        if exc.field not in keys:
+        if exc.field not in FIELD_KEYS:
             raise
-        raise ConfigurationError(str(exc).replace(exc.field, keys[exc.field])) from None
+        raise ConfigurationError(str(exc).replace(exc.field, FIELD_KEYS[exc.field])) from None
     if count > planner.MAX_FIELD_NODES:
         raise ConfigurationError(
             f"field.density = {config.field_density:g} gives {count} nodes on a {width:g} m x "
-            f"{height:g} m field, over the {planner.MAX_FIELD_NODES}-node limit"
-        )
+            f"{height:g} m field, over the {planner.MAX_FIELD_NODES}-node limit")
     if max(count, MC_FIELD_MIN_NODES) * config.plan_mc_seeds > MAX_MC_NODES:
         raise ConfigurationError(
             f"plan.mc_seeds = {config.plan_mc_seeds} fields of {count} nodes, each charged at "
             f"least {MC_FIELD_MIN_NODES}, exceed the {MAX_MC_NODES}-node Monte-Carlo limit")
-    # No tour leg is longer than the field's diagonal: this bounds every tour and their sum.
-    if not math.isfinite(config.plan_mc_seeds * count * math.hypot(width, height)):
-        key = "field.height_m" if height > width else "field.width_m"
-        raise ConfigurationError(f"{key} = {max(width, height):g} is too long: plan.mc_seeds "
-                                 f"× {count} tour legs, each up to its diagonal, could overflow")
     # The one-by-one tour visits every node.
     if config.plan_mode == "exact" and count > planner.EXACT_SOLVER_MAX_POINTS:
         raise ConfigurationError(
             f"plan.mode = exact plans at most {planner.EXACT_SOLVER_MAX_POINTS} points, "
-            f"and the field has {count} nodes"
-        )
-    if not config.sweep_distance_step_m > 0:
-        raise ConfigurationError("sweep.distance_step_m must be > 0")
+            f"and the field has {count} nodes")
     span = _sweep_span(config)
     if span < 0:
         raise ConfigurationError("empty distance grid: sweep.distance_stop_m is below the start")
     if not span < MAX_SWEEP_POINTS:
         raise ConfigurationError(f"sweep.distance_step_m gives over {MAX_SWEEP_POINTS} points")
-
-
-def _check_passive(config: RunConfig, key: str, distance_m: float, frequency_hz: float,
-                   elements: int) -> None:
-    """A node directly below the UAV at ``distance_m`` > 0 must see a path loss of at least
-    the array gain, so that it receives no more than the UAV transmits, and a finite uplink
-    rate. Path loss rises and the rate falls as the link gets longer, and the path loss is
-    finite at every distance: the closest link bounds the rest."""
-    if not distance_m > 0:
-        raise ConfigurationError(f"{key} must be > 0, got {distance_m:g}")
-    array, bandwidth = lb.AntennaArray(elements), config.link_bandwidth_hz
-    with np.errstate(over="ignore"):  # an SNR that overflows is rejected below
-        budget = lb.link_budget(_environment(config, frequency_hz), distance_m, distance_m,
-                                config.mission_wpt_power_w, array, _circuit(config, frequency_hz),
-                                bandwidth, config.link_noise_figure_db)
-    excess_db = lb.array_gain_db(array) - float(budget.path_loss_db)
-    if excess_db > 0:
-        raise ConfigurationError(
-            f"{key} = {distance_m:g} is too close: a node there would receive {excess_db:.4g} dB "
-            f"more than the UAV transmits at {frequency_hz:g} Hz"
-        )
-    if not math.isfinite(budget.rate_bps):
-        raise ConfigurationError(
-            f"link.bandwidth_hz = {bandwidth:g} is too narrow: the uplink SNR overflows at "
-            f"{key} = {distance_m:g} and {frequency_hz:g} Hz")
 
 
 def default_lines() -> list[str]:
@@ -314,12 +308,11 @@ def _field(config: RunConfig, seed: int) -> planner.NodeField:
     )
 
 
-def build_scenario(config: RunConfig,
-                   node_field: planner.NodeField | None = None) -> missionsim.MissionScenario:
-    """The config's mission, on ``node_field`` or else on the field at ``field.seed``."""
+def build_scenario(config: RunConfig) -> missionsim.MissionScenario:
+    """The config's mission, on the field at ``field.seed``."""
     frequency = config.link_frequency_hz
     return missionsim.MissionScenario(
-        field=node_field or _field(config, config.field_seed),
+        field=_field(config, config.field_seed),
         env=_environment(config, frequency),
         array=lb.AntennaArray(config.array_elements),
         circuit=_circuit(config, frequency),

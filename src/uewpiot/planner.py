@@ -38,6 +38,8 @@ MAX_FIELD_NODES = 100_000
 
 # The largest d_EH whose coverage radius is finite: d_EH**2 overflows above it.
 MAX_EH_DISTANCE_M = math.sqrt(np.finfo(float).max)  # about 1.34e154 m
+# Largest coordinate and coverage radius grouping and tours take: their squares stay finite.
+MAX_COORDINATE_M = 1e150
 
 EXACT_SOLVER_MAX_POINTS = 12
 # Candidate neighbours per point in the heuristic tour search.
@@ -242,8 +244,7 @@ def _pairs_within(pts: np.ndarray, reach: float) -> tuple[list[int], list[int]]:
     kept = []
     for rows, cols in _block_pairs(_grid(pts, reach), np.arange(n)):
         d = pts[rows] - pts[cols]
-        with np.errstate(over="ignore"):  # a square that overflows is inf: out of reach
-            keep = (d**2).sum(axis=-1) <= reach**2
+        keep = (d**2).sum(axis=-1) <= reach**2
         start[1:] += np.bincount(rows[keep], minlength=n)
         kept += cols[keep].tolist()
     np.cumsum(start, out=start)
@@ -253,10 +254,10 @@ def _pairs_within(pts: np.ndarray, reach: float) -> tuple[list[int], list[int]]:
 def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
     """Greedy maximum-coverage grouping of the field's nodes.
 
-    Repeatedly picks the uncovered node whose disk of ``radius_m`` covers
-    the most still-uncovered nodes (ties broken by lowest node index),
-    makes it a traversal point, and removes the covered nodes. The
-    resulting groups partition the field.
+    Repeatedly picks the uncovered node whose disk of ``radius_m`` covers the most
+    still-uncovered nodes (ties broken by lowest node index), makes it a traversal
+    point, and removes the covered nodes. The resulting groups partition the field.
+    The radius and the node coordinates must lie in [0, MAX_COORDINATE_M].
 
     The pairs within reach come from a fixed-radius grid hash (Bentley,
     Stanat & Williams 1977) on ``_grid``'s cells, in O(n + pairs) memory.
@@ -265,9 +266,10 @@ def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
     lowest index first. A pick decrements gains only over the rows of the
     nodes it newly covers.
     """
-    if not radius_m >= 0:
-        raise ConfigurationError("coverage radius must be >= 0")
     pts = node_field.positions
+    if not 0 <= radius_m <= MAX_COORDINATE_M or pts.max(initial=0.0) > MAX_COORDINATE_M:
+        raise ConfigurationError(f"coverage radius and node coordinates must be in "
+                                 f"[0, {MAX_COORDINATE_M:g}] m, got radius {radius_m:g}")
     n = len(pts)
     if not n:
         return []
@@ -636,13 +638,13 @@ def plan_tour(points, mode: str = "heuristic") -> TourPlan:
     TOUR_NEIGHBOURS nearest points and improves it by 2-opt and Or-opt
     moves until no candidate move shortens it, in O(n k) memory;
     ``exact`` solves optimally by dynamic programming and is limited to 12
-    points. Coordinates must be finite.
+    points. Coordinates must be finite and within +-MAX_COORDINATE_M.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 1:
         raise ConfigurationError("a tour needs at least one point")
-    if not np.isfinite(pts).all():
-        raise ConfigurationError("tour points must be finite")
+    if not (np.abs(pts) <= MAX_COORDINATE_M).all():
+        raise ConfigurationError(f"tour points must be finite and within +-{MAX_COORDINATE_M:g} m")
     if mode == "exact":
         if len(pts) > EXACT_SOLVER_MAX_POINTS:
             raise ConfigurationError(

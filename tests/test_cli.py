@@ -2,6 +2,7 @@
 import contextlib
 import io
 import math
+import re
 import tempfile
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
@@ -46,24 +47,20 @@ def test_defaults_round_trip(tmp_path):
     assert cli.parse_config(path) == cli.RunConfig()
 
 
-def positive(high):
-    return st.floats(0.0, high, exclude_min=True)
-
-
-def anything():
-    return st.floats(-1e300, 1e300)
+def in_row(key):
+    """The floats of ``key``'s row of cli.RANGES."""
+    row = cli.RANGES[key]
+    return st.floats(row.low, row.high, exclude_min=row.open_low)
 
 
 @st.composite
 def run_configs(draw):
-    """A RunConfig that its check accepts, its floats drawn at full precision."""
-    excess_los_db = draw(st.floats(0.0, 50.0))
+    """A RunConfig that its check accepts, its floats drawn at full precision from
+    their rows of cli.RANGES, narrowed where a rule spans keys."""
+    excess_los_db = draw(in_row("link.excess_los_db"))
     count = draw(st.integers(0, 200))
     mode = draw(st.sampled_from(["heuristic", "exact"] if count and count <= 12 else ["heuristic"]))
-    d_eh_m = draw(st.none() | st.floats(-1e300, 1e154))  # below planner.MAX_EH_DISTANCE_M
-    # An auto d_EH's threshold must be missed within MAX_EH_DISTANCE_M, where at most 10^150 W
-    # (1,530 dBm) and 64 elements harvest under -1,500 dBm at 100 MHz and up.
-    threshold_dbm = draw(st.none() | st.floats(-1e300 if d_eh_m is not None else -1e3, 1e300))
+    threshold_dbm = draw(st.none() | in_row("circuit.threshold_dbm"))
     # An auto threshold needs a band with a default; 100 MHz and up keeps 250 m
     # from the UAV lossier than 10^6 elements gain, so no sweep start amplifies.
     bands = st.floats(1e8, 1e10) if threshold_dbm is not None else st.sampled_from(
@@ -74,15 +71,14 @@ def run_configs(draw):
     nodes = count or planner.density_node_count(width, height, density)
     return cli.RunConfig(
         link_frequency_hz=draw(bands),
-        # Noise above -1,474 dBm keeps the SNR under 3,004 dB at 1,530 dBm: a finite rate.
-        link_bandwidth_hz=draw(st.floats(1e-130, 1e12)),
-        link_noise_figure_db=draw(st.floats(0.0, 1e300)),  # a receiver adds noise
-        link_los_a=draw(positive(1e300)),  # P_LoS may overflow to its limit, 0
-        link_los_b=draw(positive(10.0)),
+        link_bandwidth_hz=draw(in_row("link.bandwidth_hz")),
+        link_noise_figure_db=draw(in_row("link.noise_figure_db")),
+        link_los_a=draw(in_row("link.los_a")),  # P_LoS may overflow to its limit, 0
+        link_los_b=draw(in_row("link.los_b")),
         link_excess_los_db=excess_los_db,
-        link_excess_nlos_db=excess_los_db + draw(st.floats(0.0, 50.0)),
+        link_excess_nlos_db=draw(st.floats(excess_los_db, cli.RANGES["link.excess_nlos_db"].high)),
         array_elements=draw(st.integers(1, 64)),
-        circuit_efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        circuit_efficiency=draw(in_row("circuit.efficiency")),
         circuit_threshold_dbm=threshold_dbm,
         sweep_distance_start_m=start,
         sweep_distance_stop_m=start + draw(st.floats(0.0, 1e4)),
@@ -95,15 +91,15 @@ def run_configs(draw):
         field_count=count,
         field_seed=draw(st.integers(0, 2**128)),
         plan_heights_m=tuple(draw(st.lists(st.floats(10.0, 1e3), min_size=1, max_size=3))),
-        plan_d_eh_m=d_eh_m,
+        plan_d_eh_m=draw(st.none() | in_row("plan.d_eh_m")),
         plan_mode=mode,
         plan_mc_seeds=draw(st.integers(  # the work cap
             1, cli.MAX_MC_NODES // max(nodes, cli.MC_FIELD_MIN_NODES))),
-        mission_wpt_power_w=draw(positive(1e150)),
-        mission_wur_power_w=draw(positive(1e300)),
-        mission_wur_wake_threshold_dbm=draw(anything()),
-        mission_payload_bits=draw(st.floats(0.0, 1e300)),
-        mission_latency_cap_s=draw(positive(1e300)),
+        mission_wpt_power_w=draw(in_row("mission.wpt_power_w")),
+        mission_wur_power_w=draw(in_row("mission.wur_power_w")),
+        mission_wur_wake_threshold_dbm=draw(in_row("mission.wur_wake_threshold_dbm")),
+        mission_payload_bits=draw(in_row("mission.payload_bits")),
+        mission_latency_cap_s=draw(in_row("mission.latency_cap_s")),
     )
 
 
@@ -159,6 +155,73 @@ def test_run_config_checks_mode_and_empty_lists(overrides, key):
         cli.RunConfig(**overrides)
 
 
+# Values of other keys that let each bound of a row build a RunConfig: a band with
+# no default threshold, a link that would otherwise amplify, a grid of one point, a
+# LoS loss that the NLoS one must reach, and a field count that overrides the density.
+RANGE_COMPANIONS = {
+    "link.frequency_hz": {"circuit_threshold_dbm": -20.0, "plan_heights_m": (1e7,)},
+    "sweep.frequencies_hz": {"circuit_threshold_dbm": -20.0, "sweep_distance_start_m": 1e5,
+                             "sweep_distance_stop_m": 1e5},
+    "sweep.elements": {"sweep_distance_start_m": 10.0},
+    "sweep.distance_start_m": {"sweep_distance_stop_m": 1e7},
+    "sweep.distance_stop_m": {"sweep_distance_step_m": 1e7},
+    "link.excess_los_db": {"link_excess_nlos_db": 1e3},
+    "link.excess_nlos_db": {"link_excess_los_db": 0.0},
+    **dict.fromkeys(["field.width_m", "field.height_m", "field.density"], {"field_count": 20}),
+    "plan.mode": {"field_count": 12},
+}
+# Rows whose smallest positive value breaks a rule across keys, which names the key as
+# well: a link that close amplifies in every band, a stop that low is below every start
+# that does not, and a step that fine gives over MAX_SWEEP_POINTS points.
+AMPLIFY_OR_OVERFILL_AT_ZERO = {"sweep.distance_start_m", "sweep.distance_stop_m",
+                               "sweep.distance_step_m", "plan.heights_m"}
+
+
+def range_bounds(row):
+    """(inside, past) at each end of a numeric row: the bound, or the next value in when
+    it is open, and the next value out."""
+    if isinstance(row.low, int):
+        return [(row.low, row.low - 1), (int(row.high), int(row.high) + 1)]
+    if row.open_low:
+        return [(math.nextafter(row.low, math.inf), row.low),
+                (row.high, math.nextafter(row.high, math.inf))]
+    return [(row.low, math.nextafter(row.low, -math.inf)),
+            (row.high, math.nextafter(row.high, math.inf))]
+
+
+def test_range_rows_are_the_config_keys():
+    assert sorted(cli.RANGES) == sorted(line.split(" = ")[0] for line in cli.default_lines())
+
+
+@pytest.mark.parametrize("key", list(cli.RANGES))
+def test_range_row_bounds(key):
+    row, attr = cli.RANGES[key], key.replace(".", "_")
+    default = getattr(cli.RunConfig(), attr)
+    listed = isinstance(default, tuple)
+    assert all(value in row for value in (default if listed else (default,)) if value is not None)
+
+    def build(value):
+        return cli.RunConfig(**{**RANGE_COMPANIONS.get(key, {}), attr: (value,) if listed else value})
+
+    if key == "plan.mode":
+        cases = [(choice, "fast") for choice in row]
+    else:
+        cases = range_bounds(row)
+        if isinstance(row.low, int):
+            cases.append((row.low, row.low + 0.5))  # an integer row takes no fraction
+    for inside, past in cases:
+        assert inside in row and past not in row
+        if key in AMPLIFY_OR_OVERFILL_AT_ZERO and inside == math.ulp(0.0):
+            with pytest.raises(ConfigurationError, match=key) as raised:
+                build(inside)
+            assert "must be in" not in str(raised.value)
+        else:
+            assert getattr(build(inside), attr) == ((inside,) if listed else inside)
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{re.escape(key)} must be in {re.escape(str(row))}, got "):
+            build(past)
+
+
 def empty_scenario(**overrides):
     return missionsim.MissionScenario(
         field=planner.NodeField(10.0, 10.0, np.empty((0, 2))),
@@ -167,8 +230,9 @@ def empty_scenario(**overrides):
     )
 
 
-# Each cli.FIELD_KEYS and cli.SWEEP_FIELD_KEYS entry: a library call given one value
-# of the field, a value it rejects, and RunConfig values that feed that value to it.
+# Library rules that a config key feeds: a library call given one value of the field,
+# a value it rejects, and RunConfig values that feed that value to it. A config inside
+# cli.RANGES reaches the rules of cli.FIELD_KEYS; the range check rejects the rest first.
 FIELD_KEY_CASES = [
     ("carrier_frequency_hz", "link.frequency_hz", linkbudget.RadioEnvironment, 0.0,
      {"link_frequency_hz": 0.0}),
@@ -229,16 +293,25 @@ FIELD_KEY_CASE_IDS = [
 ]
 
 
+def inside_ranges(overrides):
+    """Whether each value of ``overrides`` (RunConfig fields) lies in its row of cli.RANGES."""
+    return all(item in cli.RANGES[cli._attr_to_key(attr)] for attr, value in overrides.items()
+               for item in (value if isinstance(value, tuple) else (value,)))
+
+
 def test_field_key_cases_cover_the_table():
-    assert {(field, key) for field, key, *_ in FIELD_KEY_CASES} == (
-        set(cli.FIELD_KEYS.items()) | set(cli.SWEEP_FIELD_KEYS.items()))
+    # Every cli.FIELD_KEYS entry has a case inside the ranges, and every case inside
+    # them reaches a library rule that cli.FIELD_KEYS names.
+    assert {(field, key) for field, key, *_, overrides in FIELD_KEY_CASES
+            if inside_ranges(overrides)} == set(cli.FIELD_KEYS.items())
 
 
 @pytest.mark.parametrize(("field", "key", "build", "bad", "overrides"), FIELD_KEY_CASES,
                          ids=FIELD_KEY_CASE_IDS)
 def test_library_field_errors_name_the_config_key(field, key, build, bad, overrides):
     # The library object owns the rule and names its field, NaN included; the
-    # config check reports the same rule under the config key alone.
+    # config check reports the value under the config key alone, through cli.FIELD_KEYS
+    # or the range check.
     for value in (bad, math.nan):
         with pytest.raises(ConfigurationError) as raised:
             build(value)
@@ -247,7 +320,7 @@ def test_library_field_errors_name_the_config_key(field, key, build, bad, overri
         cli.RunConfig(**overrides)
     message = str(raised.value)
     assert key in message
-    assert not [name for name in cli.FIELD_KEYS if name in message.replace(key, "")]
+    assert not [name for name, *_ in FIELD_KEY_CASES if name in message.replace(key, "")]
 
 
 # Each MissionScenario field, and a config key and value that build_scenario turns
@@ -774,7 +847,7 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("sweep.distance_start_m = 0", "sweep.distance_start_m"),
         ("sweep.distance_start_m = -2", "sweep.distance_start_m"),
         ("sweep.distance_stop_m = 0.5", "sweep.distance_stop_m"),
-        ("sweep.distance_stop_m = 1e308\nsweep.distance_step_m = 1e-300", "sweep.distance_step_m"),
+        ("sweep.distance_stop_m = 1e308\nsweep.distance_step_m = 1e-300", "sweep.distance_stop_m"),
         ("field.count = -5", "field.count"),
         ("field.width_m = -5", "field.width_m"),
         ("field.height_m = 0", "field.height_m"),
@@ -782,7 +855,7 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("field.density = 0.001", "field.density"),  # 0.1 nodes on 100 m x 100 m rounds to 0
         ("field.seed = -2", "field.seed"),
         ("field.count = 1000000000000", "field.count"),
-        ("field.width_m = 1e200\nfield.height_m = 1e200", "field.density"),  # area overflows
+        ("field.width_m = 1e200\nfield.height_m = 1e200", "field.width_m"),  # the first key out
         # Plan and mission values are checked before any command runs, too.
         ("mission.wpt_power_w = 0", "mission.wpt_power_w"),
         ("mission.wur_power_w = -1", "mission.wur_power_w"),
@@ -814,20 +887,24 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("plan.mc_seeds = 1e18", "plan.mc_seeds"),  # 10^18 fields: over MAX_MC_NODES
         # A field is charged at least MC_FIELD_MIN_NODES: 10^7 one-node fields are over.
         ("field.count = 1\nplan.mc_seeds = 10000000", "plan.mc_seeds"),
-        # A subnormal band, whose wavelength c/f overflows.
+        # Values outside their key's range, at magnitudes where a band's wavelength c/f,
+        # the uplink SNR at the closest link, a coverage radius (from an explicit d_EH or
+        # one the range search finds) or the Monte-Carlo tour sums would overflow. The
+        # first key out of range, in `defaults` order, is named.
         ("link.frequency_hz = 1e-320\ncircuit.threshold_dbm = -20", "link.frequency_hz"),
         ("sweep.frequencies_hz = 1e-320\ncircuit.threshold_dbm = -20", "sweep.frequencies_hz"),
-        # An uplink SNR that overflows at the closest link, where the rate is highest.
         ("link.bandwidth_hz = 1e-300", "link.bandwidth_hz"),
         ("mission.wpt_power_w = 1e300\nlink.bandwidth_hz = 1e-12", "link.bandwidth_hz"),
-        # A d_EH whose coverage radius overflows, explicit or found by the range search.
         ("plan.d_eh_m = 1e300", "plan.d_eh_m"),
         ("circuit.threshold_dbm = -1e300", "circuit.threshold_dbm"),
         ("circuit.threshold_dbm = -1e150", "circuit.threshold_dbm"),
-        # Monte-Carlo tours whose legs, each up to the field's diagonal, could sum past the
-        # largest float: the longer side is named.
         ("field.width_m = 1e308\nfield.height_m = 1\nfield.count = 20", "field.width_m"),
         ("field.height_m = 1e306\nfield.count = 20", "field.height_m"),
+        # Links far past their ranges: a hover, a sweep stop, and a field at a band.
+        ("plan.heights_m = 1e300", "plan.heights_m"),
+        ("sweep.distance_stop_m = 1e300\nsweep.distance_step_m = 1e298", "sweep.distance_stop_m"),
+        ("link.frequency_hz = 1e160\ncircuit.threshold_dbm = -20\nfield.width_m = 1e150\n"
+         "plan.d_eh_m = 1e150\nfield.count = 20", "link.frequency_hz"),
     ],
 )
 def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
@@ -1048,7 +1125,7 @@ def test_no_link_amplifies(heights, start, count, band, elements, power_w, seed)
     [
         ("plan.heights_m = 14\nplan.d_eh_m = 13", 3),  # hovers above the EH range
         ("circuit.threshold_dbm = 40", 3),  # no node harvests enough, even overhead
-        ("plan.heights_m = 1e300", 3),  # a finite path loss, far above the EH range
+        ("plan.heights_m = 1e300", 2),  # outside its range
         ("link.frequency_hz = 1e9", 2),  # no default threshold for the band
         ("array.elements = 0", 2),
     ],
@@ -1066,19 +1143,19 @@ def test_reproduce_rejects_mission_before_any_file(tmp_path, capsys, lines, code
 @pytest.mark.parametrize(
     ("lines", "codes"),
     [
-        # A hover height far above d_EH: the sweeps do not read it, and no mission is planned.
-        ("plan.heights_m = 1e300", (0, 0, 3, 3, 3)),
-        # A grid of 101 points whose far end, 10^300 m, is 10^308.6 Hz*m at 400 MHz.
-        ("sweep.distance_stop_m = 1e300\nsweep.distance_step_m = 1e298", (0,) * 5),
-        # 20 nodes across 10^150 m at 10^160 Hz: mission links far past d*f = 1.4e307.
-        ("link.frequency_hz = 1e160\ncircuit.threshold_dbm = -20\nfield.width_m = 1e150\n"
-         "plan.d_eh_m = 1e150\nfield.count = 20", (0,) * 5),
+        # The highest hover: the sweeps do not read it, and it is far above d_EH.
+        ("plan.heights_m = 1e7", (0, 0, 3, 3, 3)),
+        # The farthest sweep stop, on a grid of 100 points.
+        ("sweep.distance_stop_m = 1e7\nsweep.distance_step_m = 1e5", (0,) * 5),
+        # 20 nodes across the widest field at the highest band, all within d_EH.
+        ("link.frequency_hz = 3e12\ncircuit.threshold_dbm = -20\nfield.width_m = 1e7\n"
+         "plan.d_eh_m = 1e7\nfield.count = 20", (0,) * 5),
     ],
-    ids=["hover-1e300", "sweep-stop-1e300", "mission-1e150-at-1e160-hz"],
+    ids=["hover-1e7", "sweep-stop-1e7", "mission-1e7-at-3e12-hz"],
 )
 def test_links_of_any_finite_length_run(tmp_path, capsys, lines, codes):
-    # Path loss is a sum of logs, finite at every finite distance, even where
-    # 4 pi d f / c as one product overflows (d*f past 1.4e307).
+    # Path loss is a sum of logs, finite at every finite distance. The longest links
+    # inside cli.RANGES end with finite cells, or with no feasible mission.
     config = write_config(tmp_path, lines + "\nplan.mc_seeds = 1\n")
     for command, code in zip(COMMANDS, codes):
         out = tmp_path / command
@@ -1099,14 +1176,14 @@ def test_every_hover_height_is_checked(heights):
 
 
 def test_largest_eh_distance_runs(tmp_path):
-    # A d_EH just below planner.MAX_EH_DISTANCE_M has a finite coverage radius; the
-    # bound itself is rejected.
-    below = math.nextafter(planner.MAX_EH_DISTANCE_M, 0.0)
-    config = cli.RunConfig(plan_d_eh_m=below, field_count=20, plan_mc_seeds=1)
+    # The top of plan.d_eh_m's range plans every height; the next float up is rejected.
+    top = cli.RANGES["plan.d_eh_m"].high
+    config = cli.RunConfig(plan_d_eh_m=top, field_count=20, plan_mc_seeds=1)
     header, rows = read_rows(cli.plan_and_simulate(config, tmp_path)[2])
-    assert [row[header.index("radius_m")] for row in rows[1:]] == [cell(below)] * 2
+    assert [row[header.index("radius_m")] for row in rows[1:]] == [
+        cell(planner.coverage_radius_m(height, top)) for height in config.plan_heights_m]
     with pytest.raises(ConfigurationError, match="plan.d_eh_m"):
-        replace(config, plan_d_eh_m=planner.MAX_EH_DISTANCE_M)
+        replace(config, plan_d_eh_m=math.nextafter(top, math.inf))
 
 
 def test_simulate_resolves_eh_distance_once(tmp_path, monkeypatch):

@@ -306,6 +306,31 @@ def test_non_finite_coordinates_rejected(bad):
             plan_tour([(1.0, 1.0), (2.0, bad), (3.0, 1.0)], mode=mode)
 
 
+@pytest.mark.parametrize("n", [30, 100])
+def test_plan_tour_rejects_points_past_its_range(n):
+    # Uniform over [-1e308, 1e308]^2, 30 points raised OverflowError from complex abs,
+    # and 100 points numpy's ValueError from a grid whose extent overflowed. The same
+    # points scaled to the edge of the range plan a finite tour.
+    edge = planner.MAX_COORDINATE_M
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
+    pts[:2] = [[1.0, -1.0], [-1.0, 1.0]]
+    with pytest.raises(ConfigurationError, match="within"):
+        plan_tour(pts * 1e308)
+    assert math.isfinite(plan_tour(pts * edge).length_m)
+
+
+def test_grouping_rejects_a_radius_or_nodes_past_its_range():
+    # A radius of 1.4e154 raised OverflowError when squared.
+    with pytest.raises(ConfigurationError, match="coverage radius"):
+        form_wpc_groups(generate_nodes(100.0, 100.0, 0.25, seed=5), 1.4e154)
+    with pytest.raises(ConfigurationError, match="node coordinates"):
+        form_wpc_groups(NodeField(1e200, 1.0, np.array([[0.0, 0.0], [1e200, 0.0]])), 1.0)
+    # At the edge of the range, no square overflows: (edge, 0) covers the other two.
+    edge = planner.MAX_COORDINATE_M
+    field = NodeField(edge, edge, np.array([[0.0, 0.0], [edge, edge], [edge, 0.0]]))
+    assert form_wpc_groups(field, edge) == [planner.WpcGroup(2, frozenset({0, 1, 2}))]
+
+
 def test_node_count_past_the_float_range_rejected():
     # density x area overflows to inf, which round() turned into OverflowError.
     with pytest.raises(ConfigurationError):
