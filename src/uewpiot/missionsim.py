@@ -62,9 +62,9 @@ class MissionScenario:
             raise ConfigurationError("wur_wake_threshold_dbm must be finite",
                                      "wur_wake_threshold_dbm")
         if self.eh_distance_m is not None and not (
-                -math.inf < self.eh_distance_m < planner.MAX_EH_DISTANCE_M):
+                -math.inf < self.eh_distance_m <= planner.MAX_COORDINATE_M):
             raise ConfigurationError(
-                f"eh_distance_m must be finite and below {planner.MAX_EH_DISTANCE_M:.4g} m, "
+                f"eh_distance_m must be finite and at most {planner.MAX_COORDINATE_M:g} m, "
                 f"got {self.eh_distance_m:g}", "eh_distance_m")
 
 

@@ -2,15 +2,15 @@
 
 A UAV hovering at height H with powering range d_EH covers a ground disk of
 radius R = sqrt(d_EH^2 - H^2). Greedy maximum coverage puts the nodes into
-node-anchored disks: a grid hash finds the pairs within R as compressed
-sparse rows, in O(n + pairs) memory, and a lazy greedy heap picks each
-disk. The UAV flies a closed tour over the anchors, either heuristic or,
-for up to 12 points, exact by dynamic programming. The heuristic tour
-gives each point its TOUR_NEIGHBOURS nearest points from the same grid,
-in O(n k) memory, starts from a greedy-edge tour over those candidate edges,
-and improves it by 2-opt and Or-opt moves over the candidates, driven by
-don't-look bits (Bentley 1992; Johnson & McGeoch 1997), until no candidate
-move shortens it.
+node-anchored disks: a grid hash finds the pairs within R, at the
+``np.hypot`` distance every planner path uses, as compressed sparse rows in
+one int32 array, and a lazy greedy heap picks each disk. The UAV flies a
+closed tour over the anchors, either heuristic or, for up to 12 points,
+exact by dynamic programming. The heuristic tour gives each point its
+TOUR_NEIGHBOURS nearest points from the same pair search, in O(n k) memory,
+starts from a greedy-edge tour over those candidate edges, and improves it
+by 2-opt and Or-opt moves over the candidates, driven by don't-look bits
+(Bentley 1992; Johnson & McGeoch 1997), until no candidate move shortens it.
 """
 from __future__ import annotations
 
@@ -29,16 +29,15 @@ from .errors import ConfigurationError, InfeasibilityError
 # Nodes this close beyond the disk edge still count as covered.
 MEMBERSHIP_SLACK_M = 1e-9
 # Grid cells are this much (relative) wider than the search reach, and at
-# least this fraction of the points' extent; see _grid.
+# least this fraction of the points' extent; see _near_pairs.
 CELL_MARGIN = 2.0**-20
 
 # Largest node field the CLI accepts. Grouping and tours take linear memory,
 # tens of MB here.
 MAX_FIELD_NODES = 100_000
 
-# The largest d_EH whose coverage radius is finite: d_EH**2 overflows above it.
-MAX_EH_DISTANCE_M = math.sqrt(np.finfo(float).max)  # about 1.34e154 m
-# Largest coordinate and coverage radius grouping and tours take: their squares stay finite.
+# Largest length the planner takes: node coordinates, coverage radii and d_EH.
+# Its square, in coverage_radius_m and the exact solver, stays finite.
 MAX_COORDINATE_M = 1e150
 
 EXACT_SOLVER_MAX_POINTS = 12
@@ -192,29 +191,29 @@ class WpcGroup:
             raise ConfigurationError("traversal point must belong to its own group")
 
 
-def _grid(pts: np.ndarray, reach: float) -> tuple:
-    """Square cells from the lowest corner: each point's key, the points and
-    keys in key order, and the key stride. Cells are CELL_MARGIN wider than
+def _near_pairs(pts: np.ndarray, reach: float, query: np.ndarray):
+    """Yield (rows, cols, d): every pair of a ``query`` point, ``query[rows]``,
+    and a point ``cols`` (itself included) whose distance ``d``, as
+    ``np.hypot(dx, dy)``, is within ``reach``. This is the planner's one pair
+    search, a fixed-radius grid hash (Bentley, Stanat & Williams 1977): only
+    the 3 x 3 cells around each query point are priced, about GRID_CHUNK
+    candidates at a time, and each chunk holds whole rows, in order.
+
+    Cells are square from the lowest corner, and CELL_MARGIN wider than
     ``reach``: at exactly the reach, rounding in the floor division can put a
     pair within reach two cells apart. They are at least the points' extent
     times CELL_MARGIN, which keeps the cell index and its rounding error small.
     A key is ``column * stride + row``, and the stride leaves one empty row
     above the last: the rows next to a point's row, in any one column, are
-    one range of the sorted keys that no other column's points fall in."""
-    lo = pts.min(axis=0)
-    cell = max(reach * (1.0 + CELL_MARGIN), float((pts.max(axis=0) - lo).max()) * CELL_MARGIN)
-    cells = np.floor((pts - lo) / cell).astype(np.int64)
+    one range of the sorted keys that no other column's points fall in.
+    """
+    corner = pts.min(axis=0)
+    cell = max(reach * (1.0 + CELL_MARGIN), float((pts.max(axis=0) - corner).max()) * CELL_MARGIN)
+    cells = np.floor((pts - corner) / cell).astype(np.int64)
     stride = int(cells[:, 1].max()) + 2
     key = cells[:, 0] * stride + cells[:, 1]
     by_key = np.argsort(key)
-    return key, by_key, key[by_key], stride
-
-
-def _block_pairs(grid, query: np.ndarray):
-    """Yield (rows, cols): every point in the 3 x 3 cells around each
-    ``query`` point, which is ``query[rows]``. Each chunk holds whole rows,
-    in order, and about GRID_CHUNK pairs."""
-    key, by_key, sorted_key, stride = grid
+    sorted_key = key[by_key]
     centre = key[query, None] + np.array([-stride, 0, stride])
     first = np.searchsorted(sorted_key, centre - 1)
     counts = np.searchsorted(sorted_key, centre + 1, "right") - first
@@ -229,26 +228,26 @@ def _block_pairs(grid, query: np.ndarray):
             # Position t of range s is f[s] + (t - where range s starts in the output).
             skip = np.repeat(f - (np.cumsum(c) - c), c)
             rows = np.repeat(np.arange(lo, hi), per_query[lo:hi])
-            yield rows, by_key[skip + np.arange(len(skip))]
+            cols = by_key[skip + np.arange(len(skip))]
+            at = query[rows]
+            d = np.hypot(pts[at, 0] - pts[cols, 0], pts[at, 1] - pts[cols, 1])
+            keep = d <= reach
+            yield rows[keep], cols[keep], d[keep]
 
 
-def _pairs_within(pts: np.ndarray, reach: float) -> tuple[list[int], list[int]]:
-    """CSR lists of every pair within ``reach``, each point with itself.
-
-    Row i, ``neighbours[start[i]:start[i + 1]]``, holds every j that passes
-    the dense test ``(d**2).sum(-1) <= reach**2``; only the 3 x 3 grid cells
-    around each point are priced, GRID_CHUNK candidates at a time.
+def _pairs_within(pts: np.ndarray, reach: float) -> tuple[list[int], np.ndarray]:
+    """CSR of every pair within ``reach``, each point with itself: row i,
+    ``neighbours[start[i]:start[i + 1]]``, holds every j that ``_near_pairs``
+    finds for i, and ``neighbours`` is one int32 array, 4 bytes a pair.
     """
     n = len(pts)
     start = np.zeros(n + 1, dtype=np.int64)
     kept = []
-    for rows, cols in _block_pairs(_grid(pts, reach), np.arange(n)):
-        d = pts[rows] - pts[cols]
-        keep = (d**2).sum(axis=-1) <= reach**2
-        start[1:] += np.bincount(rows[keep], minlength=n)
-        kept += cols[keep].tolist()
+    for rows, cols, _ in _near_pairs(pts, reach, np.arange(n)):
+        start[1:] += np.bincount(rows, minlength=n)
+        kept.append(cols.astype(np.int32))
     np.cumsum(start, out=start)
-    return start.tolist(), kept
+    return start.tolist(), np.concatenate(kept)
 
 
 def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
@@ -259,8 +258,8 @@ def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
     point, and removes the covered nodes. The resulting groups partition the field.
     The radius and the node coordinates must lie in [0, MAX_COORDINATE_M].
 
-    The pairs within reach come from a fixed-radius grid hash (Bentley,
-    Stanat & Williams 1977) on ``_grid``'s cells, in O(n + pairs) memory.
+    The pairs within reach, at ``np.hypot`` distance as in the tours, come
+    from ``_near_pairs`` as an int32 CSR, in O(n + pairs) memory.
     Picks follow Minoux's lazy greedy (1978): gains only fall, so a heap
     entry (-gain, index) that is still current when popped is the argmax,
     lowest index first. A pick decrements gains only over the rows of the
@@ -287,11 +286,11 @@ def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
         if -stored != gains[best]:
             heapq.heappush(heap, (-gains[best], best))
             continue
-        members = [j for j in neighbours[start[best] : start[best + 1]] if uncovered[j]]
+        members = [j for j in neighbours[start[best] : start[best + 1]].tolist() if uncovered[j]]
         for j in members:
             uncovered[j] = False
         for j in members:
-            for k in neighbours[start[j] : start[j + 1]]:
+            for k in neighbours[start[j] : start[j + 1]].tolist():
                 gains[k] -= 1
         left -= len(members)
         groups.append(WpcGroup(best, frozenset(members)))
@@ -319,8 +318,8 @@ def _neighbour_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the neighbour indices and their distances ``np.hypot(dx, dy)``,
     both of shape (n, k); equal distances rank by index. Up to
-    DENSE_NEIGHBOURS_MAX points, one n x n table is ranked. Larger sets list
-    the pairs within a reach rho from the 3 x 3 cells of ``_grid``. A point
+    DENSE_NEIGHBOURS_MAX points, one n x n table is ranked. Larger sets take
+    each point's pairs within a reach rho from ``_near_pairs``. A point
     with at least k of them is final, as every other point is farther; rho
     doubles for the rest. It starts where cells hold about k/2 points each,
     at sqrt(k A / 2n), A the points' bounding-box area (extent**2 on a line
@@ -337,16 +336,14 @@ def _neighbour_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     dist = np.zeros((n, k))
     span = pts.max(axis=0) - pts.min(axis=0)
     extent = float(span.max())
-    # Root by root, as A can overflow; at least _grid's smallest cell; 1.0 if all coincide.
+    # Root by root, as A can overflow; at least _near_pairs' smallest cell; 1.0 if all coincide.
     root_area = math.sqrt(extent) * math.sqrt(span.min() or extent)
     reach = max(math.sqrt(k / (2 * n)) * root_area, extent * CELL_MARGIN) or 1.0
     todo = np.arange(n)
     while todo.size:
         done = np.zeros(len(todo), dtype=bool)
-        for rows, cols in _block_pairs(_grid(pts, reach), todo):
-            query = todo[rows]
-            d = np.hypot(pts[query, 0] - pts[cols, 0], pts[query, 1] - pts[cols, 1])
-            keep = (cols != query) & (d <= reach)
+        for rows, cols, d in _near_pairs(pts, reach, todo):
+            keep = cols != todo[rows]
             rows, cols, d = rows[keep], cols[keep], d[keep]
             # Sort by (row, distance, index), the distance as its dense rank.
             by_d = np.argsort(d)
@@ -567,8 +564,6 @@ def _local_search(
             while queue and moves < cap:
                 a = queue.popleft()
                 queued[a] = False
-                if searched[a] == moves:
-                    continue
                 touched = find_move(a, or_opt)
                 moves += bool(touched)
                 for c in touched:

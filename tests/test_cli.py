@@ -931,7 +931,8 @@ EXTREMES = [0.0, *(sign * m for m in (5e-324, 1e-300, 1e-12, 1e12, 1e150, 1e300)
 @example(overrides={"plan.d_eh_m": 1e300})  # a coverage radius that overflows
 @example(overrides={"circuit.threshold_dbm": -1e300})  # and one the range search finds
 @example(overrides={"circuit.threshold_dbm": -1e150})
-# A threshold met past MAX_EH_DISTANCE_M at a 10^300 Hz band: the d_EH search could not end.
+# A threshold met only past 1.34e154 m, where d_EH**2 overflows, at a 10^300 Hz band:
+# the d_EH search could not end.
 @example(overrides={"link.frequency_hz": 1e300, "circuit.threshold_dbm": -1e12})
 # Mission links past d*f = 1.4e307, where 4 pi d f / c as one product overflows.
 @example(overrides={"link.frequency_hz": 1e160, "circuit.threshold_dbm": -20,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uewpiot import linkbudget, missionsim
+from uewpiot import linkbudget, missionsim, planner
 from uewpiot import (
     AntennaArray,
     ConfigurationError,
@@ -605,3 +605,12 @@ def test_scenario_validation():
         MissionScenario(**kwargs, wpt_power_w=0.0)
     with pytest.raises(ConfigurationError):
         MissionScenario(**kwargs, latency_cap_s=0.0)
+    # A d_EH past the planner's one length limit fails when the scenario is
+    # built, naming the field; 1e152 m used to build and fail later, in
+    # grouping. A d_EH exactly at the limit builds and flies one stop.
+    for bad in (1e152, math.nextafter(planner.MAX_COORDINATE_M, math.inf)):
+        with pytest.raises(ConfigurationError, match="eh_distance_m") as caught:
+            MissionScenario(**kwargs, eh_distance_m=bad)
+        assert caught.value.field == "eh_distance_m"
+    scenario = MissionScenario(**kwargs, eh_distance_m=planner.MAX_COORDINATE_M)
+    assert len(simulate_mission(scenario).groups) == 1

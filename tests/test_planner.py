@@ -489,8 +489,9 @@ def test_form_wpc_groups_memory_stays_linear(side, radius):
 def test_pairs_within_memory_stays_near_the_pair_count():
     # 5,000 nodes on a 100 m x 100 m field at R = 12: about 1.1 million pairs
     # within reach, of 3.3 million candidates from the 3 x 3 cells. Pricing
-    # all candidates at once peaked at 172 MB; in chunks of GRID_CHUNK the
-    # peak stays near the CSR lists returned.
+    # all candidates at once peaked at 172 MB, and one Python int per pair at
+    # 41 bytes a pair. The int32 CSR, priced GRID_CHUNK candidates at a time,
+    # peaks near 8 bytes a pair: its chunks and their concatenation.
     pts = np.random.default_rng(1).uniform(0.0, 100.0, size=(5000, 2))
     tracemalloc.start()
     try:
@@ -499,7 +500,7 @@ def test_pairs_within_memory_stays_near_the_pair_count():
     finally:
         tracemalloc.stop()
     assert len(neighbours) == start[-1] > 1_000_000
-    assert peak < 172e6 / 2
+    assert peak < 12 * len(neighbours)
 
 
 @pytest.mark.parametrize(
