@@ -146,7 +146,10 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
     known = {_attr_to_key(attr): attr for attr in defaults}
     values = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: not UTF-8 text at byte {exc.start}") from None
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

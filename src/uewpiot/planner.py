@@ -219,9 +219,7 @@ def _near_pairs(pts: np.ndarray, reach: float, query: np.ndarray):
     counts = np.searchsorted(sorted_key, centre + 1, "right") - first
     per_query = counts.sum(axis=1)
     ends = np.cumsum(per_query)
-    cuts = []
-    if ends[-1] > GRID_CHUNK:
-        cuts = np.searchsorted(ends, np.arange(GRID_CHUNK, ends[-1], GRID_CHUNK), "right").tolist()
+    cuts = np.searchsorted(ends, np.arange(GRID_CHUNK, ends[-1], GRID_CHUNK), "right").tolist()
     for lo, hi in zip([0, *cuts], [*cuts, len(query)]):
         if lo < hi:
             c, f = counts[lo:hi].ravel(), first[lo:hi].ravel()
@@ -376,11 +374,10 @@ def _greedy_edge_order(pts: np.ndarray, neighbours: np.ndarray, dist: np.ndarray
     n, k = neighbours.shape
     by_length = np.argsort(dist.ravel(), kind="stable")
     root = list(range(n))
-    degree = [0] * n
     links: list[list[int]] = [[] for _ in range(n)]
     added = 0
     for a, b in zip((by_length // k).tolist(), neighbours.ravel()[by_length].tolist()):
-        if degree[a] < 2 and degree[b] < 2:
+        if len(links[a]) < 2 and len(links[b]) < 2:
             ra, rb = a, b
             while root[ra] != ra:
                 root[ra] = ra = root[root[ra]]
@@ -388,8 +385,6 @@ def _greedy_edge_order(pts: np.ndarray, neighbours: np.ndarray, dist: np.ndarray
                 root[rb] = rb = root[root[rb]]
             if ra != rb:
                 root[ra] = rb
-                degree[a] += 1
-                degree[b] += 1
                 links[a].append(b)
                 links[b].append(a)
                 added += 1
@@ -398,12 +393,12 @@ def _greedy_edge_order(pts: np.ndarray, neighbours: np.ndarray, dist: np.ndarray
     paths = []
     done = [False] * n  # path ends already walked from the other end
     for s in range(n):
-        if degree[s] < 2 and not done[s]:
+        if len(links[s]) < 2 and not done[s]:
             path = [s]
-            if degree[s]:
+            if links[s]:
                 prev, cur = s, links[s][0]
                 path.append(cur)
-                while degree[cur] == 2:
+                while len(links[cur]) == 2:
                     prev, cur = cur, links[cur][links[cur][0] == prev]
                     path.append(cur)
                 done[cur] = True
@@ -420,9 +415,7 @@ def _greedy_edge_order(pts: np.ndarray, neighbours: np.ndarray, dist: np.ndarray
     return tour
 
 
-def _local_search(
-    pts: np.ndarray, neighbours: np.ndarray, dist: np.ndarray, tour: list[int]
-) -> list[int]:
+def _local_search(pts: np.ndarray, neighbours: np.ndarray, tour: list[int]) -> list[int]:
     """2-opt and Or-opt over the candidate lists, first improvement.
 
     For each point a and each tour neighbour x of a, a candidate move
@@ -440,23 +433,20 @@ def _local_search(
     those candidates' direction. When the second pass's queue runs dry, every
     point for which one of these changed since its last search is queued
     again, so the search ends only when no candidate move improves the
-    tour, or after TOUR_MOVES_PER_POINT moves per point. Distances are
-    ``abs`` of complex differences, which is ``np.hypot``, as in the
-    candidate lists.
+    tour, or after TOUR_MOVES_PER_POINT moves per point. Each length is
+    computed where it is read, as ``abs`` of a complex difference, which is
+    ``np.hypot``, as in the candidate lists; the search keeps no copy of it.
     """
     n = len(tour)
     z = np.ascontiguousarray(pts).view(np.complex128).ravel().tolist()
-    near, near_d = neighbours.tolist(), dist.tolist()
+    near = neighbours.tolist()
     pos = [0] * n
     for i, c in enumerate(tour):
         pos[c] = i
-    # el[i] is the length of the edge from tour position i to i + 1.
-    el = [abs(z[tour[i - 1]] - z[tour[i]]) for i in range(1 - n, 1)]
     # Moves made so far; when each point's links or direction last changed;
-    # when each point's last search failed, and the points it read.
+    # when each point's last search failed (per pass), and the points it read.
     moves = 0
     changed = [0] * n
-    searched = [-1] * n
     read: list[list[int]] = [[]] * n
     segs = min(3, n - 3)
 
@@ -470,19 +460,13 @@ def _local_search(
             return
         if i < j:
             tour[i : j + 1] = tour[i : j + 1][::-1]
-            el[i:j] = el[i:j][::-1]
             for p in range(i, j + 1):
                 pos[tour[p]] = p
-            ends = (i - 1, j)
         else:  # the stretch wraps past the end of the list
             for p, q in zip(range(i, i + length // 2), range(j, j - length // 2, -1)):
                 p, q = p % n, q % n
                 tour[p], tour[q] = tour[q], tour[p]
                 pos[tour[p]], pos[tour[q]] = p, q
-            ends = range(i - 1, i + length)
-        for p in ends:
-            p %= n
-            el[p] = abs(z[tour[p]] - z[tour[(p + 1) % n]])
         for p in range(i - 1, i + length + 1):
             changed[tour[p % n]] = moves + 1
 
@@ -494,51 +478,51 @@ def _local_search(
             reverse(c, b)
 
     # Per side of a: the offset from a position to its neighbour on x's side
-    # and to the other neighbour (as list indices, which may run negative),
-    # and the el index offsets for the edges that way and the other way.
-    sides = ((-1, 1 - n, -1, 0), (1 - n, -1, 0, -1))
+    # and to the other neighbour (as list indices, which may run negative).
+    sides = ((-1, 1 - n), (1 - n, -1))
 
     def find_move(a: int, or_opt: bool) -> tuple[int, ...]:
         """Make the first improving move at a; return the changed edges' ends."""
         pa, za = pos[a], z[a]
         seen = [a]
-        for toward, away, back, ahead in sides:
+        for toward, away in sides:
             x = tour[pa + toward]
             zx = z[x]
-            dax = el[pa + back]
+            dax = abs(za - zx)
             chain = None
-            for c, dac in zip(near[a], near_d[a]):
+            for c in near[a]:
+                zc = z[c]
+                dac = abs(za - zc)
                 if dac >= dax:
                     break
                 seen.append(c)
                 pc = pos[c]
                 d = tour[pc + toward]
-                if d != a and dac + abs(zx - z[d]) - dax - el[pc + back] < -1e-12:
+                if d != a and dac + abs(zx - z[d]) - dax - abs(zc - z[d]) < -1e-12:
                     flip(x, a, d)
                     return a, x, c, d
                 if not or_opt:
                     continue
                 if chain is None:  # a, then the next three points away from x
                     q1 = tour[pa + away]
-                    p1 = pos[q1]
-                    q2 = tour[p1 + away]
-                    p2 = pos[q2]
-                    q3 = tour[p2 + away]
+                    q2 = tour[pos[q1] + away]
+                    q3 = tour[pos[q2] + away]
                     chain = (a, q1, q2, q3)
                     zs = (za, z[q1], z[q2], z[q3])
                     gains = (
-                        dax + el[pa + ahead] - abs(zx - zs[1]),
-                        dax + el[p1 + ahead] - abs(zx - zs[2]),
-                        dax + el[p2 + ahead] - abs(zx - zs[3]),
+                        dax + abs(zs[0] - zs[1]) - abs(zx - zs[1]),
+                        dax + abs(zs[1] - zs[2]) - abs(zx - zs[2]),
+                        dax + abs(zs[2] - zs[3]) - abs(zx - zs[3]),
                     )
                     most = max(gains[:segs])
                     seen += chain
                 # Segment m is chain[:m + 1]; it moves between c and e next to q = chain[m + 1].
                 top = min(chain.index(c), segs) if c in chain else segs
-                for e, dce in ((tour[pc - 1], el[pc - 1]), (tour[pc + 1 - n], el[pc])):
+                for e in (tour[pc - 1], tour[pc + 1 - n]):
+                    ze = z[e]
+                    dce = abs(zc - ze)
                     if dac - dce - most >= -1e-12:
                         continue  # no segment gains: dac + |sm e| - dce - gain is larger
-                    ze = z[e]
                     for m in range(min(top, chain.index(e)) if e in chain else top):
                         if dac + abs(zs[m] - ze) - dce - gains[m] < -1e-12:
                             # u -> v runs the way a -> sm does: cut (x, a) and (u, v),
@@ -584,7 +568,7 @@ def _heuristic_order(pts: np.ndarray) -> list[int]:
     if len(pts) < 4:
         return list(range(len(pts)))
     neighbours, dist = _neighbour_lists(pts, TOUR_NEIGHBOURS)
-    tour = _local_search(pts, neighbours, dist, _greedy_edge_order(pts, neighbours, dist))
+    tour = _local_search(pts, neighbours, _greedy_edge_order(pts, neighbours, dist))
     start = tour.index(0)
     return tour[start:] + tour[:start]
 

@@ -884,8 +884,10 @@ def test_main_mc_seeds_below_one_exit_2(tmp_path, capsys, seeds):
         ("link.noise_figure_db = -1", "link.noise_figure_db"),  # a receiver adds noise
         ("plan.mode = fast", "plan.mode"),
         ("plan.heights_m = ,", "plan.heights_m"),
-        ("plan.mc_seeds = 1e18", "plan.mc_seeds"),  # 10^18 fields: over MAX_MC_NODES
-        # A field is charged at least MC_FIELD_MIN_NODES: 10^7 one-node fields are over.
+        # 10^18 fields, and 10^7 one-node fields: both outside plan.mc_seeds' range row,
+        # 1..10,000, which is checked first. test_monte_carlo_limit_spans_two_keys
+        # reaches the limit on nodes over all fields.
+        ("plan.mc_seeds = 1e18", "plan.mc_seeds"),
         ("field.count = 1\nplan.mc_seeds = 10000000", "plan.mc_seeds"),
         # Values outside their key's range, at magnitudes where a band's wavelength c/f,
         # the uplink SNR at the closest link, a coverage radius (from an explicit d_EH or
@@ -914,6 +916,44 @@ def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
         assert cli.main(["--config", str(config), "--out", str(out), command]) == 2, command
         assert key in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
+
+
+
+def test_monte_carlo_limit_spans_two_keys(tmp_path, capsys):
+    # Each key is inside its range row; together they ask for 101 fields of
+    # 100,000 nodes, over the 10^7-node Monte-Carlo limit.
+    over = write_config(tmp_path, "field.count = 100000\nplan.mc_seeds = 101\n")
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert cli.main(["--config", str(over), "--out", str(out), command]) == 2, command
+        err = capsys.readouterr().err
+        assert "Monte-Carlo limit" in err and "plan.mc_seeds" in err
+        assert not out.exists()
+    # 100 such fields are exactly at the limit: the config builds (it is not run).
+    at = cli.parse_config(write_config(tmp_path, "field.count = 100000\nplan.mc_seeds = 100\n"))
+    assert (at.field_count, at.plan_mc_seeds) == (100000, 100)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        # A line without '=' names the file and its line.
+        ("field.count = 5\nfield.count 6\n", "run.cfg:2: expected 'key = value'"),
+        # A file that is not UTF-8 names the file and the first bad byte.
+        (b"field.count = 5\n\xff\xfe = 1\n", "run.cfg: not UTF-8 text at byte 16"),
+    ],
+)
+def test_main_unreadable_config_line_exit_2(tmp_path, capsys, text, message):
+    config = tmp_path / "run.cfg"
+    if isinstance(text, bytes):
+        config.write_bytes(text)
+    else:
+        config.write_text(text, encoding="utf-8")
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert cli.main(["--config", str(config), "--out", str(out), command]) == 2, command
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 CONFIG_KEYS = [line.split(" = ")[0] for line in cli.default_lines()]

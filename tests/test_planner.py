@@ -14,6 +14,7 @@ import itertools
 import math
 import signal
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -660,6 +661,179 @@ def test_tour_search_terminates_when_rounding_passes_the_threshold():
     plan = plan_tour(pts)
     assert sorted(plan.visit_order) == list(range(300))
     assert plan.visit_order[0] == 0
+
+
+def reference_local_search(pts, neighbours, dist, tour):
+    """The tour search as it was with its length caches, kept as the oracle:
+    ``el[i]`` holds the length of the edge from tour position i to i + 1, and
+    each candidate's distance comes from ``dist``. Returns the tour and the
+    number of reversals whose stretch wraps past the end of the list."""
+    n = len(tour)
+    z = np.ascontiguousarray(pts).view(np.complex128).ravel().tolist()
+    near, near_d = neighbours.tolist(), dist.tolist()
+    pos = [0] * n
+    for i, c in enumerate(tour):
+        pos[c] = i
+    el = [abs(z[tour[i - 1]] - z[tour[i]]) for i in range(1 - n, 1)]
+    moves = wraps = 0
+    changed = [0] * n
+    searched = [-1] * n
+    read = [[]] * n
+    segs = min(3, n - 3)
+
+    def reverse(b, c):
+        nonlocal wraps
+        i, j = pos[b], pos[c]
+        length = (j - i) % n + 1
+        if 2 * length > n:
+            i, j, length = (j + 1) % n, (i - 1) % n, n - length
+        if length < 2:
+            return
+        if i < j:
+            tour[i : j + 1] = tour[i : j + 1][::-1]
+            el[i:j] = el[i:j][::-1]
+            for p in range(i, j + 1):
+                pos[tour[p]] = p
+            ends = (i - 1, j)
+        else:
+            wraps += 1
+            for p, q in zip(range(i, i + length // 2), range(j, j - length // 2, -1)):
+                p, q = p % n, q % n
+                tour[p], tour[q] = tour[q], tour[p]
+                pos[tour[p]], pos[tour[q]] = p, q
+            ends = range(i - 1, i + length)
+        for p in ends:
+            p %= n
+            el[p] = abs(z[tour[p]] - z[tour[(p + 1) % n]])
+        for p in range(i - 1, i + length + 1):
+            changed[tour[p % n]] = moves + 1
+
+    def flip(a, b, c):
+        if tour[pos[a] + 1 - n] == b:
+            reverse(b, c)
+        else:
+            reverse(c, b)
+
+    sides = ((-1, 1 - n, -1, 0), (1 - n, -1, 0, -1))
+
+    def find_move(a, or_opt):
+        pa, za = pos[a], z[a]
+        seen = [a]
+        for toward, away, back, ahead in sides:
+            x = tour[pa + toward]
+            zx = z[x]
+            dax = el[pa + back]
+            chain = None
+            for c, dac in zip(near[a], near_d[a]):
+                if dac >= dax:
+                    break
+                seen.append(c)
+                pc = pos[c]
+                d = tour[pc + toward]
+                if d != a and dac + abs(zx - z[d]) - dax - el[pc + back] < -1e-12:
+                    flip(x, a, d)
+                    return a, x, c, d
+                if not or_opt:
+                    continue
+                if chain is None:
+                    q1 = tour[pa + away]
+                    p1 = pos[q1]
+                    q2 = tour[p1 + away]
+                    p2 = pos[q2]
+                    q3 = tour[p2 + away]
+                    chain = (a, q1, q2, q3)
+                    zs = (za, z[q1], z[q2], z[q3])
+                    gains = (
+                        dax + el[pa + ahead] - abs(zx - zs[1]),
+                        dax + el[p1 + ahead] - abs(zx - zs[2]),
+                        dax + el[p2 + ahead] - abs(zx - zs[3]),
+                    )
+                    most = max(gains[:segs])
+                    seen += chain
+                top = min(chain.index(c), segs) if c in chain else segs
+                for e, dce in ((tour[pc - 1], el[pc - 1]), (tour[pc + 1 - n], el[pc])):
+                    if dac - dce - most >= -1e-12:
+                        continue
+                    ze = z[e]
+                    for m in range(min(top, chain.index(e)) if e in chain else top):
+                        if dac + abs(zs[m] - ze) - dce - gains[m] < -1e-12:
+                            sm, q = chain[m], chain[m + 1]
+                            u, v = (c, e) if tour[pc + away] == e else (e, c)
+                            flip(x, a, u)
+                            if u != q:
+                                flip(x, u, q)
+                            if c == u and sm != a:
+                                flip(u, sm, a)
+                            return a, x, sm, q, c, e
+        searched[a] = moves
+        read[a] = seen
+        return ()
+
+    cap = planner.TOUR_MOVES_PER_POINT * n
+    for or_opt in (False, True):
+        searched = [-1] * n
+        queue = deque(tour)
+        queued = [True] * n
+        while queue:
+            while queue and moves < cap:
+                a = queue.popleft()
+                queued[a] = False
+                touched = find_move(a, or_opt)
+                moves += bool(touched)
+                for c in touched:
+                    if not queued[c]:
+                        queued[c] = True
+                        queue.append(c)
+            if moves == cap or not or_opt:
+                break
+            for a in range(n):
+                if searched[a] < moves and max(map(changed.__getitem__, read[a])) > searched[a]:
+                    queued[a] = True
+                    queue.append(a)
+    return tour, wraps
+
+
+def oracle_points(kind, n, seed):
+    """n points for the tour-search oracle: uniform, an integer lattice with
+    duplicates (many equal lengths), a 100:1 strip, or a cluster with three
+    far outliers."""
+    rng = np.random.default_rng(seed)
+    side = 20.0 * math.sqrt(n)
+    if kind == "uniform":
+        return rng.uniform(0.0, side, size=(n, 2))
+    if kind == "lattice":
+        return rng.integers(0, math.isqrt(n) + 1, size=(n, 2)).astype(float)
+    if kind == "strip":
+        return rng.uniform(0.0, 1.0, size=(n, 2)) * [side * 10.0, side / 10.0]
+    return np.r_[rng.normal(0.0, 1.0, size=(n - 3, 2)), rng.uniform(1e3, 2e3, size=(3, 2))]
+
+
+def assert_search_matches_reference(pts):
+    neighbours, dist = planner._neighbour_lists(pts, planner.TOUR_NEIGHBOURS)
+    start = planner._greedy_edge_order(pts, neighbours, dist)
+    expected, wraps = reference_local_search(pts, neighbours, dist, list(start))
+    assert planner._local_search(pts, neighbours, list(start)) == expected
+    return wraps
+
+
+ORACLE_KINDS = ["uniform", "lattice", "strip", "cluster"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(ORACLE_KINDS),
+)
+def test_tour_search_matches_the_cached_length_oracle(n, seed, kind):
+    # Lengths computed where they are read are the floats the caches held,
+    # so every comparison, and so the tour, is the same.
+    assert_search_matches_reference(oracle_points(kind, n, seed))
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_tour_search_matches_the_oracle_through_wrapping_reversals(kind):
+    assert assert_search_matches_reference(oracle_points(kind, 2000, 2)) >= 1
 
 
 def test_plan_tour_memory_stays_linear():
