@@ -918,7 +918,6 @@ def test_main_bad_value_exit_2(tmp_path, capsys, line, key):
         assert not list(out.glob("*.csv"))
 
 
-
 def test_monte_carlo_limit_spans_two_keys(tmp_path, capsys):
     # Each key is inside its range row; together they ask for 101 fields of
     # 100,000 nodes, over the 10^7-node Monte-Carlo limit.
@@ -938,17 +937,14 @@ def test_monte_carlo_limit_spans_two_keys(tmp_path, capsys):
     ("text", "message"),
     [
         # A line without '=' names the file and its line.
-        ("field.count = 5\nfield.count 6\n", "run.cfg:2: expected 'key = value'"),
+        (b"field.count = 5\nfield.count 6\n", "run.cfg:2: expected 'key = value'"),
         # A file that is not UTF-8 names the file and the first bad byte.
         (b"field.count = 5\n\xff\xfe = 1\n", "run.cfg: not UTF-8 text at byte 16"),
     ],
 )
 def test_main_unreadable_config_line_exit_2(tmp_path, capsys, text, message):
     config = tmp_path / "run.cfg"
-    if isinstance(text, bytes):
-        config.write_bytes(text)
-    else:
-        config.write_text(text, encoding="utf-8")
+    config.write_bytes(text)
     for command in COMMANDS:
         out = tmp_path / command
         assert cli.main(["--config", str(config), "--out", str(out), command]) == 2, command
