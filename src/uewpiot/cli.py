@@ -99,7 +99,7 @@ def _parse_value(attr: str, raw: str, default):
     key = _attr_to_key(attr)
     if isinstance(default, str):  # plan.mode
         return raw
-    if attr in ("circuit_threshold_dbm", "plan_d_eh_m") and raw.lower() == "auto":
+    if default is None and raw.lower() == "auto":
         return None
     if isinstance(default, tuple):
         items = [part.strip() for part in raw.split(",") if part.strip()]
@@ -147,7 +147,7 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
     values = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")  # a BOM
         except UnicodeDecodeError as exc:
             raise ConfigurationError(f"{path}: not UTF-8 text at byte {exc.start}") from None
         for lineno, line in enumerate(text.splitlines(), start=1):

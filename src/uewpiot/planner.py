@@ -3,14 +3,16 @@
 A UAV hovering at height H with powering range d_EH covers a ground disk of
 radius R = sqrt(d_EH^2 - H^2). Greedy maximum coverage puts the nodes into
 node-anchored disks: a grid hash finds the pairs within R, at the
-``np.hypot`` distance every planner path uses, as compressed sparse rows in
-one int32 array, and a lazy greedy heap picks each disk. The UAV flies a
-closed tour over the anchors, either heuristic or, for up to 12 points,
-exact by dynamic programming. The heuristic tour gives each point its
-TOUR_NEIGHBOURS nearest points from the same pair search, in O(n k) memory,
-starts from a greedy-edge tour over those candidate edges, and improves it
-by 2-opt and Or-opt moves over the candidates, driven by don't-look bits
-(Bentley 1992; Johnson & McGeoch 1997), until no candidate move shortens it.
+``np.hypot`` distance of every path but the exact tour, as compressed sparse
+rows in one int32 array, and a lazy greedy heap picks each disk. The UAV
+flies a closed tour over the anchors, either heuristic or, for up to 12
+points, exact by Held-Karp dynamic programming over Python lists, at the
+``math.sqrt(dx * dx + dy * dy)`` distance. The heuristic tour gives each
+point its TOUR_NEIGHBOURS nearest points from the same pair search, in
+O(n k) memory, starts from a greedy-edge tour over those candidate edges,
+and improves it by 2-opt and Or-opt moves over the candidates, driven by
+don't-look bits (Bentley 1992; Johnson & McGeoch 1997), until no candidate
+move shortens it.
 """
 from __future__ import annotations
 
@@ -409,7 +411,8 @@ def _greedy_edge_order(pts: np.ndarray, neighbours: np.ndarray, dist: np.ndarray
         free_ends = z[[end for path in paths for end in (path[0], path[-1])]]
         free_ends[:2] = np.inf  # path 0 starts the tour
         for _ in range(len(paths) - 1):
-            e = int(np.argmin(np.abs(free_ends - z[tour[-1]])))
+            gap = free_ends - z[tour[-1]]
+            e = int(np.argmin(np.hypot(gap.real, gap.imag)))
             free_ends[e - e % 2 : e - e % 2 + 2] = np.inf
             tour.extend(paths[e // 2] if e % 2 == 0 else paths[e // 2][::-1])
     return tour
@@ -574,40 +577,28 @@ def _heuristic_order(pts: np.ndarray) -> list[int]:
 
 
 def _held_karp_order(points: np.ndarray) -> list[int]:
-    """Exact closed-tour order by dynamic programming, start fixed at 0."""
+    """Exact closed-tour order by dynamic programming, start fixed at 0: ``best[mask, k]``
+    is the length of the shortest path from 0 through the points in ``mask`` (bit k for
+    point k) that ends at k, and the point before k; equal lengths keep the lowest."""
     n = len(points)
     if n <= 2:
         return list(range(n))
-    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-    size = 1 << (n - 1)  # subsets of nodes 1..n-1
-    cost = np.full((size, n - 1), math.inf)
-    parent = np.full((size, n - 1), -1, dtype=int)
-    for j in range(n - 1):
-        cost[1 << j, j] = dist[0, j + 1]
-    for mask in range(size):
-        for j in range(n - 1):
-            c = cost[mask, j]
-            if not math.isfinite(c):
-                continue
-            for k in range(n - 1):
-                if mask & (1 << k):
-                    continue
-                nmask = mask | (1 << k)
-                nc = c + dist[j + 1, k + 1]
-                if nc < cost[nmask, k]:
-                    cost[nmask, k] = nc
-                    parent[nmask, k] = j
-    full = size - 1
-    totals = cost[full] + dist[1:, 0]
-    j = int(np.argmin(totals))
-    order_rev = []
-    mask = full
-    while j >= 0:
-        order_rev.append(j + 1)
-        pj = parent[mask, j]
-        mask ^= 1 << j
-        j = pj
-    return [0] + order_rev[::-1]
+    xy = points.tolist()
+    dist = [[math.sqrt(dx * dx + dy * dy) for dx, dy in ((xa - xb, ya - yb) for xb, yb in xy)]
+            for xa, ya in xy]
+    best = {(1 << k, k): (dist[0][k], 0) for k in range(1, n)}
+    for mask in range(2, 1 << n, 2):  # sets of the points 1..n-1
+        for k in range(1, n):
+            rest = mask ^ (1 << k)
+            if 0 < rest < mask:  # k in mask, and not alone
+                best[mask, k] = min((best[rest, j][0] + dist[j][k], j)
+                                    for j in range(1, n) if rest >> j & 1)
+    full = (1 << n) - 2
+    order, mask, k = [0], full, min(range(1, n), key=lambda j: best[full, j][0] + dist[j][0])
+    while k:
+        order.insert(1, k)
+        mask, k = mask ^ (1 << k), best[mask, k][1]
+    return order
 
 
 def plan_tour(points, mode: str = "heuristic") -> TourPlan:

@@ -410,6 +410,17 @@ def test_auto_values(tmp_path):
     assert explicit.plan_d_eh_m == 13.0
 
 
+@pytest.mark.parametrize("field", fields(cli.RunConfig), ids=lambda f: f.name)
+def test_auto_is_accepted_exactly_where_the_default_is_none(tmp_path, field):
+    key = field.name.replace("_", ".", 1)
+    path = write_config(tmp_path, f"{key} = AUTO\n")
+    if field.default is None:
+        assert getattr(cli.parse_config(path), field.name) is None
+    else:
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            cli.parse_config(path)
+
+
 # --- sweeps ----------------------------------------------------------------------
 
 def test_sweep_eh_default_grid(tmp_path):
@@ -940,6 +951,11 @@ def test_monte_carlo_limit_spans_two_keys(tmp_path, capsys):
         (b"field.count = 5\nfield.count 6\n", "run.cfg:2: expected 'key = value'"),
         # A file that is not UTF-8 names the file and the first bad byte.
         (b"field.count = 5\n\xff\xfe = 1\n", "run.cfg: not UTF-8 text at byte 16"),
+        # The offset counts the byte-order mark: the bad byte is the file's 20th.
+        (b"\xef\xbb\xbffield.count = 5\n\xff = 1\n", "run.cfg: not UTF-8 text at byte 19"),
+        # Only one leading mark is dropped; one anywhere else is part of a key.
+        (b"\xef\xbb\xbf\xef\xbb\xbffield.count = 5\n", "run.cfg:1: unknown key '\\ufefffield"),
+        (b"field.count = 5\n\xef\xbb\xbfplan.mc_seeds = 3\n", "run.cfg:2: unknown key '\\ufeffplan"),
     ],
 )
 def test_main_unreadable_config_line_exit_2(tmp_path, capsys, text, message):
@@ -950,6 +966,16 @@ def test_main_unreadable_config_line_exit_2(tmp_path, capsys, text, message):
         assert cli.main(["--config", str(config), "--out", str(out), command]) == 2, command
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"\xef\xbb\xbffield.count = 5\n")
+    assert cli.parse_config(config).field_count == 5
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out), "plan"]) == 0
+    header, rows = read_rows(out / "summary.csv")
+    assert rows[0][header.index("groups")] == "5"  # one-by-one: one stop a node
 
 
 CONFIG_KEYS = [line.split(" = ")[0] for line in cli.default_lines()]

@@ -2,7 +2,8 @@
 
 Tour lengths are checked against an exhaustive-permutation oracle and
 grouping against a brute-force minimum disk cover, both implemented here
-independently of the planner. The grid-hash, lazy-greedy grouping is
+independently of the planner; exact orders against the numpy-table
+Held-Karp kept below. The grid-hash, lazy-greedy grouping is
 checked group for group against two dense n x n greedy coverings kept
 below as reference oracles (one recounting every gain each round, one
 keeping the gains current). Heuristic tours are checked by properties: a
@@ -922,6 +923,81 @@ def test_exact_matches_brute_force():
         pts = rng.uniform(0.0, 100.0, size=(7, 2))
         exact = plan_tour(pts, mode="exact")
         assert exact.length_m == pytest.approx(brute_force_tour_length(pts), abs=1e-9)
+
+
+def reference_held_karp(points):
+    """The exact solver as it was over numpy tables, kept as the oracle: the
+    ``np.linalg.norm`` distances, and ``cost``/``parent`` arrays filled mask by
+    mask with a strict ``<``, so equal lengths keep the lowest predecessor."""
+    n = len(points)
+    if n <= 2:
+        return list(range(n))
+    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    size = 1 << (n - 1)  # subsets of nodes 1..n-1
+    cost = np.full((size, n - 1), math.inf)
+    parent = np.full((size, n - 1), -1, dtype=int)
+    for j in range(n - 1):
+        cost[1 << j, j] = dist[0, j + 1]
+    for mask in range(size):
+        for j in range(n - 1):
+            c = cost[mask, j]
+            if not math.isfinite(c):
+                continue
+            for k in range(n - 1):
+                if mask & (1 << k):
+                    continue
+                nmask = mask | (1 << k)
+                nc = c + dist[j + 1, k + 1]
+                if nc < cost[nmask, k]:
+                    cost[nmask, k] = nc
+                    parent[nmask, k] = j
+    full = size - 1
+    totals = cost[full] + dist[1:, 0]
+    j = int(np.argmin(totals))
+    order_rev = []
+    mask = full
+    while j >= 0:
+        order_rev.append(j + 1)
+        pj = parent[mask, j]
+        mask ^= 1 << j
+        j = pj
+    return [0] + order_rev[::-1]
+
+
+def held_karp_points(kind, n, seed):
+    """n points for the exact-solver oracle: uniform, a small integer lattice
+    (many equal lengths), points on one line, or every point twice."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(-1e3, 1e3, size=(n, 2))
+    if kind == "lattice":
+        return rng.integers(0, 3, size=(n, 2)).astype(float)
+    if kind == "collinear":
+        return rng.integers(0, n + 1, size=(n, 1)) * [3.0, 4.0]
+    return np.repeat(rng.uniform(0.0, 10.0, size=((n + 1) // 2, 2)), 2, axis=0)[:n]
+
+
+HELD_KARP_KINDS = ["uniform", "lattice", "collinear", "duplicated"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(HELD_KARP_KINDS),
+)
+def test_exact_order_matches_the_numpy_table_oracle(n, seed, kind):
+    # math.sqrt(dx * dx + dy * dy) is np.linalg.norm's float, and min over
+    # (length, previous) tuples keeps the lowest of equal predecessors.
+    pts = held_karp_points(kind, n, seed)
+    assert planner._held_karp_order(pts) == reference_held_karp(pts)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("kind", HELD_KARP_KINDS)
+def test_exact_order_matches_the_oracle_at_the_size_limit(n, kind):
+    pts = held_karp_points(kind, n, 7)
+    assert plan_tour(pts, mode="exact").visit_order == tuple(reference_held_karp(pts))
 
 
 def test_solver_ordering_exact_le_2opt_le_nn():
