@@ -5,6 +5,8 @@ R = sqrt(d_EH^2 - H^2), which merges more nodes per hover stop and
 shortens the tour. Compares the one-by-one baseline with grouped tours
 at 10 m and 5 m for a single field, then over 100 seeded fields.
 """
+import numpy as np
+
 from uewpiot import compare_strategies, coverage_radius_m, generate_nodes
 
 D_EH_M = 13.0
@@ -22,13 +24,14 @@ baseline, h10, h5 = compare_strategies(field, D_EH_M, HEIGHTS_M)
 print(f"\n{'strategy':>10} {'R [m]':>7} {'groups':>7} {'tour [m]':>9} {'saving':>7}")
 for result in (baseline, h10, h5):
     saving = 100.0 * (1.0 - result.length_m / baseline.length_m)
-    print(f"{result.name:>10} {result.radius_m:7.2f} {result.group_count:7d} "
+    print(f"{result.name:>10} {result.radius_m:7.2f} {len(result.groups):7d} "
           f"{result.length_m:9.2f} {saving:6.1f}%")
 
 print("\nlargest groups at H=5 m:")
-for group in sorted(h5.groups, key=lambda g: -len(g.member_indices))[:3]:
-    print(f"  traversal node {group.traversal_index:2d} covers "
-          f"{sorted(group.member_indices)}")
+traversal, group_of = h5.groups.traversal, h5.groups.group_of
+for group in np.argsort(-np.bincount(group_of), kind="stable")[:3]:
+    print(f"  traversal node {traversal[group]:2d} covers "
+          f"{np.flatnonzero(group_of == group).tolist()}")
 
 print("\naveraging over 100 seeded fields:")
 sums = {}

@@ -35,9 +35,9 @@ from .missionsim import (
     simulate_mission,
 )
 from .planner import (
+    Groups,
     NodeField,
     TourPlan,
-    WpcGroup,
     compare_strategies,
     coverage_radius_m,
     form_wpc_groups,

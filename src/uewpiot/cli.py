@@ -439,12 +439,11 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
 
     def tour_lines():
         for result in strategies:
-            order = result.plan.visit_order
-            stops = [result.groups[group_id] for group_id in order]
-            points = positions[[group.traversal_index for group in stops]]
+            order, groups = list(result.plan.visit_order), result.groups
+            points = positions[groups.traversal[order]]
             yield from _lines(f"%s,%d,{f},{f},%d,%d\n", [
-                [result.name] * len(stops), range(len(stops)), points[:, 0], points[:, 1],
-                order, [len(group.member_indices) for group in stops],
+                [result.name] * len(order), range(len(order)), points[:, 0], points[:, 1],
+                order, np.bincount(groups.group_of, minlength=len(groups))[order],
             ])
 
     paths = [_write_csv(out_dir / "tour.csv",
@@ -471,7 +470,7 @@ def plan_and_simulate(config: RunConfig, out_dir: Path, with_report: bool = True
     n = len(lengths)
     summary = [
         (result.name, "" if result.height_m is None else f % result.height_m,  # baseline: ""
-         result.radius_m, result.group_count, result.length_m, 100.0 * saving[0], n,
+         result.radius_m, len(result.groups), result.length_m, 100.0 * saving[0], n,
          sum(length) / n, 100.0 * (sum(saving) / n))
         for result, length, saving in zip(strategies, zip(*lengths), zip(*savings))
     ]

@@ -150,22 +150,21 @@ def resolve_eh_distance_m(scenario: MissionScenario) -> float:
     return eh_distance
 
 
-def _price(scenario: MissionScenario, stops) -> tuple[list[int], list[float], lb.LinkBudget]:
-    """Every member of every group in ``stops``, priced from its hover point in one
-    kernel call: the members stop by stop, in ascending order, their slants and
-    their link budget. A slant is hypot(H, ground distance), computed as
-    ``math.hypot`` twice; ``np.hypot`` can differ in the last bit.
+def _price(scenario: MissionScenario, groups: planner.Groups, visit_order: list[int]):
+    """Every node, priced from its group's hover point in one kernel call: the nodes
+    stop by stop in ``visit_order``, ascending within a stop, their slants and their
+    link budget. A slant is hypot(H, ground distance), computed as ``math.hypot``
+    twice; ``np.hypot`` can differ in the last bit.
     """
     positions = scenario.field.positions
-    nodes = [index for group in stops for index in sorted(group.member_indices)]
-    hover = np.repeat(positions[[g.traversal_index for g in stops]],
-                      [len(g.member_indices) for g in stops], axis=0)
+    nodes = np.argsort(np.argsort(visit_order)[groups.group_of], kind="stable")  # by stop rank
+    hover = positions[groups.traversal[groups.group_of[nodes]]]
     height = scenario.height_m
     slants = [
         math.hypot(height, math.hypot(x - ux, y - uy))
         for (x, y), (ux, uy) in zip(positions[nodes].tolist(), hover.tolist())
     ]
-    return nodes, slants, lb.link_budget(
+    return nodes.tolist(), slants, lb.link_budget(
         scenario.env, height, slants, scenario.wpt_power_w, scenario.array,
         scenario.circuit, scenario.bandwidth_hz, scenario.noise_figure_db,
     )
@@ -205,15 +204,14 @@ def simulate_mission(
             f"planned strategy {planned.name} has {planned.plan.point_count} tour stops "
             f"for {len(planned.groups)} groups"
         )
-    tour, visit_order = planned.plan, planned.plan.visit_order
+    elif len(planned.groups.group_of) != scenario.field.node_count:
+        raise ConfigurationError(f"planned strategy {planned.name} must group each node once")
+    tour, groups, visit_order = planned.plan, planned.groups, list(planned.plan.visit_order)
     payload, cap = scenario.payload_bits, scenario.latency_cap_s
 
-    # Group ids are the planner's formation indices; stops are in visit order.
-    stops = [planned.groups[group_id] for group_id in visit_order]
-    sizes = [len(group.member_indices) for group in stops]
-    nodes, slants, budget = _price(scenario, stops)
-    if sorted(nodes) != list(range(scenario.field.node_count)):
-        raise ConfigurationError(f"planned strategy {planned.name} must group each node once")
+    # Group ids are the planner's pick indices; stops are in visit order.
+    sizes = np.bincount(groups.group_of, minlength=len(groups))[visit_order].tolist()
+    nodes, slants, budget = _price(scenario, groups, visit_order)
     wake_dbm = lb.watts_to_dbm(scenario.wur_power_w)
     woken = wake_dbm - budget.path_loss_db >= scenario.wur_wake_threshold_dbm
     tx = np.zeros(len(nodes))  # an empty payload needs no link
@@ -223,8 +221,8 @@ def simulate_mission(
     tx_times, woken_list = tx.tolist(), woken.tolist()
     no_rate = (woken & (budget.rate_bps <= 0)).tolist()
 
-    group_outcomes, hi = [], 0
-    for group_id, group, size in zip(visit_order, stops, sizes):
+    group_outcomes, hi, traversal = [], 0, groups.traversal.tolist()
+    for group_id, size in zip(visit_order, sizes):
         lo, hi = hi, hi + size
         members = tx_times[lo:hi]
         # An unwoken member's 0.0 changes neither the maximum nor the sum.
@@ -240,7 +238,7 @@ def simulate_mission(
             diagnostic = ""
         if diagnostic:
             tau = data_s = 0.0
-        group_outcomes.append(GroupOutcome(group_id, group.traversal_index, size, activated,
+        group_outcomes.append(GroupOutcome(group_id, traversal[group_id], size, activated,
                                            diagnostic, tau, data_s))
 
     served = woken & np.repeat([g.feasible for g in group_outcomes], sizes)
@@ -249,7 +247,7 @@ def simulate_mission(
         for harvested, up in zip(budget.harvested_dbm.tolist(), served.tolist())
     ])
     taus = np.repeat([g.powering_s for g in group_outcomes], sizes)
-    links = (np.repeat(visit_order, sizes), np.array(slants), tx_power * taus, tx_power,
+    links = (groups.group_of[nodes], np.array(slants), tx_power * taus, tx_power,
              np.where(served, tx, 0.0), np.where(served, payload, 0.0))
     order = np.argsort(nodes)
 

@@ -182,15 +182,26 @@ def generate_nodes(
 
 
 @dataclass(frozen=True)
-class WpcGroup:
-    """One hover stop: the traversal node and every node its disk covers."""
+class Groups:
+    """Hover-stop groups in O(n) ints: group g, the g-th pick, hovers over node
+    ``traversal[g]``, and node i is in group ``group_of[i]``. Each node is in
+    one group, and each group holds its own traversal node."""
 
-    traversal_index: int
-    member_indices: frozenset[int]
+    traversal: np.ndarray
+    group_of: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.traversal_index not in self.member_indices:
-            raise ConfigurationError("traversal point must belong to its own group")
+        traversal, group_of = (np.array(a, np.intp) for a in (self.traversal, self.group_of))
+        if not (traversal.ndim == group_of.ndim == 1
+                and ((0 <= traversal) & (traversal < group_of.size)).all()
+                and ((0 <= group_of) & (group_of < traversal.size)).all()
+                and (group_of[traversal] == np.arange(traversal.size)).all()):
+            raise ConfigurationError("each node needs one group; each group, its traversal node")
+        traversal.flags.writeable = group_of.flags.writeable = False
+        vars(self).update(traversal=traversal, group_of=group_of)  # past the frozen setattr
+
+    def __len__(self) -> int:
+        return len(self.traversal)
 
 
 def _near_pairs(pts: np.ndarray, reach: float, query: np.ndarray):
@@ -250,12 +261,12 @@ def _pairs_within(pts: np.ndarray, reach: float) -> tuple[list[int], np.ndarray]
     return start.tolist(), np.concatenate(kept)
 
 
-def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
+def form_wpc_groups(node_field: NodeField, radius_m: float) -> Groups:
     """Greedy maximum-coverage grouping of the field's nodes.
 
     Repeatedly picks the uncovered node whose disk of ``radius_m`` covers the most
     still-uncovered nodes (ties broken by lowest node index), makes it a traversal
-    point, and removes the covered nodes. The resulting groups partition the field.
+    point, and puts the covered nodes in its group; groups are numbered in pick order.
     The radius and the node coordinates must lie in [0, MAX_COORDINATE_M].
 
     The pairs within reach, at ``np.hypot`` distance as in the tours, come
@@ -271,30 +282,29 @@ def form_wpc_groups(node_field: NodeField, radius_m: float) -> list[WpcGroup]:
                                  f"[0, {MAX_COORDINATE_M:g}] m, got radius {radius_m:g}")
     n = len(pts)
     if not n:
-        return []
+        return Groups([], [])
     start, neighbours = _pairs_within(pts, radius_m + MEMBERSHIP_SLACK_M)
     gains = [start[i + 1] - start[i] for i in range(n)]  # uncovered nodes in each disk
     heap = [(-gain, i) for i, gain in enumerate(gains)]
     heapq.heapify(heap)
-    uncovered = [True] * n
+    group_of = [-1] * n  # -1: not yet covered
+    traversal: list[int] = []
     left = n
-    groups: list[WpcGroup] = []
     while left:
         stored, best = heapq.heappop(heap)
-        if not uncovered[best]:
+        if group_of[best] >= 0:
             continue
         if -stored != gains[best]:
             heapq.heappush(heap, (-gains[best], best))
             continue
-        members = [j for j in neighbours[start[best] : start[best + 1]].tolist() if uncovered[j]]
-        for j in members:
-            uncovered[j] = False
-        for j in members:
-            for k in neighbours[start[j] : start[j + 1]].tolist():
-                gains[k] -= 1
-        left -= len(members)
-        groups.append(WpcGroup(best, frozenset(members)))
-    return groups
+        for j in neighbours[start[best] : start[best + 1]].tolist():
+            if group_of[j] < 0:
+                group_of[j] = len(traversal)
+                left -= 1
+                for k in neighbours[start[j] : start[j + 1]].tolist():
+                    gains[k] -= 1
+        traversal.append(best)
+    return Groups(traversal, group_of)
 
 
 @dataclass(frozen=True)
@@ -637,12 +647,8 @@ class StrategyResult:
     name: str
     height_m: float | None  # None for the one-by-one baseline
     radius_m: float
-    groups: tuple[WpcGroup, ...]
+    groups: Groups
     plan: TourPlan
-
-    @property
-    def group_count(self) -> int:
-        return len(self.groups)
 
     @property
     def length_m(self) -> float:
@@ -655,10 +661,9 @@ def plan_strategy(
     """The grouped strategy at one hover height: coverage groups at
     R(height) and a tour over their traversal points."""
     radius = coverage_radius_m(height_m, eh_distance_m)
-    groups = tuple(form_wpc_groups(node_field, radius))
-    traversal_points = node_field.positions[[g.traversal_index for g in groups]]
+    groups = form_wpc_groups(node_field, radius)
     return StrategyResult(f"H={height_m:g}", height_m, radius, groups,
-                          plan_tour(traversal_points, mode=mode))
+                          plan_tour(node_field.positions[groups.traversal], mode=mode))
 
 
 def compare_strategies(
@@ -672,10 +677,7 @@ def compare_strategies(
     known by its position. The baseline visits every node (coverage radius
     0). All strategies use the same tour solver.
     """
-    baseline = StrategyResult(
-        "one-by-one", height_m=None, radius_m=0.0,
-        groups=tuple(WpcGroup(i, frozenset({i})) for i in range(node_field.node_count)),
-        plan=plan_tour(node_field.positions, mode=mode),
-    )
-    return (baseline, *(plan_strategy(node_field, eh_distance_m, height, mode)
-                        for height in heights_m))
+    every = np.arange(node_field.node_count)
+    return (StrategyResult("one-by-one", None, 0.0, Groups(every, every),
+                           plan_tour(node_field.positions, mode=mode)),
+            *(plan_strategy(node_field, eh_distance_m, height, mode) for height in heights_m))

@@ -34,11 +34,11 @@ import pytest
 from uewpiot import (
     AntennaArray,
     EhCircuit,
+    Groups,
     MissionScenario,
     NodeField,
     RadioEnvironment,
     TourPlan,
-    WpcGroup,
     achievable_eh_distance_m,
     compare_strategies,
     coverage_radius_m,
@@ -201,8 +201,8 @@ def _one_stop(scenario):
     """The mission of one stop, over node 0, whose group is the whole field; d_EH,
     which only sizes the plan, is pinned to the height."""
     scenario = replace(scenario, eh_distance_m=scenario.height_m)
-    group = WpcGroup(0, frozenset(range(scenario.field.node_count)))
-    stop = StrategyResult("one stop", scenario.height_m, 0.0, (group,), TourPlan((0,), 0.0))
+    group = Groups([0], [0] * scenario.field.node_count)
+    stop = StrategyResult("one stop", scenario.height_m, 0.0, group, TourPlan((0,), 0.0))
     return simulate_mission(scenario, stop).groups[0]
 
 

@@ -691,17 +691,17 @@ def test_simulate_files_across_a_block_match_per_cell_oracle(tmp_path):
     positions = scenario.field.positions.tolist()
     tour = []
     for result in strategies:
+        traversal, group_of = result.groups.traversal.tolist(), result.groups.group_of.tolist()
         for stop, group_id in enumerate(result.plan.visit_order):
-            group = result.groups[group_id]
-            tour.append([result.name, stop, *positions[group.traversal_index], group_id,
-                         len(group.member_indices)])
+            tour.append([result.name, stop, *positions[traversal[group_id]], group_id,
+                         group_of.count(group_id)])
     nodes = missionsim.simulate_mission(scenario, strategies[1]).nodes
     columns = [nodes[name].tolist() for name in missionsim.NODE_COLUMNS]
     report = [[i, *positions[i], *(column[i] for column in columns)]
               for i in range(len(positions))]
     baseline_m = strategies[0].length_m
     summary = [  # one Monte-Carlo field: the field at field.seed itself
-        [r.name, r.height_m, r.radius_m, r.group_count, r.length_m,
+        [r.name, r.height_m, r.radius_m, len(r.groups), r.length_m,
          100.0 * (1.0 - r.length_m / baseline_m), 1, r.length_m,
          100.0 * (1.0 - r.length_m / baseline_m)]
         for r in strategies

@@ -19,11 +19,11 @@ from uewpiot import (
     AntennaArray,
     ConfigurationError,
     EhCircuit,
+    Groups,
     MissionScenario,
     NodeField,
     RadioEnvironment,
     TourPlan,
-    WpcGroup,
     compare_strategies,
     coverage_radius_m,
     form_wpc_groups,
@@ -58,8 +58,8 @@ def one_stop(scenario, traversal=0):
     whole field: the stop's outcome and the per-node columns. d_EH only sizes
     the plan, so it is pinned to the height (coverage radius 0)."""
     scenario = replace(scenario, eh_distance_m=scenario.height_m)
-    group = WpcGroup(traversal, frozenset(range(scenario.field.node_count)))
-    stop = StrategyResult("one stop", scenario.height_m, 0.0, (group,), TourPlan((0,), 0.0))
+    group = Groups([traversal], [0] * scenario.field.node_count)
+    stop = StrategyResult("one stop", scenario.height_m, 0.0, group, TourPlan((0,), 0.0))
     report = simulate_mission(scenario, stop)
     return report.groups[0], report.nodes
 
@@ -112,11 +112,12 @@ def grid_search_tau(scenario, uav_xy, members):
     return best
 
 
-def stop_oracle(scenario, group):
-    """One stop, node by node: (activated count, diagnostic, tau, data phase,
+def stop_oracle(scenario, traversal, members):
+    """One stop over node ``traversal``, node by node over ``members`` in ascending
+    order: (activated count, diagnostic, tau, data phase,
     {served node: (harvested W, transmit s)})."""
-    uav_xy = scenario.field.positions[group.traversal_index]
-    woken = [i for i in sorted(group.member_indices)
+    uav_xy = scenario.field.positions[traversal]
+    woken = [i for i in members
              if wake_received_dbm(scenario, uav_xy, i) >= scenario.wur_wake_threshold_dbm]
     if not woken:
         return 0, NOT_WOKEN, 0.0, 0.0, {}
@@ -497,13 +498,25 @@ def test_mission_rejects_a_tour_short_of_its_groups():
     assert len(planned.groups) == 18
     with pytest.raises(ConfigurationError, match="has 1 tour stops for 18 groups"):
         simulate_mission(scenario, replace(planned, plan=TourPlan((0,), 0.0)))
-    # Per-node columns need every node in exactly one group.
-    first = planned.groups[0]
-    assert len(first.member_indices) > 1
-    alone = WpcGroup(first.traversal_index, frozenset({first.traversal_index}))
-    for groups in ((alone, *planned.groups[1:]), (planned.groups[1], *planned.groups[1:])):
-        with pytest.raises(ConfigurationError, match="must group each node once"):
-            simulate_mission(scenario, replace(planned, groups=groups))
+    # Per-node columns need every node in exactly one group, and each group
+    # its own traversal node; Groups holds nothing else.
+    traversal, group_of = planned.groups.traversal.tolist(), planned.groups.group_of.tolist()
+    other = next(i for i in range(len(group_of)) if i not in traversal)
+
+    def changed(ids, at, value):
+        return [value if i == at else g for i, g in enumerate(ids)]
+
+    for bad_traversal, bad_group_of in (
+        (traversal, changed(group_of, traversal[0], 1)),  # traversal node outside its group
+        (traversal, changed(group_of, other, -1)),  # group id below 0
+        (traversal, changed(group_of, other, 18)),  # group id at the group count
+        (changed(traversal, 1, traversal[0]), group_of),  # a repeated traversal node
+    ):
+        with pytest.raises(ConfigurationError, match="each group, its traversal node"):
+            Groups(bad_traversal, bad_group_of)
+    # One node more than the field: a valid partition, of another field.
+    with pytest.raises(ConfigurationError, match="must group each node once"):
+        simulate_mission(scenario, replace(planned, groups=Groups(traversal, group_of + [0])))
 
 
 @pytest.mark.parametrize(("side_m", "count"), [(100.0, 25), (400.0, 400)])
@@ -556,16 +569,16 @@ def test_mission_matches_per_stop_oracle_and_conserves(
     assert all(len(column) == len(points) for column in columns)
     served = 0
     for outcome in report.groups:
-        group = groups[outcome.group_id]
-        members = sorted(group.member_indices)
-        assert (outcome.traversal_index, outcome.member_count) == (group.traversal_index, len(members))
-        activated, diagnostic, tau, data_s, links = stop_oracle(scenario, group)
+        traversal = int(groups.traversal[outcome.group_id])
+        members = np.flatnonzero(groups.group_of == outcome.group_id).tolist()
+        assert (outcome.traversal_index, outcome.member_count) == (traversal, len(members))
+        activated, diagnostic, tau, data_s, links = stop_oracle(scenario, traversal, members)
         assert (outcome.activated_count, outcome.feasible, outcome.diagnostic) == (
             activated, not diagnostic, diagnostic)
         assert (outcome.powering_s, outcome.data_s) == (tau, data_s)
         assert outcome.latency_s <= latency_cap_s or diagnostic
         served += len(links)
-        uav_xy = scenario.field.positions[group.traversal_index]
+        uav_xy = scenario.field.positions[traversal]
         for index in members:
             node_xy = scenario.field.positions[index]
             ground = math.hypot(node_xy[0] - uav_xy[0], node_xy[1] - uav_xy[1])

@@ -6,11 +6,16 @@ independently of the planner; exact orders against the numpy-table
 Held-Karp kept below. The grid-hash, lazy-greedy grouping is
 checked group for group against two dense n x n greedy coverings kept
 below as reference oracles (one recounting every gain each round, one
-keeping the gains current). Heuristic tours are checked by properties: a
-permutation starting at point 0, a length equal to the recomputed one, and
-no improving candidate 2-opt or Or-opt move left, found by an enumerator
-written here from the move definitions and dense candidate lists.
+keeping the gains current), and its two arrays against the per-group
+records of reference_form_wpc_groups. Heuristic tours are checked by
+properties: a permutation starting at point 0, a length equal to the
+recomputed one, and no improving candidate 2-opt or Or-opt move left,
+found by an enumerator written here from the move definitions and dense
+candidate lists, and at 5,000 points by a numpy 2-opt certificate. Groups
+and tours are also checked by metamorphic relations: axis swap and
+power-of-two scaling leave both unchanged, and negation the tours.
 """
+import heapq
 import itertools
 import math
 import signal
@@ -153,7 +158,7 @@ def reference_groups(points, radius):
         gains[~uncovered] = -1
         best = int(np.argmax(gains))
         members = np.flatnonzero(covered[best] & uncovered)
-        groups.append((best, frozenset(int(i) for i in members)))
+        groups.append((best, members.tolist()))
         uncovered[members] = False
     return groups
 
@@ -170,15 +175,23 @@ def dense_groups(points, radius):
     while uncovered.any():
         best = int(np.argmax(np.where(uncovered, gains, -1)))  # lowest index wins ties
         members = np.flatnonzero(covered[best] & uncovered)
-        groups.append((best, frozenset(int(i) for i in members)))
+        groups.append((best, members.tolist()))
         uncovered[members] = False
         gains -= covered[:, members].sum(axis=1)
     return groups
 
 
+def group_lists(groups):
+    """(traversal node, members in ascending order) per group, in group order."""
+    members = [[] for _ in range(len(groups))]
+    for node, group in enumerate(groups.group_of.tolist()):
+        members[group].append(node)
+    return list(zip(groups.traversal.tolist(), members))
+
+
 def assert_groups_match_oracles(field, radius):
     groups = form_wpc_groups(field, radius)
-    got = [(g.traversal_index, g.member_indices) for g in groups]
+    got = group_lists(groups)
     assert got == dense_groups(field.positions, radius)
     assert got == reference_groups(field.positions, radius)
     return groups
@@ -186,7 +199,7 @@ def assert_groups_match_oracles(field, radius):
 
 def assert_matches_references(field, radius):
     groups = assert_groups_match_oracles(field, radius)
-    for pts in (field.positions, field.positions[[g.traversal_index for g in groups]]):
+    for pts in (field.positions, field.positions[groups.traversal]):
         assert_tour_properties(pts)
 
 
@@ -330,7 +343,7 @@ def test_grouping_rejects_a_radius_or_nodes_past_its_range():
     # At the edge of the range, no square overflows: (edge, 0) covers the other two.
     edge = planner.MAX_COORDINATE_M
     field = NodeField(edge, edge, np.array([[0.0, 0.0], [edge, edge], [edge, 0.0]]))
-    assert form_wpc_groups(field, edge) == [planner.WpcGroup(2, frozenset({0, 1, 2}))]
+    assert group_lists(form_wpc_groups(field, edge)) == [(2, [0, 1, 2])]
 
 
 def test_node_count_past_the_float_range_rejected():
@@ -347,15 +360,14 @@ def test_groups_zero_radius_are_singletons():
     field = generate_nodes(100.0, 100.0, 0.25, seed=5)
     groups = form_wpc_groups(field, 0.0)
     assert len(groups) == field.node_count
-    assert all(g.member_indices == frozenset({g.traversal_index}) for g in groups)
+    assert all(members == [traversal] for traversal, members in group_lists(groups))
 
 
 def test_groups_single_cluster():
     pts = np.array([[50.0, 50.0], [51.0, 50.0], [50.0, 51.5], [49.0, 49.5]])
     field = NodeField(100.0, 100.0, pts)
     groups = form_wpc_groups(field, 3.0)
-    assert len(groups) == 1
-    assert groups[0].member_indices == frozenset(range(4))
+    assert [members for _, members in group_lists(groups)] == [[0, 1, 2, 3]]
 
 
 def test_groups_partition_and_membership():
@@ -363,12 +375,12 @@ def test_groups_partition_and_membership():
     radius = 8.3066
     groups = form_wpc_groups(field, radius)
     seen = set()
-    for group in groups:
-        assert group.traversal_index in group.member_indices
-        assert not (seen & group.member_indices)
-        seen |= group.member_indices
-        anchor = field.positions[group.traversal_index]
-        for member in group.member_indices:
+    for traversal, members in group_lists(groups):
+        assert traversal in members
+        assert not (seen & set(members))
+        seen |= set(members)
+        anchor = field.positions[traversal]
+        for member in members:
             assert math.dist(anchor, field.positions[member]) <= radius + 1e-9
     assert seen == set(range(field.node_count))
     assert len(groups) <= field.node_count
@@ -384,7 +396,7 @@ def test_greedy_vs_exhaustive_cover_oracle():
     minimum = brute_force_min_cover(pts, radius)
     assert minimum == 3
     assert len(groups) >= minimum
-    covered = set().union(*(g.member_indices for g in groups))
+    covered = {node for _, members in group_lists(groups) for node in members}
     assert covered == set(range(len(pts)))
 
 
@@ -393,7 +405,8 @@ def test_groups_reject_bad_radius_and_accept_empty_field():
     for radius in (-1.0, math.nan):
         with pytest.raises(ConfigurationError):
             form_wpc_groups(field, radius)
-    assert form_wpc_groups(NodeField(10.0, 10.0, np.empty((0, 2))), 3.0) == []
+    empty = form_wpc_groups(NodeField(10.0, 10.0, np.empty((0, 2))), 3.0)
+    assert len(empty) == len(empty.group_of) == 0
 
 
 def test_greedy_tie_break_lowest_index():
@@ -401,7 +414,7 @@ def test_greedy_tie_break_lowest_index():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
     field = NodeField(20.0, 20.0, pts)
     groups = form_wpc_groups(field, 1.5)
-    assert [g.traversal_index for g in groups] == [0, 2]
+    assert groups.traversal.tolist() == [0, 2]
 
 
 # --- equivalence with the scalar references ------------------------------------
@@ -428,7 +441,7 @@ def test_vectorized_planner_matches_references_on_lattice(spacing):
     shuffled = grid[np.random.default_rng(3).permutation(len(grid))]
     assert_matches_references(NodeField(side, side, shuffled), spacing)
     # Node 10 at (1, 1) is the first of the 49 interior nodes, which all tie on gain 5.
-    assert form_wpc_groups(NodeField(side, side, grid), spacing)[0].traversal_index == 10
+    assert form_wpc_groups(NodeField(side, side, grid), spacing).traversal[0] == 10
 
 
 @settings(max_examples=60, deadline=None)
@@ -484,7 +497,7 @@ def test_form_wpc_groups_memory_stays_linear(side, radius):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(len(g.member_indices) for g in groups) == n
+    assert len(groups.group_of) == n
     assert peak < 8e6
 
 
@@ -503,6 +516,80 @@ def test_pairs_within_memory_stays_near_the_pair_count():
         tracemalloc.stop()
     assert len(neighbours) == start[-1] > 1_000_000
     assert peak < 12 * len(neighbours)
+
+
+def reference_form_wpc_groups(field, radius):
+    """form_wpc_groups as it was at 841640b, when it returned one record per
+    group with a frozenset of members, kept as the oracle of the two arrays:
+    (traversal node, members in ascending order) per group, in pick order."""
+    pts = field.positions
+    n = len(pts)
+    if not n:
+        return []
+    start, neighbours = planner._pairs_within(pts, radius + planner.MEMBERSHIP_SLACK_M)
+    gains = [start[i + 1] - start[i] for i in range(n)]
+    heap = [(-gain, i) for i, gain in enumerate(gains)]
+    heapq.heapify(heap)
+    uncovered = [True] * n
+    left = n
+    groups = []
+    while left:
+        stored, best = heapq.heappop(heap)
+        if not uncovered[best]:
+            continue
+        if -stored != gains[best]:
+            heapq.heappush(heap, (-gains[best], best))
+            continue
+        members = [j for j in neighbours[start[best] : start[best + 1]].tolist() if uncovered[j]]
+        for j in members:
+            uncovered[j] = False
+        for j in members:
+            for k in neighbours[start[j] : start[j + 1]].tolist():
+                gains[k] -= 1
+        left -= len(members)
+        groups.append((best, sorted(frozenset(members))))
+    return groups
+
+
+def grouping_field(kind, n, side, seed):
+    """n nodes on a side x side field: uniform, a normal cluster, or an integer
+    lattice with duplicates, scaled to the side."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        pts = rng.uniform(0.0, side, size=(n, 2))
+    elif kind == "cluster":
+        pts = np.clip(rng.normal(side / 2, side / 10, size=(n, 2)), 0.0, side)
+    else:
+        k = math.isqrt(n)
+        pts = rng.integers(0, k + 1, size=(n, 2)) * (side / k)
+    return NodeField(side, side, pts)
+
+
+@pytest.mark.parametrize(("kind", "n", "side"), [
+    ("uniform", 2000, 20.0 * math.sqrt(2000)),  # the default density
+    ("cluster", 2000, 20.0 * math.sqrt(2000)),
+    ("lattice", 2000, 20.0 * math.sqrt(2000)),
+    ("uniform", 5000, 100.0),  # dense: about 100 nodes in each disk
+])
+def test_group_arrays_match_the_record_oracle(kind, n, side):
+    field = grouping_field(kind, n, side, seed=n)
+    for radius in (coverage_radius_m(10.0, 13.0), coverage_radius_m(5.0, 13.0)):
+        assert group_lists(form_wpc_groups(field, radius)) == reference_form_wpc_groups(
+            field, radius)
+
+
+def test_grouping_result_holds_a_few_ints_a_node():
+    # 19,994 nodes at the default density, R(10 m) = 8.31 m: 15,151 groups. The
+    # two int arrays hold 8 bytes a node and 8 a group.
+    field = generate_nodes(2828.0, 2828.0, 0.25, seed=1)
+    tracemalloc.start()
+    try:
+        groups = form_wpc_groups(field, coverage_radius_m(10.0, 13.0))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(groups) == 15151
+    assert retained <= 24 * field.node_count
 
 
 @pytest.mark.parametrize(
@@ -866,6 +953,41 @@ def test_tour_quality_at_scale():
     assert plan.length_m / (BHH_CONSTANT * math.sqrt(n * side * side)) <= 1.044
 
 
+def improving_two_opt_count(pts, tour, neighbours):
+    """Candidate 2-opt moves on the closed ``tour`` whose delta is below -1e-12,
+    over all n k (point, candidate) pairs and both sides, priced in numpy with
+    find_move's ``np.hypot`` lengths and operand order: for a point a, its tour
+    neighbour x on one side and a candidate c nearer than x, replace (a, x) and
+    (c, d), d being c's neighbour on that side, by (a, c) and (x, d)."""
+    n, k = neighbours.shape
+    tour = np.asarray(tour)
+    pos = np.empty(n, dtype=np.int64)
+    pos[tour] = np.arange(n)
+
+    def dist(i, j):
+        return np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
+
+    a, c = np.repeat(np.arange(n), k), neighbours.ravel()
+    dac = dist(a, c)
+    found = 0
+    for toward in (-1, 1):
+        x, d = tour[(pos[a] + toward) % n], tour[(pos[c] + toward) % n]
+        dax = dist(a, x)
+        delta = dac + dist(x, d) - dax - dist(c, d)
+        found += int(np.count_nonzero((dac < dax) & (d != a) & (delta < -1e-12)))
+    return found
+
+
+def test_tour_is_a_two_opt_local_optimum_over_every_candidate():
+    # No reference search runs at this size; the certificate needs none. The
+    # greedy-edge start fails it, so it would see a search that stopped early.
+    pts = generate_nodes(100.0, 100.0, 0.0, seed=1, count=5000).positions
+    neighbours, dist = planner._neighbour_lists(pts, planner.TOUR_NEIGHBOURS)
+    start = planner._greedy_edge_order(pts, neighbours, dist)
+    assert improving_two_opt_count(pts, start, neighbours) > 0
+    assert improving_two_opt_count(pts, plan_tour(pts).visit_order, neighbours) == 0
+
+
 def traced_peak(call):
     tracemalloc.start()
     try:
@@ -901,6 +1023,44 @@ def test_each_layer_peak_memory_grows_at_most_linearly():
     small, large = layer_peaks(2000), layer_peaks(8000)
     growth = {layer: large[layer] / small[layer] for layer in small}
     assert max(growth.values()) <= 5.0, growth
+
+
+# --- metamorphic relations ---------------------------------------------------------
+# The planner reads only np.hypot distances and point indices. Swapping the axes,
+# negating both, and scaling by a power of two are exact in floats, so groups and
+# tours must not change (Chen, Cheung & Yiu 1998), while the grid's corner and
+# cells do. MEMBERSHIP_SLACK_M and the -1e-12 move threshold are absolute
+# lengths, so scales stay within 2^-4..2^4 of metre-scale fields.
+
+def metamorphic_field(kind, n, seed):
+    """n nodes: uniform at the default density, an integer lattice with
+    duplicates, a 1000 m x 3 m strip, or a normal cluster."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        side = 20.0 * math.sqrt(n)
+        return NodeField(side, side, rng.uniform(0.0, side, size=(n, 2)))
+    if kind == "lattice":
+        k = math.isqrt(n) + 1
+        return NodeField(k, k, rng.integers(0, k, size=(n, 2)).astype(float))
+    if kind == "strip":
+        return NodeField(1000.0, 3.0, rng.uniform(0.0, 1.0, size=(n, 2)) * [1000.0, 3.0])
+    return NodeField(200.0, 200.0, rng.normal(100.0, 10.0, size=(n, 2)))
+
+
+@pytest.mark.parametrize("power", range(-4, 5))
+def test_groups_and_tours_are_unchanged_by_axis_swap_scale_and_negation(power):
+    scale, radius = 2.0**power, coverage_radius_m(10.0, 13.0)
+    for i, kind in enumerate(["uniform", "lattice", "strip", "cluster"]):
+        field = metamorphic_field(kind, (30, 150, 600, 1500)[(power + i) % 4], seed=power + 4)
+        pts, width, height = field.positions, field.width_m, field.height_m
+        scaled = NodeField(width * scale, height * scale, pts * scale)
+        swapped = NodeField(height * scale, width * scale, pts[:, ::-1] * scale)
+        groups = group_lists(form_wpc_groups(field, radius))
+        for other in (scaled, swapped):
+            assert group_lists(form_wpc_groups(other, radius * scale)) == groups, kind
+        tour = plan_tour(pts).visit_order
+        for other in (scaled.positions, swapped.positions, -pts):
+            assert plan_tour(other).visit_order == tour, kind
 
 
 # --- tours -----------------------------------------------------------------------
@@ -1095,7 +1255,7 @@ def test_height_equal_to_range_reduces_to_one_by_one():
     baseline, degenerate = compare_strategies(field, 13.0, [13.0])
     assert (baseline.name, degenerate.name) == ("one-by-one", "H=13")
     assert degenerate.radius_m == 0.0
-    assert degenerate.group_count == baseline.group_count == field.node_count
+    assert len(degenerate.groups) == len(baseline.groups) == field.node_count
     assert degenerate.length_m == pytest.approx(baseline.length_m)
 
 
@@ -1123,4 +1283,4 @@ def test_compare_strategies_deterministic():
     for ra, rb in zip(a, b):
         assert ra.length_m == rb.length_m
         assert ra.plan.visit_order == rb.plan.visit_order
-        assert [g.member_indices for g in ra.groups] == [g.member_indices for g in rb.groups]
+        assert group_lists(ra.groups) == group_lists(rb.groups)

@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # ROADMAP item 7: src/ stays within this many lines. A change that needs more
 # re-sets the budget there, with its reason.
-SRC_LINE_BUDGET = 1935
+SRC_LINE_BUDGET = 1934
 
 
 def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
