@@ -48,7 +48,7 @@ ROWS_PER_BLOCK = 4096
 MAX_MC_NODES = 100 * planner.MAX_FIELD_NODES
 MC_FIELD_MIN_NODES = 1000
 
-REPRODUCE_FREQUENCIES_HZ = (400e6, 900e6, 2.4e9)
+REPRODUCE_FREQUENCIES_HZ = tuple(lb.BAND_THRESHOLDS_DBM)  # each band with a default threshold
 REPRODUCE_ELEMENTS = (1, 16, 32)
 
 
@@ -57,7 +57,7 @@ class RunConfig:
     """Typed view of the flat key/value configuration, checked when built."""
 
     link_frequency_hz: float = 400e6
-    link_bandwidth_hz: float = 15e6
+    link_bandwidth_hz: float = missionsim.MissionScenario.bandwidth_hz
     link_noise_figure_db: float = lb.CALIBRATED_NOISE_FIGURE_DB
     link_los_a: float = lb.SUBURBAN_LOS_A
     link_los_b: float = lb.SUBURBAN_LOS_B
@@ -80,11 +80,11 @@ class RunConfig:
     plan_d_eh_m: float | None = None  # None ("auto"): derive from link budget
     plan_mode: str = "heuristic"
     plan_mc_seeds: int = 100
-    mission_wpt_power_w: float = 10.0
-    mission_wur_power_w: float = 1.0
-    mission_wur_wake_threshold_dbm: float = -50.0
-    mission_payload_bits: float = 10e6
-    mission_latency_cap_s: float = 30.0
+    mission_wpt_power_w: float = missionsim.MissionScenario.wpt_power_w
+    mission_wur_power_w: float = missionsim.MissionScenario.wur_power_w
+    mission_wur_wake_threshold_dbm: float = missionsim.MissionScenario.wur_wake_threshold_dbm
+    mission_payload_bits: float = missionsim.MissionScenario.payload_bits
+    mission_latency_cap_s: float = missionsim.MissionScenario.latency_cap_s
 
     def __post_init__(self) -> None:
         _check_config(self)

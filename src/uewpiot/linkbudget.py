@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, check_fields
+from .errors import ConfigurationError, check_fields, check_integer
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, kept at the exact round value by convention
 
@@ -113,7 +113,7 @@ class AntennaArray:
     elements_n: int
 
     def __post_init__(self) -> None:
-        check_fields(self, "> 0", "elements_n")
+        check_integer("elements_n", self.elements_n, 1)
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,7 @@ def upa_physical_size_m(env: RadioEnvironment, rows: int, cols: int) -> tuple[fl
     Each dimension spans (count - 1) half-wavelength inter-element gaps; a
     single element has zero extent.
     """
-    if rows < 1 or cols < 1:
-        raise ConfigurationError("rows and cols must be >= 1")
+    rows, cols = check_integer("rows", rows, 1), check_integer("cols", cols, 1)
     lam = wavelength_m(env)
     return ((rows - 1) * 0.5 * lam, (cols - 1) * 0.5 * lam)
 

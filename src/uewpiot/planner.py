@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibilityError
+from .errors import ConfigurationError, InfeasibilityError, check_integer
 
 # Nodes this close beyond the disk edge still count as covered.
 MEMBERSHIP_SLACK_M = 1e-9
@@ -125,9 +124,7 @@ def _hasher(const: int, multiplier: int):
 def pcg64_start(seed: int) -> tuple[int, int]:
     """The (state, increment) of numpy's ``PCG64(seed)`` for an integer ``seed`` >= 0
     (as ``operator.index`` reads it), seeded by its ``SeedSequence(seed)``."""
-    value = operator.index(seed) if hasattr(type(seed), "__index__") else -1
-    if value < 0:
-        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}", "seed")
+    value = check_integer("seed", seed, 0)
     # 32-bit words, least significant first, mixed into a pool of four.
     words = [value >> s & _M32 for s in range(0, max(value.bit_length(), 1), 32)]
     hashmix = _hasher(0x43B0D7E5, 0x931E8875)
@@ -162,10 +159,8 @@ def generate_nodes(
     """
     if width_m <= 0 or height_m <= 0:
         raise ConfigurationError("field area must be positive")
-    if count is None:
-        count = density_node_count(width_m, height_m, density_per_cell)
-    elif count < 1:
-        raise ConfigurationError(f"field would contain {count} nodes; need at least 1")
+    count = (density_node_count(width_m, height_m, density_per_cell) if count is None
+             else check_integer("count", count, 1))
     state, inc = pcg64_start(seed)
     # Step the 128-bit state in Python; the XSL-RR output and scaling run in numpy.
     xored, rotation = array("Q"), array("B")
@@ -191,7 +186,11 @@ class Groups:
     group_of: np.ndarray
 
     def __post_init__(self) -> None:
-        traversal, group_of = (np.array(a, np.intp) for a in (self.traversal, self.group_of))
+        ids = {name: np.asarray(getattr(self, name)) for name in ("traversal", "group_of")}
+        for name, given in ids.items():
+            if given.size and given.dtype.kind not in "iu":  # no float, str or object ids
+                raise ConfigurationError(f"{name} must hold integer ids, got {given.dtype}", name)
+        traversal, group_of = (np.array(a, np.intp) for a in ids.values())
         if not (traversal.ndim == group_of.ndim == 1
                 and ((0 <= traversal) & (traversal < group_of.size)).all()
                 and ((0 <= group_of) & (group_of < traversal.size)).all()
@@ -315,8 +314,10 @@ class TourPlan:
     length_m: float
 
     def __post_init__(self) -> None:
-        if sorted(self.visit_order) != list(range(len(self.visit_order))):
-            raise ConfigurationError("visit_order must be a permutation of the points")
+        if not (all(hasattr(type(stop), "__index__") for stop in self.visit_order)
+                and sorted(self.visit_order) == list(range(len(self.visit_order)))):
+            raise ConfigurationError("visit_order must be a permutation of the point indices",
+                                     "visit_order")
 
     @property
     def point_count(self) -> int:

@@ -5,7 +5,7 @@ import math
 import re
 import tempfile
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -346,6 +346,9 @@ def test_every_scenario_field_comes_from_a_config_key(tmp_path):
     # A field that no config key sets is a constant; missionsim keeps those as such.
     assert sorted(SCENARIO_KEYS) == sorted(f.name for f in fields(missionsim.MissionScenario))
     default = cli.build_scenario(cli.RunConfig())
+    # The default config builds MissionScenario's own defaults, which RunConfig reads.
+    for f in fields(missionsim.MissionScenario):
+        assert f.default is MISSING or getattr(default, f.name) == f.default, f.name
     for name, (key, value) in SCENARIO_KEYS.items():
         config = cli.parse_config(write_config(tmp_path, f"{key} = {value}\n"))
         scenario = cli.build_scenario(config)

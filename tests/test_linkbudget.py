@@ -24,6 +24,7 @@ from uewpiot import (
     upa_physical_size_m,
     wavelength_m,
 )
+from uewpiot import linkbudget
 
 C = 3.0e8
 
@@ -99,6 +100,21 @@ def test_array_gain():
 def test_array_layout_validation():
     with pytest.raises(ConfigurationError):
         AntennaArray(0)
+
+
+@pytest.mark.parametrize(("name", "build"), [
+    ("elements_n", lambda v: AntennaArray(v)),
+    ("rows", lambda v: upa_physical_size_m(SUBURBAN_400, v, 1)),
+    ("cols", lambda v: upa_physical_size_m(SUBURBAN_400, 1, v)),
+])
+def test_element_counts_must_be_integers(name, build):
+    # A count is read as operator.index reads it: 2.5 elements have no gain to give.
+    for bad in (0, -1, 2.5, 2.0, math.nan, "4", None):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{name} must be an integer >= 1, got ") as raised:
+            build(bad)
+        assert raised.value.field == name
+    assert build(np.int64(4)) == build(4)
 
 
 # --- geometry ----------------------------------------------------------------
@@ -200,6 +216,15 @@ def test_path_loss_is_finite_for_every_finite_link():
         for band_hz in (2e-300, 400e6, np.finfo(float).max):  # 2e-300: c/f is finite
             assert math.isfinite(free_space_path_loss_db(d, band_hz))
             assert math.isfinite(link_budget(RadioEnvironment(band_hz), 0.0, d).path_loss_db)
+
+
+def test_nonpositive_power_and_distance_rejected():
+    with pytest.raises(ConfigurationError, match=r"^power must be positive, got 0 W$"):
+        linkbudget.watts_to_dbm(0)
+    with pytest.raises(ConfigurationError, match=r"^distance must be positive, got 0.0 m$"):
+        free_space_path_loss_db(0.0, 4e8)
+    with pytest.raises(ConfigurationError, match=r"^distance must be positive, got -1.0 m$"):
+        free_space_path_loss_db(np.array([10.0, -1.0]), 4e8)
 
 
 @pytest.mark.parametrize("band_hz", [0.0, -4e8, 1e-320, math.nan])

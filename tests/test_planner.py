@@ -11,9 +11,11 @@ records of reference_form_wpc_groups. Heuristic tours are checked by
 properties: a permutation starting at point 0, a length equal to the
 recomputed one, and no improving candidate 2-opt or Or-opt move left,
 found by an enumerator written here from the move definitions and dense
-candidate lists, and at 5,000 points by a numpy 2-opt certificate. Groups
-and tours are also checked by metamorphic relations: axis swap and
-power-of-two scaling leave both unchanged, and negation the tours.
+candidate lists, and at 5,000 points by numpy 2-opt and Or-opt certificates.
+Groups and tours are also checked by metamorphic relations: axis swap and
+power-of-two scaling leave both unchanged, and negation or an x-mirror the
+tours. Greedy grouping is pinned against the exact minimum disk cover, an
+integer program solved by scipy, on the 100 fields that ``reproduce`` plans.
 """
 import heapq
 import itertools
@@ -305,9 +307,26 @@ def test_generate_nodes_reads_seed_as_operator_index():
         assert generate_nodes(10.0, 10.0, 0.0, seed, count=3).positions.tobytes() == expected
 
 
+@pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, math.nan, "3"])
+def test_generate_nodes_rejects_a_count_that_is_not_a_positive_integer(count):
+    # 2.5 raised TypeError from range(); a count is read as the seed is.
+    with pytest.raises(ConfigurationError,
+                       match=r"^count must be an integer >= 1, got ") as raised:
+        generate_nodes(100.0, 100.0, 0.25, 1, count=count)
+    assert raised.value.field == "count"
+
+
+def test_generate_nodes_reads_count_as_operator_index():
+    expected = generate_nodes(10.0, 10.0, 0.0, 7, count=3).positions.tobytes()
+    for count in (np.int64(3), np.uint8(3)):
+        assert generate_nodes(10.0, 10.0, 0.0, 7, count=count).positions.tobytes() == expected
+
+
 def test_node_field_bounds_enforced():
     with pytest.raises(ConfigurationError):
         NodeField(10.0, 10.0, np.array([[11.0, 5.0]]))
+    with pytest.raises(ConfigurationError, match=r"^positions must have shape \(n, 2\)$"):
+        NodeField(1.0, 1.0, np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -398,6 +417,38 @@ def test_greedy_vs_exhaustive_cover_oracle():
     assert len(groups) >= minimum
     covered = {node for _, members in group_lists(groups) for node in members}
     assert covered == set(range(len(pts)))
+
+
+def minimum_disk_cover(pts, radius):
+    """The fewest node-anchored disks of ``radius`` that cover every node: an integer
+    program with one 0/1 variable per disk and each node covered at least once, over
+    grouping's own pairs. Row j of that CSR lists the disks that cover node j, since
+    np.hypot distances are symmetric."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    start, neighbours = planner._pairs_within(pts, radius + planner.MEMBERSHIP_SLACK_M)
+    n = len(pts)
+    covers = sparse.csr_array((np.ones(len(neighbours)), neighbours, start), shape=(n, n))
+    result = optimize.milp(np.ones(n), integrality=np.ones(n), bounds=optimize.Bounds(0, 1),
+                           constraints=optimize.LinearConstraint(covers, lb=1))
+    assert result.status == 0, result.message
+    return round(result.fun)
+
+
+@pytest.mark.parametrize(("height", "optimal"), [(10.0, 99), (5.0, 94)])
+def test_greedy_groups_are_within_one_of_the_minimum_cover(height, optimal):
+    # The 100 fields that reproduce plans, at its auto d_EH: greedy is optimal on 99
+    # at H = 10 m (R = 8.31 m) and 94 at H = 5 m (R = 12.0 m), one group over on the rest.
+    reproduce_fields = [generate_nodes(100.0, 100.0, 0.25, seed) for seed in range(1, 101)]
+    d_eh = missionsim.resolve_eh_distance_m(missionsim.MissionScenario(
+        field=reproduce_fields[0], env=linkbudget.RadioEnvironment(400e6),
+        array=linkbudget.AntennaArray(32), circuit=linkbudget.EhCircuit.for_band(400e6)))
+    assert d_eh == pytest.approx(13.0013, abs=1e-4)
+    radius = coverage_radius_m(height, d_eh)
+    gaps = [len(form_wpc_groups(field, radius)) - minimum_disk_cover(field.positions, radius)
+            for field in reproduce_fields]
+    assert min(gaps) == 0 and max(gaps) <= 1
+    assert gaps.count(0) == optimal
 
 
 def test_groups_reject_bad_radius_and_accept_empty_field():
@@ -576,6 +627,33 @@ def test_group_arrays_match_the_record_oracle(kind, n, side):
     for radius in (coverage_radius_m(10.0, 13.0), coverage_radius_m(5.0, 13.0)):
         assert group_lists(form_wpc_groups(field, radius)) == reference_form_wpc_groups(
             field, radius)
+
+
+@pytest.mark.parametrize(("traversal", "group_of", "name"), [
+    ([0.5], [0], "traversal"),  # was read as [0]
+    (["0"], ["0"], "traversal"),  # was read as [0]
+    ([0], [0.0], "group_of"),
+    ([2**70], [0], "traversal"),  # raised OverflowError
+    ([0], [True], "group_of"),
+])
+def test_groups_take_only_integer_ids(traversal, group_of, name):
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{name} must hold integer ids, got ") as raised:
+        planner.Groups(traversal, group_of)
+    assert raised.value.field == name
+
+
+def test_groups_accept_the_planners_own_ids():
+    every = np.arange(3)
+    for ids in (every, every.astype(np.intp), every.astype(np.int32), every.astype(np.uint8),
+                every.tolist()):
+        groups = planner.Groups(ids, ids)
+        assert groups.traversal.dtype == groups.group_of.dtype == np.intp
+        assert groups.traversal.tolist() == groups.group_of.tolist() == [0, 1, 2]
+    assert len(planner.Groups([], [])) == 0
+    # An id past the int range is no group of any field.
+    with pytest.raises(ConfigurationError, match="each group, its traversal node"):
+        planner.Groups([0], np.array([2**64 - 1], dtype=np.uint64))
 
 
 def test_grouping_result_holds_a_few_ints_a_node():
@@ -978,14 +1056,61 @@ def improving_two_opt_count(pts, tour, neighbours):
     return found
 
 
+def improving_or_opt_count(pts, tour, neighbours):
+    """Candidate Or-opt moves on the closed ``tour`` whose delta is below -1e-12,
+    over all n k (point, candidate) pairs, both sides and both of the candidate's
+    tour neighbours, priced in numpy as find_move prices them. For a point a, its
+    tour neighbour x on one side and a candidate c nearer than x: the chain is a
+    and the next three points away from x, segment m is the chain's first m + 1
+    points, and it moves between c and a tour neighbour e of c. A segment may not
+    reach c or e in the chain, and holds at most min(3, n - 3) points."""
+    n, k = neighbours.shape
+    tour = np.asarray(tour)
+    pos = np.empty(n, dtype=np.int64)
+    pos[tour] = np.arange(n)
+    segs = min(3, n - 3)
+
+    def dist(i, j):
+        return np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
+
+    def first_in_chain(chain, v, absent):
+        """The first index of v in the chain, or ``absent``."""
+        index = np.broadcast_to(absent, v.shape)
+        for i in range(len(chain) - 1, -1, -1):
+            index = np.where(chain[i] == v, i, index)
+        return index
+
+    a, c = np.repeat(np.arange(n), k), neighbours.ravel()
+    dac = dist(a, c)
+    found = 0
+    for toward in (-1, 1):
+        x = tour[(pos[a] + toward) % n]
+        dax = dist(a, x)
+        chain = [tour[(pos[a] - toward * m) % n] for m in range(4)]
+        gains = [dax + dist(chain[m], chain[m + 1]) - dist(x, chain[m + 1]) for m in range(3)]
+        top = np.minimum(first_in_chain(chain, c, segs), segs)
+        for side in (-1, 1):
+            e = tour[(pos[c] + side) % n]
+            dce = dist(c, e)
+            # Segments 0..limit - 1 move: none for a candidate as far as x.
+            limit = np.where(dac < dax, np.minimum(first_in_chain(chain, e, top), top), 0)
+            for m in range(segs):
+                delta = dac + dist(chain[m], e) - dce - gains[m]
+                found += int(np.count_nonzero((m < limit) & (delta < -1e-12)))
+    return found
+
+
 def test_tour_is_a_two_opt_local_optimum_over_every_candidate():
-    # No reference search runs at this size; the certificate needs none. The
-    # greedy-edge start fails it, so it would see a search that stopped early.
+    # No reference search runs at this size; the certificates need none. The
+    # greedy-edge start fails both, so they would see a search that stopped early.
     pts = generate_nodes(100.0, 100.0, 0.0, seed=1, count=5000).positions
     neighbours, dist = planner._neighbour_lists(pts, planner.TOUR_NEIGHBOURS)
     start = planner._greedy_edge_order(pts, neighbours, dist)
     assert improving_two_opt_count(pts, start, neighbours) > 0
-    assert improving_two_opt_count(pts, plan_tour(pts).visit_order, neighbours) == 0
+    assert improving_or_opt_count(pts, start, neighbours) > 0
+    tour = plan_tour(pts).visit_order
+    assert improving_two_opt_count(pts, tour, neighbours) == 0
+    assert improving_or_opt_count(pts, tour, neighbours) == 0
 
 
 def traced_peak(call):
@@ -1027,7 +1152,7 @@ def test_each_layer_peak_memory_grows_at_most_linearly():
 
 # --- metamorphic relations ---------------------------------------------------------
 # The planner reads only np.hypot distances and point indices. Swapping the axes,
-# negating both, and scaling by a power of two are exact in floats, so groups and
+# negating one or both, and scaling by a power of two are exact in floats, so groups and
 # tours must not change (Chen, Cheung & Yiu 1998), while the grid's corner and
 # cells do. MEMBERSHIP_SLACK_M and the -1e-12 move threshold are absolute
 # lengths, so scales stay within 2^-4..2^4 of metre-scale fields.
@@ -1059,7 +1184,7 @@ def test_groups_and_tours_are_unchanged_by_axis_swap_scale_and_negation(power):
         for other in (scaled, swapped):
             assert group_lists(form_wpc_groups(other, radius * scale)) == groups, kind
         tour = plan_tour(pts).visit_order
-        for other in (scaled.positions, swapped.positions, -pts):
+        for other in (scaled.positions, swapped.positions, -pts, pts * [-1.0, 1.0]):
             assert plan_tour(other).visit_order == tour, kind
 
 
@@ -1240,12 +1365,16 @@ def test_plan_length_field_matches_recomputation():
     assert plan.length_m == pytest.approx(closed_length(pts, list(plan.visit_order)), abs=1e-12)
 
 
-@pytest.mark.parametrize("order", [(0, 1, 1), (0, 2, 3), (0, 1, 3), (0, 1, -1)],
-                         ids=["duplicated", "missing", "out-of-range", "negative"])
+@pytest.mark.parametrize(
+    "order", [(0, 1, 1), (0, 2, 3), (0, 1, 3), (0, 1, -1), (0.0, 1.0, 2.0), (0, "1", 2)],
+    ids=["duplicated", "missing", "out-of-range", "negative", "float", "str"])
 def test_tour_plan_rejects_a_visit_order_that_is_not_a_permutation(order):
     # A tour built by a caller reaches simulate_mission; only a permutation is flown.
-    with pytest.raises(ConfigurationError, match="permutation"):
+    # Its stops are integers: (0.0, 1.0, 2.0) sorts equal to range(3).
+    with pytest.raises(ConfigurationError, match="^visit_order must be a permutation") as raised:
         TourPlan(order, 0.0)
+    assert raised.value.field == "visit_order"
+    assert TourPlan((np.int64(0), np.intp(2), 1), 0.0).point_count == 3
 
 
 # --- strategy comparison ----------------------------------------------------------
