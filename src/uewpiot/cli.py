@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linkbudget as lb
 from . import missionsim, planner
-from .errors import ConfigurationError, InfeasibilityError
+from .errors import ConfigurationError, InfeasibilityError, is_integer
 
 FLOAT_FMT = "%.10g"
 
@@ -76,7 +76,7 @@ class RunConfig:
     field_density: float = 0.25
     field_count: int = 0  # 0: use density
     field_seed: int = 1
-    plan_heights_m: tuple[float, ...] = (10.0, 5.0)
+    plan_heights_m: tuple[float, ...] = (missionsim.MissionScenario.height_m, 5.0)
     plan_d_eh_m: float | None = None  # None ("auto"): derive from link budget
     plan_mode: str = "heuristic"
     plan_mc_seeds: int = 100
@@ -178,7 +178,7 @@ class Range(NamedTuple):
     open_low: bool = False
 
     def __contains__(self, value) -> bool:
-        if isinstance(self.low, int) and not hasattr(type(value), "__index__"):
+        if isinstance(self.low, int) and not is_integer(value):
             return False
         return (self.low < value if self.open_low else self.low <= value) and value <= self.high
 

@@ -1,9 +1,11 @@
-"""The package's two error types, and the bound and integer checks the library shares.
+"""The package's two error types, and the one home of its sign, finiteness and integer rules.
 
 The library raises ``ConfigurationError`` (CLI exit code 2) for a bad value, an
 unphysical geometry or a request past a solver's limit, and ``InfeasibilityError``
 (exit 3) for a request that no plan can meet. I/O failures (plain OSError) exit 4.
+Every entry point checks its scalars here, so each refuses NaN and ``bool`` alike.
 """
+import math
 import operator
 
 
@@ -20,19 +22,28 @@ class ConfigurationError(UewpiotError, ValueError):
         self.field = field
 
 
-def check_fields(obj, rule: str, *names: str) -> None:
-    """Raise naming the first of ``names`` whose value on ``obj`` breaks ``rule``,
-    "> 0" or ">= 0"; NaN breaks both."""
-    for name in names:
-        value = getattr(obj, name)
-        if not (value > 0 or rule == ">= 0" and value == 0):
+def check_values(rule: str, /, **values) -> None:
+    """Raise naming the first of ``values`` to break ``rule``, "> 0", ">= 0" or "finite";
+    NaN breaks all three."""
+    for name, value in values.items():
+        ok = value > 0 if rule == "> 0" else value >= 0 if rule == ">= 0" else math.isfinite(value)
+        if not ok:
             raise ConfigurationError(f"{name} must be {rule}, got {value:g}", name)
 
 
+def check_fields(obj, rule: str, *names: str) -> None:
+    """``check_values`` over the attributes ``names`` of ``obj``."""
+    check_values(rule, **{name: getattr(obj, name) for name in names})
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer, as ``operator.index`` reads it; no bool, float or str."""
+    return type(value) is not bool and hasattr(type(value), "__index__")  # bool has no subclass
+
+
 def check_integer(name: str, value, low: int) -> int:
-    """``value`` as ``operator.index`` reads it, which takes ints and numpy integers but
-    no float or str; raise naming ``name`` unless it is one, and at least ``low``."""
-    if not (hasattr(type(value), "__index__") and operator.index(value) >= low):
+    """``value`` as an int; raise naming ``name`` unless it ``is_integer`` and is >= ``low``."""
+    if not (is_integer(value) and operator.index(value) >= low):
         raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}", name)
     return operator.index(value)
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, check_fields, check_integer
+from .errors import ConfigurationError, check_fields, check_integer, check_values
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, kept at the exact round value by convention
 
@@ -55,8 +55,7 @@ CALIBRATED_NOISE_FIGURE_DB = 5.0
 
 
 def watts_to_dbm(power_w: float) -> float:
-    if power_w <= 0:
-        raise ConfigurationError(f"power must be positive, got {power_w} W")
+    check_values("> 0", power_w=power_w)
     return 10.0 * math.log10(power_w * 1e3)
 
 
@@ -124,13 +123,10 @@ class EhCircuit:
     conversion_efficiency: float = DEFAULT_CONVERSION_EFFICIENCY
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.input_threshold_dbm):
-            raise ConfigurationError("input_threshold_dbm must be finite", "input_threshold_dbm")
+        check_fields(self, "finite", "input_threshold_dbm")
         if not 0 < self.conversion_efficiency <= 1:
-            raise ConfigurationError(
-                f"conversion_efficiency must be in (0, 1], got {self.conversion_efficiency:g}",
-                "conversion_efficiency",
-            )
+            raise ConfigurationError(f"conversion_efficiency must be in (0, 1], got "
+                                     f"{self.conversion_efficiency:g}", "conversion_efficiency")
 
     @classmethod
     def for_band(
@@ -196,13 +192,13 @@ def link_budget(
     same path loss and array gain (energy neutral, reciprocal channel).
     """
     height, slant = np.asarray(height_m, dtype=float), np.asarray(slant_m, dtype=float)
-    bad = (height < 0) | (slant < height) | (slant == 0)
-    if bad.any():
+    valid = (height >= 0) & (slant >= height) & (slant != 0)  # NaN fails each test
+    if not valid.all():
         heights, slants = np.broadcast_arrays(height, slant)
-        h, d = float(heights[bad][0]), float(slants[bad][0])
-        if h < 0:
+        h, d = float(heights[~valid][0]), float(slants[~valid][0])
+        if not h >= 0:
             raise ConfigurationError(f"hover height must be >= 0, got {h}")
-        if d < h:
+        if not d >= h:
             raise ConfigurationError(f"slant distance {d} m is below hover height {h} m")
         raise ConfigurationError("zero slant distance: path loss is singular")
     theta = np.degrees(np.arcsin(height / slant))
@@ -231,7 +227,7 @@ def _fspl_db(distance_m, frequency_hz: float):  # a sum of logs: no finite link 
 
 def free_space_path_loss_db(distance_m, frequency_hz: float):
     """FSPL(dB) = 20*log10(d) + 20*log10(4*pi*f/c), elementwise over an array of distances."""
-    if np.less_equal(distance_m, 0).any():
+    if not np.greater(distance_m, 0).all():  # NaN fails it
         raise ConfigurationError(f"distance must be positive, got {np.min(distance_m)} m")
     return _fspl_db(distance_m, RadioEnvironment(frequency_hz).carrier_frequency_hz)
 
@@ -275,10 +271,6 @@ def noise_power_dbm(bandwidth_hz: float,
                     noise_figure_db: float = CALIBRATED_NOISE_FIGURE_DB) -> float:
     """Thermal noise floor -174 dBm/Hz + 10*log10(B) + NF; a receiver adds
     noise, so NF >= 0 dB."""
-    if not bandwidth_hz > 0:
-        raise ConfigurationError(f"bandwidth_hz must be > 0, got {bandwidth_hz:g}", "bandwidth_hz")
-    if not noise_figure_db >= 0:
-        raise ConfigurationError(
-            f"noise_figure_db must be >= 0, got {noise_figure_db:g}", "noise_figure_db"
-        )
+    check_values("> 0", bandwidth_hz=bandwidth_hz)
+    check_values(">= 0", noise_figure_db=noise_figure_db)
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db

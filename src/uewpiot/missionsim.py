@@ -58,9 +58,7 @@ class MissionScenario:
     def __post_init__(self) -> None:
         check_fields(self, "> 0", "wpt_power_w", "wur_power_w", "latency_cap_s")
         check_fields(self, ">= 0", "payload_bits", "height_m")
-        if not math.isfinite(self.wur_wake_threshold_dbm):
-            raise ConfigurationError("wur_wake_threshold_dbm must be finite",
-                                     "wur_wake_threshold_dbm")
+        check_fields(self, "finite", "wur_wake_threshold_dbm")
         if self.eh_distance_m is not None and not (
                 -math.inf < self.eh_distance_m <= planner.MAX_COORDINATE_M):
             raise ConfigurationError(

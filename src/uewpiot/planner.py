@@ -25,7 +25,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibilityError, check_integer
+from .errors import ConfigurationError, InfeasibilityError, check_integer, check_values, is_integer
 
 # Nodes this close beyond the disk edge still count as covered.
 MEMBERSHIP_SLACK_M = 1e-9
@@ -59,8 +59,8 @@ _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 def coverage_radius_m(uav_height_m: float, eh_distance_m: float) -> float:
     """Ground coverage radius R = sqrt(d_EH^2 - H^2) at hover height H."""
-    if uav_height_m < 0:
-        raise ConfigurationError("hover height must be >= 0")
+    check_values(">= 0", uav_height_m=uav_height_m)
+    check_values("finite", eh_distance_m=eh_distance_m)
     if uav_height_m > eh_distance_m:
         raise InfeasibilityError(
             f"hover height {uav_height_m} m exceeds powering range {eh_distance_m} m"
@@ -157,8 +157,7 @@ def generate_nodes(
     the density. Same seed, same field, bit for bit, on any numpy version: the
     field of ``np.random.default_rng(seed).uniform``, its PCG64 stream drawn in-repo.
     """
-    if width_m <= 0 or height_m <= 0:
-        raise ConfigurationError("field area must be positive")
+    check_values("> 0", width_m=width_m, height_m=height_m)
     count = (density_node_count(width_m, height_m, density_per_cell) if count is None
              else check_integer("count", count, 1))
     state, inc = pcg64_start(seed)
@@ -314,7 +313,7 @@ class TourPlan:
     length_m: float
 
     def __post_init__(self) -> None:
-        if not (all(hasattr(type(stop), "__index__") for stop in self.visit_order)
+        if not (all(map(is_integer, self.visit_order))
                 and sorted(self.visit_order) == list(range(len(self.visit_order)))):
             raise ConfigurationError("visit_order must be a permutation of the point indices",
                                      "visit_order")

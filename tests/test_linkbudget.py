@@ -16,9 +16,12 @@ from uewpiot import (
     ConfigurationError,
     EhCircuit,
     RadioEnvironment,
+    TourPlan,
     achievable_eh_distance_m,
     array_gain_db,
+    coverage_radius_m,
     free_space_path_loss_db,
+    generate_nodes,
     link_budget,
     noise_power_dbm,
     upa_physical_size_m,
@@ -219,12 +222,46 @@ def test_path_loss_is_finite_for_every_finite_link():
 
 
 def test_nonpositive_power_and_distance_rejected():
-    with pytest.raises(ConfigurationError, match=r"^power must be positive, got 0 W$"):
+    with pytest.raises(ConfigurationError, match=r"^power_w must be > 0, got 0$"):
         linkbudget.watts_to_dbm(0)
     with pytest.raises(ConfigurationError, match=r"^distance must be positive, got 0.0 m$"):
         free_space_path_loss_db(0.0, 4e8)
     with pytest.raises(ConfigurationError, match=r"^distance must be positive, got -1.0 m$"):
         free_space_path_loss_db(np.array([10.0, -1.0]), 4e8)
+
+
+# Each library entry point that no config key reaches: a call with one argument set to
+# ``v``, the field its error names (None where an array guard raises), and whether that
+# argument is an integer.
+ENTRY_POINTS = {
+    "watts_to_dbm.power_w": (lambda v: linkbudget.watts_to_dbm(v), "power_w", False),
+    "free_space_path_loss_db.distance_m": (lambda v: free_space_path_loss_db(v, 4e8), None, False),
+    "coverage_radius_m.uav_height_m":
+        (lambda v: coverage_radius_m(v, 13.0), "uav_height_m", False),
+    "coverage_radius_m.eh_distance_m":
+        (lambda v: coverage_radius_m(10.0, v), "eh_distance_m", False),
+    "link_budget.height_m": (lambda v: link_budget(SUBURBAN_400, v, 10.0), None, False),
+    "link_budget.slant_m": (lambda v: link_budget(SUBURBAN_400, 10.0, v), None, False),
+    "achievable_eh_distance_m.uav_height_m": (lambda v: achievable_eh_distance_m(
+        10.0, AntennaArray(32), EhCircuit(-20.0), SUBURBAN_400, v), None, False),
+    "TourPlan.visit_order": (lambda v: TourPlan((0, v), 1.0), "visit_order", True),
+    "generate_nodes.count": (lambda v: generate_nodes(100.0, 100.0, 0.25, 1, v), "count", True),
+    "generate_nodes.seed": (lambda v: generate_nodes(100.0, 100.0, 0.25, v), "seed", True),
+    "AntennaArray.elements_n": (lambda v: AntennaArray(v), "elements_n", True),
+    "upa_physical_size_m.rows": (lambda v: upa_physical_size_m(SUBURBAN_400, v, 2), "rows", True),
+    "upa_physical_size_m.cols": (lambda v: upa_physical_size_m(SUBURBAN_400, 2, v), "cols", True),
+}
+
+
+@pytest.mark.parametrize("entry, value", [(entry, math.nan) for entry in ENTRY_POINTS] + [
+    (entry, value) for entry, (_, _, integral) in ENTRY_POINTS.items() if integral
+    for value in (True, np.True_)])
+def test_every_entry_point_refuses_nan_and_bool(entry, value):
+    # NaN fails every sign and finiteness rule, and no integer rule takes a bool.
+    call, field, _ = ENTRY_POINTS[entry]
+    with pytest.raises(ConfigurationError) as raised:
+        call(value)
+    assert raised.value.field == field
 
 
 @pytest.mark.parametrize("band_hz", [0.0, -4e8, 1e-320, math.nan])
