@@ -3,7 +3,7 @@
 The library raises ``ConfigurationError`` (CLI exit code 2) for a bad value, an
 unphysical geometry or a request past a solver's limit, and ``InfeasibilityError``
 (exit 3) for a request that no plan can meet. I/O failures (plain OSError) exit 4.
-Every entry point checks its scalars here, so each refuses NaN and ``bool`` alike.
+Every entry point checks its scalars here, so each refuses NaN, +inf and ``bool`` alike.
 """
 import math
 import operator
@@ -24,11 +24,12 @@ class ConfigurationError(UewpiotError, ValueError):
 
 def check_values(rule: str, /, **values) -> None:
     """Raise naming the first of ``values`` to break ``rule``, "> 0", ">= 0" or "finite";
-    NaN breaks all three."""
+    NaN and +inf break all three."""
     for name, value in values.items():
         ok = value > 0 if rule == "> 0" else value >= 0 if rule == ">= 0" else math.isfinite(value)
-        if not ok:
-            raise ConfigurationError(f"{name} must be {rule}, got {value:g}", name)
+        if not ok or value == math.inf:
+            broken = rule if not ok else "finite"
+            raise ConfigurationError(f"{name} must be {broken}, got {value:g}", name)
 
 
 def check_fields(obj, rule: str, *names: str) -> None:

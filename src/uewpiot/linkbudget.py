@@ -192,7 +192,7 @@ def link_budget(
     same path loss and array gain (energy neutral, reciprocal channel).
     """
     height, slant = np.asarray(height_m, dtype=float), np.asarray(slant_m, dtype=float)
-    valid = (height >= 0) & (slant >= height) & (slant != 0)  # NaN fails each test
+    valid = (height >= 0) & (slant >= height) & (slant != 0) & (slant < np.inf)  # NaN fails each
     if not valid.all():
         heights, slants = np.broadcast_arrays(height, slant)
         h, d = float(heights[~valid][0]), float(slants[~valid][0])
@@ -200,6 +200,8 @@ def link_budget(
             raise ConfigurationError(f"hover height must be >= 0, got {h}")
         if not d >= h:
             raise ConfigurationError(f"slant distance {d} m is below hover height {h} m")
+        if d:
+            raise ConfigurationError(f"slant distance must be finite, got {d} m")
         raise ConfigurationError("zero slant distance: path loss is singular")
     theta = np.degrees(np.arcsin(height / slant))
     with np.errstate(over="ignore"):  # an overflow to inf gives the exact limit P_LoS = 0
@@ -229,6 +231,8 @@ def free_space_path_loss_db(distance_m, frequency_hz: float):
     """FSPL(dB) = 20*log10(d) + 20*log10(4*pi*f/c), elementwise over an array of distances."""
     if not np.greater(distance_m, 0).all():  # NaN fails it
         raise ConfigurationError(f"distance must be positive, got {np.min(distance_m)} m")
+    if not np.less(distance_m, np.inf).all():
+        raise ConfigurationError("distance must be finite, got inf m")
     return _fspl_db(distance_m, RadioEnvironment(frequency_hz).carrier_frequency_hz)
 
 

@@ -10,9 +10,9 @@ points, exact by Held-Karp dynamic programming over Python lists, at the
 ``math.sqrt(dx * dx + dy * dy)`` distance. The heuristic tour gives each
 point its TOUR_NEIGHBOURS nearest points from the same pair search, in
 O(n k) memory, starts from a greedy-edge tour over those candidate edges,
-and improves it by 2-opt and Or-opt moves over the candidates, driven by
-don't-look bits (Bentley 1992; Johnson & McGeoch 1997), until no candidate
-move shortens it.
+whose paths join while their ends differ, and improves it by 2-opt and
+Or-opt moves over the candidates, driven by don't-look bits (Bentley 1992;
+Johnson & McGeoch 1997), until no candidate move shortens it.
 """
 from __future__ import annotations
 
@@ -379,33 +379,26 @@ def _greedy_edge_order(pts: np.ndarray, neighbours: np.ndarray, dist: np.ndarray
     """Greedy-edge start tour over the candidate edges.
 
     Edges are taken shortest first (equal lengths in candidate-list order)
-    while both ends have degree below 2 and no cycle forms. The resulting
-    paths are then chained end to end: from the tail of the tour so far, to
-    the nearest free end of another path.
+    while both ends have degree below 2, so the edges form paths, and the
+    two paths they join differ: ``end[v]`` is the other end of the path
+    that ends at v, so an edge (a, b) closes a cycle iff ``end[a] == b``.
+    The paths, each walked from its lower-index end, are then chained end to
+    end: from the tail of the tour so far, to the nearest free end of
+    another path.
     """
     n, k = neighbours.shape
     by_length = np.argsort(dist.ravel(), kind="stable")
-    root = list(range(n))
+    end = list(range(n))
     links: list[list[int]] = [[] for _ in range(n)]
-    added = 0
     for a, b in zip((by_length // k).tolist(), neighbours.ravel()[by_length].tolist()):
-        if len(links[a]) < 2 and len(links[b]) < 2:
-            ra, rb = a, b
-            while root[ra] != ra:
-                root[ra] = ra = root[root[ra]]
-            while root[rb] != rb:
-                root[rb] = rb = root[root[rb]]
-            if ra != rb:
-                root[ra] = rb
-                links[a].append(b)
-                links[b].append(a)
-                added += 1
-                if added == n - 1:
-                    break
+        if len(links[a]) < 2 and len(links[b]) < 2 and end[a] != b:
+            ea, eb = end[a], end[b]
+            end[ea], end[eb] = eb, ea
+            links[a].append(b)
+            links[b].append(a)
     paths = []
-    done = [False] * n  # path ends already walked from the other end
     for s in range(n):
-        if len(links[s]) < 2 and not done[s]:
+        if len(links[s]) < 2 and end[s] >= s:
             path = [s]
             if links[s]:
                 prev, cur = s, links[s][0]
@@ -413,12 +406,11 @@ def _greedy_edge_order(pts: np.ndarray, neighbours: np.ndarray, dist: np.ndarray
                 while len(links[cur]) == 2:
                     prev, cur = cur, links[cur][links[cur][0] == prev]
                     path.append(cur)
-                done[cur] = True
             paths.append(path)
     tour = paths[0]
     if len(paths) > 1:
         z = pts[:, 0] + 1j * pts[:, 1]
-        free_ends = z[[end for path in paths for end in (path[0], path[-1])]]
+        free_ends = z[[v for path in paths for v in (path[0], path[-1])]]
         free_ends[:2] = np.inf  # path 0 starts the tour
         for _ in range(len(paths) - 1):
             gap = free_ends - z[tour[-1]]

@@ -264,6 +264,35 @@ def test_every_entry_point_refuses_nan_and_bool(entry, value):
     assert raised.value.field == field
 
 
+# The real-valued entry points where a sign rule or an array guard must refuse
+# +inf as well: those of ENTRY_POINTS that no other rule refuses it at, and
+# noise_power_dbm's two arguments.
+PLUS_INF_ENTRY_POINTS = {
+    **{entry: ENTRY_POINTS[entry][:2] for entry in (
+        "watts_to_dbm.power_w", "free_space_path_loss_db.distance_m",
+        "coverage_radius_m.uav_height_m", "link_budget.slant_m",
+        "achievable_eh_distance_m.uav_height_m")},
+    "noise_power_dbm.bandwidth_hz": (lambda v: noise_power_dbm(v), "bandwidth_hz"),
+    "noise_power_dbm.noise_figure_db": (lambda v: noise_power_dbm(1e6, v), "noise_figure_db"),
+}
+
+
+@pytest.mark.parametrize("entry", PLUS_INF_ENTRY_POINTS)
+def test_every_sign_entry_point_refuses_plus_inf(entry):
+    call, field = PLUS_INF_ENTRY_POINTS[entry]
+    with pytest.raises(ConfigurationError) as raised:
+        call(math.inf)
+    assert raised.value.field == field
+    assert "finite" in str(raised.value)
+
+
+def test_eh_range_past_every_finite_distance_is_refused():
+    # At a -1e4 dBm threshold even 1e308 m harvests enough, so the range
+    # search doubles its bracket to inf.
+    with pytest.raises(ConfigurationError, match=r"^slant distance must be finite, got inf m$"):
+        achievable_eh_distance_m(10.0, AntennaArray(32), EhCircuit(-1e4), SUBURBAN_400, 10.0)
+
+
 @pytest.mark.parametrize("band_hz", [0.0, -4e8, 1e-320, math.nan])
 def test_path_loss_rejects_a_band_with_no_finite_wavelength(band_hz):
     with pytest.raises(ConfigurationError) as raised:

@@ -3,7 +3,8 @@
 Tour lengths are checked against an exhaustive-permutation oracle and
 grouping against a brute-force minimum disk cover, both implemented here
 independently of the planner; exact orders against the numpy-table
-Held-Karp kept below. The grid-hash, lazy-greedy grouping is
+Held-Karp kept below, and greedy-edge start tours against the union-find
+version kept below. The grid-hash, lazy-greedy grouping is
 checked group for group against two dense n x n greedy coverings kept
 below as reference oracles (one recounting every gain each round, one
 keeping the gains current), and its two arrays against the per-group
@@ -1000,6 +1001,87 @@ def test_tour_search_matches_the_cached_length_oracle(n, seed, kind):
 @pytest.mark.parametrize("kind", ORACLE_KINDS)
 def test_tour_search_matches_the_oracle_through_wrapping_reversals(kind):
     assert assert_search_matches_reference(oracle_points(kind, 2000, 2)) >= 1
+
+
+def reference_greedy_edge_order(pts, neighbours, dist):
+    """The greedy-edge start as it was with a union-find forest, kept as the
+    oracle: an edge joins two points of degree below 2 whose roots differ,
+    found with path halving, and each walked path marks its far end done."""
+    n, k = neighbours.shape
+    by_length = np.argsort(dist.ravel(), kind="stable")
+    root = list(range(n))
+    links = [[] for _ in range(n)]
+    added = 0
+    for a, b in zip((by_length // k).tolist(), neighbours.ravel()[by_length].tolist()):
+        if len(links[a]) < 2 and len(links[b]) < 2:
+            ra, rb = a, b
+            while root[ra] != ra:
+                root[ra] = ra = root[root[ra]]
+            while root[rb] != rb:
+                root[rb] = rb = root[root[rb]]
+            if ra != rb:
+                root[ra] = rb
+                links[a].append(b)
+                links[b].append(a)
+                added += 1
+                if added == n - 1:
+                    break
+    paths = []
+    done = [False] * n  # path ends already walked from the other end
+    for s in range(n):
+        if len(links[s]) < 2 and not done[s]:
+            path = [s]
+            if links[s]:
+                prev, cur = s, links[s][0]
+                path.append(cur)
+                while len(links[cur]) == 2:
+                    prev, cur = cur, links[cur][links[cur][0] == prev]
+                    path.append(cur)
+                done[cur] = True
+            paths.append(path)
+    tour = paths[0]
+    if len(paths) > 1:
+        z = pts[:, 0] + 1j * pts[:, 1]
+        free_ends = z[[end for path in paths for end in (path[0], path[-1])]]
+        free_ends[:2] = np.inf  # path 0 starts the tour
+        for _ in range(len(paths) - 1):
+            gap = free_ends - z[tour[-1]]
+            e = int(np.argmin(np.hypot(gap.real, gap.imag)))
+            free_ends[e - e % 2 : e - e % 2 + 2] = np.inf
+            tour.extend(paths[e // 2] if e % 2 == 0 else paths[e // 2][::-1])
+    return tour
+
+
+def start_points(kind, n, seed):
+    """The tour-search oracle's shapes, or n points drawn from the 9 sites of
+    a 3 x 3 lattice (coincident points, nearly every length tied)."""
+    if kind != "coincident":
+        return oracle_points(kind, n, seed)
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 3, size=(n, 2)).astype(float)
+
+
+def assert_start_matches_reference(pts):
+    neighbours, dist = planner._neighbour_lists(pts, planner.TOUR_NEIGHBOURS)
+    expected = reference_greedy_edge_order(pts, neighbours, dist)
+    assert planner._greedy_edge_order(pts, neighbours, dist) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(ORACLE_KINDS + ["coincident"]),
+)
+def test_greedy_edge_start_matches_the_union_find_oracle(n, seed, kind):
+    # A path grows only at its ends, so "the roots differ" is "b is not the
+    # other end of a's path", and the first end met is each path's start.
+    assert_start_matches_reference(start_points(kind, n, seed))
+
+
+@pytest.mark.parametrize(("kind", "n"), [("uniform", 5000), ("lattice", 2000)])
+def test_greedy_edge_start_matches_the_oracle_on_large_sets(kind, n):
+    assert_start_matches_reference(start_points(kind, n, 3))
 
 
 def test_plan_tour_memory_stays_linear():
