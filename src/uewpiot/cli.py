@@ -70,7 +70,7 @@ class RunConfig:
     sweep_distance_stop_m: float = 50.0
     sweep_distance_step_m: float = 1.0
     sweep_frequencies_hz: tuple[float, ...] = (400e6,)
-    sweep_elements: tuple[int, ...] = (1, 16, 32)
+    sweep_elements: tuple[int, ...] = REPRODUCE_ELEMENTS
     field_width_m: float = 100.0
     field_height_m: float = 100.0
     field_density: float = 0.25

@@ -246,8 +246,8 @@ def achievable_eh_distance_m(
     """Largest slant range at which harvested power still meets the threshold.
 
     Bisects the strictly decreasing harvested-power curve at fixed hover
-    height. Returns None when the threshold is already missed at the
-    closest approach (directly overhead).
+    height. Returns None when the threshold is already missed directly
+    overhead; a threshold that every finite range meets is refused.
     """
     threshold_dbm = circuit.input_threshold_dbm
 
@@ -260,6 +260,9 @@ def achievable_eh_distance_m(
     hi = max(lo * 2.0, 1.0)
     while harvested(hi) >= threshold_dbm:
         hi *= 2.0
+        if hi == math.inf:
+            raise ConfigurationError(f"input_threshold_dbm = {threshold_dbm:g} dBm is met at every "
+                                     "finite range", "input_threshold_dbm")
     for _ in range(200):
         if hi - lo <= 1e-6:
             break

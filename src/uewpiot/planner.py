@@ -21,7 +21,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -430,17 +430,17 @@ def _local_search(pts: np.ndarray, neighbours: np.ndarray, tour: list[int]) -> l
         on the side x is of a;
       - Or-opt: move the segment of 1-3 points that starts at a and leads
         away from x next to c, between c and either of c's tour neighbours.
-    A move is made when its delta is below -1e-12. The first pass tries
-    2-opt moves only, the second both kinds. Points wait in a queue
-    (Bentley's don't-look bits) and the ends of every changed edge rejoin
-    it. A point's search reads only the tour links of the point, of the
-    next two points on either side and of the candidates it tried, and
-    those candidates' direction. When the second pass's queue runs dry, every
-    point for which one of these changed since its last search is queued
-    again, so the search ends only when no candidate move improves the
-    tour, or after TOUR_MOVES_PER_POINT moves per point. Each length is
-    computed where it is read, as ``abs`` of a complex difference, which is
-    ``np.hypot``, as in the candidate lists; the search keeps no copy of it.
+    A move is made when its delta is below -1e-12, by 1-3 reversals of the
+    tour's shorter side, each one list slice that may wrap past the end. The
+    first pass tries 2-opt moves only, the second both kinds. Points wait in a
+    queue (Bentley's don't-look bits) and the ends of every changed edge rejoin
+    it. A point's search reads only the tour links of the point, of the next two
+    points on either side and of the candidates it tried, and those candidates'
+    direction. When the second pass's queue runs dry, every point for which one
+    of these changed since its last search is queued again, so the search ends
+    only when no candidate move improves the tour, or after TOUR_MOVES_PER_POINT
+    moves per point. Each length is computed where it is read, as ``abs`` of a
+    complex difference (``np.hypot``, as in the candidate lists), and not kept.
     """
     n = len(tour)
     z = np.ascontiguousarray(pts).view(np.complex128).ravel().tolist()
@@ -456,24 +456,21 @@ def _local_search(pts: np.ndarray, neighbours: np.ndarray, tour: list[int]) -> l
     segs = min(3, n - 3)
 
     def reverse(b: int, c: int) -> None:
-        """Reverse the tour from b forward to c, or the rest of it if shorter."""
+        """Reverse the tour from b forward to c, or the rest of it if shorter, as one slice
+        that may wrap past the list end; then one pass over it sets ``pos`` and ``changed``."""
         i, j = pos[b], pos[c]
         length = (j - i) % n + 1
         if 2 * length > n:
-            i, j, length = (j + 1) % n, (i - 1) % n, n - length
+            i, length = (j + 1) % n, n - length
         if length < 2:
             return
-        if i < j:
-            tour[i : j + 1] = tour[i : j + 1][::-1]
-            for p in range(i, j + 1):
-                pos[tour[p]] = p
-        else:  # the stretch wraps past the end of the list
-            for p, q in zip(range(i, i + length // 2), range(j, j - length // 2, -1)):
-                p, q = p % n, q % n
-                tour[p], tour[q] = tour[q], tour[p]
-                pos[tour[p]], pos[tour[q]] = p, q
-        for p in range(i - 1, i + length + 1):
-            changed[tour[p % n]] = moves + 1
+        wrap = max(i + length - n, 0)
+        stretch = (tour[i : i + length] + tour[:wrap])[::-1]
+        tour[i : i + length], tour[:wrap] = stretch[: length - wrap], stretch[length - wrap :]
+        now = changed[tour[i - 1]] = changed[tour[i + length - n]] = moves + 1  # points beside it
+        for p, v in zip(chain(range(i, i + length - wrap), range(wrap)), stretch):
+            pos[v] = p
+            changed[v] = now
 
     def flip(a: int, b: int, c: int) -> None:
         """Swap tour edges (a, b) and (c, c's far neighbour) for (a, c) and (b, that neighbour)."""

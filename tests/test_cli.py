@@ -45,6 +45,7 @@ def cell(value):
 def test_defaults_round_trip(tmp_path):
     path = write_config(tmp_path, "\n".join(cli.default_lines()) + "\n")
     assert cli.parse_config(path) == cli.RunConfig()
+    assert cli.RunConfig().sweep_elements == cli.REPRODUCE_ELEMENTS
 
 
 def in_row(key):

@@ -288,9 +288,11 @@ def test_every_sign_entry_point_refuses_plus_inf(entry):
 
 def test_eh_range_past_every_finite_distance_is_refused():
     # At a -1e4 dBm threshold even 1e308 m harvests enough, so the range
-    # search doubles its bracket to inf.
-    with pytest.raises(ConfigurationError, match=r"^slant distance must be finite, got inf m$"):
+    # search's bracket would double to inf.
+    with pytest.raises(ConfigurationError, match=r"^input_threshold_dbm = -10000 dBm is met at "
+                       r"every finite range$") as raised:
         achievable_eh_distance_m(10.0, AntennaArray(32), EhCircuit(-1e4), SUBURBAN_400, 10.0)
+    assert raised.value.field == "input_threshold_dbm"
 
 
 @pytest.mark.parametrize("band_hz", [0.0, -4e8, 1e-320, math.nan])

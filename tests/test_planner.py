@@ -992,15 +992,30 @@ ORACLE_KINDS = ["uniform", "lattice", "strip", "cluster"]
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     kind=st.sampled_from(ORACLE_KINDS),
 )
+# Sets whose tours change if a reversal leaves a point beside its stretch
+# unmarked: the one after it (the strip) or the one before it (the other three).
+@example(n=30, seed=11, kind="strip")
+@example(n=50, seed=12, kind="uniform")
+@example(n=50, seed=33, kind="cluster")
+@example(n=60, seed=54, kind="lattice")
 def test_tour_search_matches_the_cached_length_oracle(n, seed, kind):
     # Lengths computed where they are read are the floats the caches held,
     # so every comparison, and so the tour, is the same.
     assert_search_matches_reference(oracle_points(kind, n, seed))
 
 
-@pytest.mark.parametrize("kind", ORACLE_KINDS)
-def test_tour_search_matches_the_oracle_through_wrapping_reversals(kind):
-    assert assert_search_matches_reference(oracle_points(kind, 2000, 2)) >= 1
+# Batches of (kind, n, seed) whose searches make at least one reversal that
+# wraps past the end of the tour list: 2,000 points of each kind, and 1,200
+# tours of 4-12 points, where a stretch often ends at the last slot or wraps
+# by one point (42 wraps, none on the strips).
+WRAP_BATCHES = {kind: [(kind, 2000, 2)] for kind in ORACLE_KINDS}
+WRAP_BATCHES["tiny"] = [(kind, 4 + seed % 9, seed) for kind in ORACLE_KINDS for seed in range(300)]
+
+
+@pytest.mark.parametrize("batch", WRAP_BATCHES)
+def test_tour_search_matches_the_oracle_through_wrapping_reversals(batch):
+    wraps = [assert_search_matches_reference(oracle_points(*case)) for case in WRAP_BATCHES[batch]]
+    assert sum(wraps) >= 1
 
 
 def reference_greedy_edge_order(pts, neighbours, dist):
