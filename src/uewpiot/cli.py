@@ -363,9 +363,10 @@ def _lines(template: str, columns):
 
 
 def _sweep_span(config: RunConfig) -> float:
-    """Steps from the sweep start to its stop, which float error must not drop."""
+    """Steps from the sweep start to its stop, plus twice that quotient's rounding
+    bound, 2^-51 (start + stop) / step: the last step is kept, and none past the stop."""
     start, stop = config.sweep_distance_start_m, config.sweep_distance_stop_m
-    return (stop + 1e-9 - start) / config.sweep_distance_step_m
+    return (stop - start + 2.0**-50 * (start + stop)) / config.sweep_distance_step_m
 
 
 def _sweep_distances(config: RunConfig) -> np.ndarray:

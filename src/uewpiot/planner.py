@@ -12,7 +12,9 @@ point its TOUR_NEIGHBOURS nearest points from the same pair search, in
 O(n k) memory, starts from a greedy-edge tour over those candidate edges,
 whose paths join while their ends differ, and improves it by 2-opt and
 Or-opt moves over the candidates, driven by don't-look bits (Bentley 1992;
-Johnson & McGeoch 1997), until no candidate move shortens it.
+Johnson & McGeoch 1997), until no candidate move shortens it. Both
+tolerances are fixed fractions of a power of two set by the largest length,
+so scaling every length by 2^k changes no group and no tour.
 """
 from __future__ import annotations
 
@@ -27,8 +29,6 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibilityError, check_integer, check_values, is_integer
 
-# Nodes this close beyond the disk edge still count as covered.
-MEMBERSHIP_SLACK_M = 1e-9
 # Grid cells are this much (relative) wider than the search reach, and at
 # least this fraction of the points' extent; see _near_pairs.
 CELL_MARGIN = 2.0**-20
@@ -44,9 +44,8 @@ MAX_COORDINATE_M = 1e150
 EXACT_SOLVER_MAX_POINTS = 12
 # Candidate neighbours per point in the heuristic tour search.
 TOUR_NEIGHBOURS = 10
-# The tour search stops after this many moves per point. Each move shortens
-# the tour by more than 1e-12 as priced, but where coordinates are so large
-# that rounding passes that, a run of moves could cycle.
+# The tour search stops after this many moves per point: a time bound only, as
+# every move it makes shortens the tour (see move_threshold_m).
 TOUR_MOVES_PER_POINT = 100
 # Up to this many points, candidate lists come from one n x n table.
 DENSE_NEIGHBOURS_MAX = 64
@@ -55,6 +54,24 @@ GRID_CHUNK = 1 << 15
 
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 (O'Neill 2014)
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _unit(length: float) -> float:
+    """The power of two at or above ``length`` >= 0, and 1.0 at 0."""
+    mantissa, exponent = math.frexp(length)
+    return math.ldexp(1.0, exponent - (mantissa == 0.5))
+
+
+def membership_slack_m(radius_m: float, largest_m: float) -> float:
+    """How far past the disk edge a node still counts as covered, given the largest
+    coordinate: 2^-37 of the larger length's unit, far above a distance's rounding."""
+    return math.ldexp(_unit(max(radius_m, largest_m)), -37)
+
+
+def move_threshold_m(largest_m: float) -> float:
+    """The tour search's move threshold, given the largest |coordinate|: -2^-44 of
+    its unit, which exceeds every price's rounding error (see _local_search)."""
+    return -math.ldexp(_unit(largest_m), -44)
 
 
 def coverage_radius_m(uav_height_m: float, eh_distance_m: float) -> float:
@@ -275,13 +292,14 @@ def form_wpc_groups(node_field: NodeField, radius_m: float) -> Groups:
     nodes it newly covers.
     """
     pts = node_field.positions
-    if not 0 <= radius_m <= MAX_COORDINATE_M or pts.max(initial=0.0) > MAX_COORDINATE_M:
+    largest = float(pts.max(initial=0.0))
+    if not 0 <= radius_m <= MAX_COORDINATE_M or largest > MAX_COORDINATE_M:
         raise ConfigurationError(f"coverage radius and node coordinates must be in "
                                  f"[0, {MAX_COORDINATE_M:g}] m, got radius {radius_m:g}")
     n = len(pts)
     if not n:
         return Groups([], [])
-    start, neighbours = _pairs_within(pts, radius_m + MEMBERSHIP_SLACK_M)
+    start, neighbours = _pairs_within(pts, radius_m + membership_slack_m(radius_m, largest))
     gains = [start[i + 1] - start[i] for i in range(n)]  # uncovered nodes in each disk
     heap = [(-gain, i) for i, gain in enumerate(gains)]
     heapq.heapify(heap)
@@ -420,7 +438,8 @@ def _greedy_edge_order(pts: np.ndarray, neighbours: np.ndarray, dist: np.ndarray
     return tour
 
 
-def _local_search(pts: np.ndarray, neighbours: np.ndarray, tour: list[int]) -> list[int]:
+def _local_search(pts: np.ndarray, neighbours: np.ndarray, tour: list[int],
+                  threshold: float) -> list[int]:
     """2-opt and Or-opt over the candidate lists, first improvement.
 
     For each point a and each tour neighbour x of a, a candidate move
@@ -430,7 +449,7 @@ def _local_search(pts: np.ndarray, neighbours: np.ndarray, tour: list[int]) -> l
         on the side x is of a;
       - Or-opt: move the segment of 1-3 points that starts at a and leads
         away from x next to c, between c and either of c's tour neighbours.
-    A move is made when its delta is below -1e-12, by 1-3 reversals of the
+    A move is made when its delta is below ``threshold``, by 1-3 reversals of the
     tour's shorter side, each one list slice that may wrap past the end. The
     first pass tries 2-opt moves only, the second both kinds. Points wait in a
     queue (Bentley's don't-look bits) and the ends of every changed edge rejoin
@@ -438,9 +457,19 @@ def _local_search(pts: np.ndarray, neighbours: np.ndarray, tour: list[int]) -> l
     points on either side and of the candidates it tried, and those candidates'
     direction. When the second pass's queue runs dry, every point for which one
     of these changed since its last search is queued again, so the search ends
-    only when no candidate move improves the tour, or after TOUR_MOVES_PER_POINT
-    moves per point. Each length is computed where it is read, as ``abs`` of a
-    complex difference (``np.hypot``, as in the candidate lists), and not kept.
+    only when no candidate move improves the tour. Each length is computed where
+    it is read, as ``abs`` of a complex difference (``np.hypot``, as in the
+    candidate lists), and not kept.
+
+    The threshold, move_threshold_m's -2^-44 units (the unit is the power of two
+    at or above the largest |coordinate|), must exceed the rounding error of the
+    longest price, Or-opt's six distances and five sums. With u = 2^-53, each
+    distance is below 4 units and off by at most 3u of itself (``abs`` is within
+    an ulp, 2u, and each coordinate difference within u), and each sum adds at
+    most u of a partial result below 24 units: 6 * 3u * 4 + 5 * 24u = 192u =
+    1.5 * 2^-46 units in all, 2.7 times below the threshold. So every move made
+    shortens the exact tour, no run of moves can cycle, and TOUR_MOVES_PER_POINT
+    moves per point only bound the time.
     """
     n = len(tour)
     z = np.ascontiguousarray(pts).view(np.complex128).ravel().tolist()
@@ -500,7 +529,7 @@ def _local_search(pts: np.ndarray, neighbours: np.ndarray, tour: list[int]) -> l
                 seen.append(c)
                 pc = pos[c]
                 d = tour[pc + toward]
-                if d != a and dac + abs(zx - z[d]) - dax - abs(zc - z[d]) < -1e-12:
+                if d != a and dac + abs(zx - z[d]) - dax - abs(zc - z[d]) < threshold:
                     flip(x, a, d)
                     return a, x, c, d
                 if not or_opt:
@@ -523,10 +552,10 @@ def _local_search(pts: np.ndarray, neighbours: np.ndarray, tour: list[int]) -> l
                 for e in (tour[pc - 1], tour[pc + 1 - n]):
                     ze = z[e]
                     dce = abs(zc - ze)
-                    if dac - dce - most >= -1e-12:
+                    if dac - dce - most >= threshold:
                         continue  # no segment gains: dac + |sm e| - dce - gain is larger
                     for m in range(min(top, chain.index(e)) if e in chain else top):
-                        if dac + abs(zs[m] - ze) - dce - gains[m] < -1e-12:
+                        if dac + abs(zs[m] - ze) - dce - gains[m] < threshold:
                             # u -> v runs the way a -> sm does: cut (x, a) and (u, v),
                             # turn the segment round next to v, then round again if c is u.
                             sm, q = chain[m], chain[m + 1]
@@ -565,12 +594,12 @@ def _local_search(pts: np.ndarray, neighbours: np.ndarray, tour: list[int]) -> l
     return tour
 
 
-def _heuristic_order(pts: np.ndarray) -> list[int]:
-    """Greedy-edge start, then 2-opt and Or-opt; the tour starts at point 0."""
+def _heuristic_order(pts: np.ndarray, threshold: float) -> list[int]:
+    """Greedy-edge start, then 2-opt and Or-opt at ``threshold``; the tour starts at 0."""
     if len(pts) < 4:
         return list(range(len(pts)))
     neighbours, dist = _neighbour_lists(pts, TOUR_NEIGHBOURS)
-    tour = _local_search(pts, neighbours, _greedy_edge_order(pts, neighbours, dist))
+    tour = _local_search(pts, neighbours, _greedy_edge_order(pts, neighbours, dist), threshold)
     start = tour.index(0)
     return tour[start:] + tour[:start]
 
@@ -612,7 +641,8 @@ def plan_tour(points, mode: str = "heuristic") -> TourPlan:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 1:
         raise ConfigurationError("a tour needs at least one point")
-    if not (np.abs(pts) <= MAX_COORDINATE_M).all():
+    largest = float(np.abs(pts).max())
+    if not largest <= MAX_COORDINATE_M:
         raise ConfigurationError(f"tour points must be finite and within +-{MAX_COORDINATE_M:g} m")
     if mode == "exact":
         if len(pts) > EXACT_SOLVER_MAX_POINTS:
@@ -621,7 +651,7 @@ def plan_tour(points, mode: str = "heuristic") -> TourPlan:
             )
         order = _held_karp_order(pts)
     elif mode == "heuristic":
-        order = _heuristic_order(pts)
+        order = _heuristic_order(pts, move_threshold_m(largest))
     else:
         raise ConfigurationError(f"unknown tour mode {mode!r}")
     ordered = pts[order]

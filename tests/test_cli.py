@@ -1279,6 +1279,24 @@ def test_sweep_grid_point_cap():
                       sweep_distance_step_m=step)
 
 
+@pytest.mark.parametrize(("start", "stop", "step", "count"), [
+    # Steps far finer than the grid's span: only the start, not points up to 1e-9 m past it.
+    (1.0, 1.0, 1e-9, 1),
+    (1.0, 1.0, 1e-10, 1),
+    (1.0, 1.0, 1e-12, 1),
+    # Quotients that rounding puts at, above or just below a whole number of steps.
+    (1.0, 50.0, 0.1, 491),
+    (0.1, 0.3, 0.1, 3),
+    (9_999_999.7, 9_999_999.9, 0.1, 3),
+])
+def test_sweep_grid_ends_at_the_stop(start, stop, step, count):
+    config = cli.RunConfig(sweep_distance_start_m=start, sweep_distance_stop_m=stop,
+                           sweep_distance_step_m=step)
+    distances = cli._sweep_distances(config)
+    assert len(distances) == count
+    assert distances[-1] == pytest.approx(stop, rel=1e-15)
+
+
 @pytest.mark.parametrize(
     ("line", "command"),
     [

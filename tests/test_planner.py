@@ -61,14 +61,22 @@ def brute_force_tour_length(points):
     return best
 
 
+def membership_reach(points, radius):
+    """The reach of grouping's membership test: ``radius`` plus the planner's slack."""
+    return radius + planner.membership_slack_m(radius, float(np.max(points, initial=0.0)))
+
+
+def move_threshold(points):
+    """The planner's move threshold for ``points``."""
+    return planner.move_threshold_m(float(np.abs(np.asarray(points, dtype=float)).max()))
+
+
 def brute_force_min_cover(points, radius):
     """Smallest number of node-anchored disks of ``radius`` covering all nodes."""
     pts = np.asarray(points, dtype=float)
     n = len(pts)
-    covers = [
-        {j for j in range(n) if math.dist(pts[i], pts[j]) <= radius + 1e-9}
-        for i in range(n)
-    ]
+    reach = membership_reach(pts, radius)
+    covers = [{j for j in range(n) if math.dist(pts[i], pts[j]) <= reach} for i in range(n)]
     for k in range(1, n + 1):
         for centers in itertools.combinations(range(n), k):
             if set().union(*(covers[c] for c in centers)) == set(range(n)):
@@ -88,7 +96,7 @@ def candidate_lists(points, k=planner.TOUR_NEIGHBOURS):
 
 def improving_candidate_moves(points, order, k=planner.TOUR_NEIGHBOURS):
     """Every candidate 2-opt or Or-opt move on the closed tour ``order`` whose
-    delta is below -1e-12, as (kind, a, x, c, ...) tuples.
+    delta is below the planner's move threshold, as (kind, a, x, c, ...) tuples.
 
     For each point a and tour neighbour x of a, a candidate move replaces
     the edge (a, x) by (a, c) for a candidate c of a nearer than x (the
@@ -103,6 +111,7 @@ def improving_candidate_moves(points, order, k=planner.TOUR_NEIGHBOURS):
         return []
     z = [complex(x, y) for x, y in np.asarray(points, dtype=float).tolist()]
     pos = {c: i for i, c in enumerate(order)}
+    threshold = move_threshold(points)
 
     def dist(i, j):
         return abs(z[i] - z[j])
@@ -120,7 +129,7 @@ def improving_candidate_moves(points, order, k=planner.TOUR_NEIGHBOURS):
                 if dac >= dax:
                     break
                 d = step_from(c, step)
-                if d != a and dac + dist(x, d) - dax - dist(c, d) < -1e-12:
+                if d != a and dac + dist(x, d) - dax - dist(c, d) < threshold:
                     found.append(("2-opt", a, x, c, d))
                 segment = [a]
                 for _ in range(min(3, n - 3)):
@@ -128,7 +137,7 @@ def improving_candidate_moves(points, order, k=planner.TOUR_NEIGHBOURS):
                     gain = dax + dist(end, q) - dist(x, q)
                     for e in (step_from(c, -1), step_from(c, 1)):
                         if c not in segment and e not in segment:
-                            if dac + dist(end, e) - dist(c, e) - gain < -1e-12:
+                            if dac + dist(end, e) - dist(c, e) - gain < threshold:
                                 found.append(("or-opt", a, x, c, e, len(segment)))
                     segment.append(q)
     return found
@@ -153,7 +162,7 @@ def reference_groups(points, radius):
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     diff = pts[:, None, :] - pts[None, :, :]
-    covered = (diff**2).sum(axis=-1) <= (radius + planner.MEMBERSHIP_SLACK_M) ** 2
+    covered = (diff**2).sum(axis=-1) <= membership_reach(pts, radius) ** 2
     uncovered = np.ones(n, dtype=bool)
     groups = []
     while uncovered.any():
@@ -171,7 +180,7 @@ def dense_groups(points, radius):
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     diff = pts[:, None, :] - pts[None, :, :]
-    covered = (diff**2).sum(axis=-1) <= (radius + planner.MEMBERSHIP_SLACK_M) ** 2
+    covered = (diff**2).sum(axis=-1) <= membership_reach(pts, radius) ** 2
     uncovered = np.ones(n, dtype=bool)
     gains = covered.sum(axis=1)
     groups = []
@@ -394,6 +403,7 @@ def test_groups_partition_and_membership():
     field = generate_nodes(100.0, 100.0, 0.25, seed=11)
     radius = 8.3066
     groups = form_wpc_groups(field, radius)
+    reach = membership_reach(field.positions, radius)
     seen = set()
     for traversal, members in group_lists(groups):
         assert traversal in members
@@ -401,7 +411,7 @@ def test_groups_partition_and_membership():
         seen |= set(members)
         anchor = field.positions[traversal]
         for member in members:
-            assert math.dist(anchor, field.positions[member]) <= radius + 1e-9
+            assert math.dist(anchor, field.positions[member]) <= reach
     assert seen == set(range(field.node_count))
     assert len(groups) <= field.node_count
 
@@ -427,7 +437,7 @@ def minimum_disk_cover(pts, radius):
     np.hypot distances are symmetric."""
     optimize = pytest.importorskip("scipy.optimize")
     sparse = pytest.importorskip("scipy.sparse")
-    start, neighbours = planner._pairs_within(pts, radius + planner.MEMBERSHIP_SLACK_M)
+    start, neighbours = planner._pairs_within(pts, membership_reach(pts, radius))
     n = len(pts)
     covers = sparse.csr_array((np.ones(len(neighbours)), neighbours, start), shape=(n, n))
     result = optimize.milp(np.ones(n), integrality=np.ones(n), bounds=optimize.Bounds(0, 1),
@@ -436,18 +446,24 @@ def minimum_disk_cover(pts, radius):
     return round(result.fun)
 
 
+def reproduce_fields():
+    """The 100 fields that ``reproduce`` plans, and its auto d_EH."""
+    fields = [generate_nodes(100.0, 100.0, 0.25, seed) for seed in range(1, 101)]
+    d_eh = missionsim.resolve_eh_distance_m(missionsim.MissionScenario(
+        field=fields[0], env=linkbudget.RadioEnvironment(400e6),
+        array=linkbudget.AntennaArray(32), circuit=linkbudget.EhCircuit.for_band(400e6)))
+    assert d_eh == pytest.approx(13.0013, abs=1e-4)
+    return fields, d_eh
+
+
 @pytest.mark.parametrize(("height", "optimal"), [(10.0, 99), (5.0, 94)])
 def test_greedy_groups_are_within_one_of_the_minimum_cover(height, optimal):
     # The 100 fields that reproduce plans, at its auto d_EH: greedy is optimal on 99
     # at H = 10 m (R = 8.31 m) and 94 at H = 5 m (R = 12.0 m), one group over on the rest.
-    reproduce_fields = [generate_nodes(100.0, 100.0, 0.25, seed) for seed in range(1, 101)]
-    d_eh = missionsim.resolve_eh_distance_m(missionsim.MissionScenario(
-        field=reproduce_fields[0], env=linkbudget.RadioEnvironment(400e6),
-        array=linkbudget.AntennaArray(32), circuit=linkbudget.EhCircuit.for_band(400e6)))
-    assert d_eh == pytest.approx(13.0013, abs=1e-4)
+    fields, d_eh = reproduce_fields()
     radius = coverage_radius_m(height, d_eh)
     gaps = [len(form_wpc_groups(field, radius)) - minimum_disk_cover(field.positions, radius)
-            for field in reproduce_fields]
+            for field in fields]
     assert min(gaps) == 0 and max(gaps) <= 1
     assert gaps.count(0) == optimal
 
@@ -514,18 +530,24 @@ def test_grid_grouping_matches_dense_oracles(n, seed, radius, offset, copies):
     assert_groups_match_oracles(NodeField(side + offset, side + offset, pts), radius)
 
 
-@pytest.mark.parametrize("below", [0.0, 1e-9])
+@pytest.mark.parametrize("below", [0.0, 1e-9, "slack"])
 @pytest.mark.parametrize("offset", [0.0, 0.1, 1.0 / 3.0])
 @pytest.mark.parametrize("spacing", [5.0, 8.3066])
 def test_grid_grouping_matches_dense_oracles_on_lattice(spacing, offset, below):
-    # Neighbours sit right at the reach, so cell edges fall on or next to
-    # nodes. The lattice is shifted by ``offset`` spacings. At spacing 5,
-    # offset 1/3 and R = spacing - 1e-9, grid cells exactly as wide as the
-    # reach put 18 pairs within reach two cells apart, and the groups differ.
+    # Neighbours sit right by the reach, so cell edges fall on or next to
+    # nodes: R is the spacing (neighbours inside by the membership slack), the
+    # spacing less 1e-9 m (just beyond the reach of R + slack), or the spacing
+    # less the slack (exactly at the reach). The lattice is shifted by
+    # ``offset`` spacings. At spacing 5, offset 1/3 and R = spacing - slack,
+    # grid cells exactly as wide as the reach put 18 pairs within reach two
+    # cells apart, and the groups differ.
     k = 9
     grid = np.array([(x, y) for y in range(k) for x in range(k)], dtype=float)
     side = spacing * (k - 1 + offset)
     field = NodeField(side, side, (grid + offset) * spacing)
+    if below == "slack":
+        below = planner.membership_slack_m(spacing, field.positions.max())
+        assert membership_reach(field.positions, spacing - below) == spacing
     assert_groups_match_oracles(field, spacing - below)
 
 
@@ -533,8 +555,9 @@ def test_grid_grouping_matches_dense_oracles_on_lattice(spacing, offset, below):
     ("side", "radius"),
     [
         (20.0 * math.sqrt(2000), 12.0),  # area-scaled, the default density
-        # Cells the width of the 1e-9 m reach would number ~1e21 per side, past
-        # int64; the cell floor of extent / 2**20 keeps them apart anyway.
+        # Cells the width of the 8 m reach (the membership slack alone) would
+        # number ~1e11 per side, and their keys ~1e22, past int64; the cell
+        # floor of extent / 2**20 keeps them apart anyway.
         (1e12, 0.0),
     ],
 )
@@ -562,7 +585,7 @@ def test_pairs_within_memory_stays_near_the_pair_count():
     pts = np.random.default_rng(1).uniform(0.0, 100.0, size=(5000, 2))
     tracemalloc.start()
     try:
-        start, neighbours = planner._pairs_within(pts, 12.0 + planner.MEMBERSHIP_SLACK_M)
+        start, neighbours = planner._pairs_within(pts, membership_reach(pts, 12.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -578,7 +601,7 @@ def reference_form_wpc_groups(field, radius):
     n = len(pts)
     if not n:
         return []
-    start, neighbours = planner._pairs_within(pts, radius + planner.MEMBERSHIP_SLACK_M)
+    start, neighbours = planner._pairs_within(pts, membership_reach(pts, radius))
     gains = [start[i + 1] - start[i] for i in range(n)]
     heap = [(-gain, i) for i, gain in enumerate(gains)]
     heapq.heapify(heap)
@@ -714,7 +737,7 @@ def degenerate_point_sets():
     yield pytest.param(np.c_[line, 2.0 * line], id="collinear")
     yield pytest.param(np.c_[rng.permutation(line), np.zeros(31)], id="collinear-shuffled")
     # Spacing 0.1 is inexact in binary, so many zero-gain moves price at a
-    # few ulp either side of 0 and must stay above the -1e-12 threshold.
+    # few ulp either side of 0 and must stay above the move threshold.
     for spacing in (1.0, 0.1):
         yield pytest.param(lattice * spacing, id=f"lattice-{spacing}")
         shuffled = lattice[rng.permutation(100)] * spacing
@@ -820,14 +843,36 @@ def test_tour_search_stops_at_the_move_cap(monkeypatch, cap):
         assert list(plan.visit_order) == start[i:] + start[:i]
 
 
-def test_tour_search_terminates_when_rounding_passes_the_threshold():
-    # Near 1e15 m one ulp of a distance is about 0.1 m, far above the -1e-12
-    # move threshold, so rounding alone can price a move as improving. The
-    # move cap still ends the search with a valid tour.
-    pts = np.random.default_rng(3).uniform(0.0, 1e15, size=(300, 2))
-    plan = plan_tour(pts)
-    assert sorted(plan.visit_order) == list(range(300))
-    assert plan.visit_order[0] == 0
+def test_the_move_cap_binds_on_no_golden_field(monkeypatch):
+    # reproduce's 100 Monte-Carlo fields and field-scale's two 400-node fields
+    # (seeds 1 and 2): with the cap raised 100-fold, every strategy's tour is the
+    # same, so no search there ends at the cap.
+    fields, d_eh = reproduce_fields()
+    fields += [generate_nodes(400.0, 400.0, 0.25, seed) for seed in (1, 2)]
+
+    def tours():
+        return [[result.plan.visit_order for result in compare_strategies(field, d_eh, [10.0, 5.0])]
+                for field in fields]
+
+    capped = tours()
+    monkeypatch.setattr(planner, "TOUR_MOVES_PER_POINT", 10_000)
+    assert tours() == capped
+
+
+def test_tour_search_terminates_when_rounding_passes_the_threshold(monkeypatch):
+    # On an integer lattice many moves gain exactly nothing, and their prices are
+    # rounding noise, which grows with the coordinates. Were the threshold not
+    # scaled with them, that noise would pass it on this lattice at 2^10 m
+    # spacing: moves that gain nothing would run until the move cap, and give
+    # another tour. Scaled, the search ends by itself with the unscaled tour,
+    # whatever the cap.
+    pts = metamorphic_field("lattice", 1500, seed=34).positions
+    tour = plan_tour(pts).visit_order
+    for power in (10, 20, 40):
+        assert plan_tour(pts * 2.0**power).visit_order == tour, power
+    monkeypatch.setattr(planner, "TOUR_MOVES_PER_POINT", 10 * planner.TOUR_MOVES_PER_POINT)
+    for power in (0, 10, 20, 40):
+        assert plan_tour(pts * 2.0**power).visit_order == tour, power
 
 
 def reference_local_search(pts, neighbours, dist, tour):
@@ -842,6 +887,7 @@ def reference_local_search(pts, neighbours, dist, tour):
     for i, c in enumerate(tour):
         pos[c] = i
     el = [abs(z[tour[i - 1]] - z[tour[i]]) for i in range(1 - n, 1)]
+    threshold = move_threshold(pts)
     moves = wraps = 0
     changed = [0] * n
     searched = [-1] * n
@@ -897,7 +943,7 @@ def reference_local_search(pts, neighbours, dist, tour):
                 seen.append(c)
                 pc = pos[c]
                 d = tour[pc + toward]
-                if d != a and dac + abs(zx - z[d]) - dax - el[pc + back] < -1e-12:
+                if d != a and dac + abs(zx - z[d]) - dax - el[pc + back] < threshold:
                     flip(x, a, d)
                     return a, x, c, d
                 if not or_opt:
@@ -919,11 +965,11 @@ def reference_local_search(pts, neighbours, dist, tour):
                     seen += chain
                 top = min(chain.index(c), segs) if c in chain else segs
                 for e, dce in ((tour[pc - 1], el[pc - 1]), (tour[pc + 1 - n], el[pc])):
-                    if dac - dce - most >= -1e-12:
+                    if dac - dce - most >= threshold:
                         continue
                     ze = z[e]
                     for m in range(min(top, chain.index(e)) if e in chain else top):
-                        if dac + abs(zs[m] - ze) - dce - gains[m] < -1e-12:
+                        if dac + abs(zs[m] - ze) - dce - gains[m] < threshold:
                             sm, q = chain[m], chain[m + 1]
                             u, v = (c, e) if tour[pc + away] == e else (e, c)
                             flip(x, a, u)
@@ -979,7 +1025,7 @@ def assert_search_matches_reference(pts):
     neighbours, dist = planner._neighbour_lists(pts, planner.TOUR_NEIGHBOURS)
     start = planner._greedy_edge_order(pts, neighbours, dist)
     expected, wraps = reference_local_search(pts, neighbours, dist, list(start))
-    assert planner._local_search(pts, neighbours, list(start)) == expected
+    assert planner._local_search(pts, neighbours, list(start), move_threshold(pts)) == expected
     return wraps
 
 
@@ -1129,7 +1175,7 @@ def test_tour_quality_at_scale():
 
 
 def improving_two_opt_count(pts, tour, neighbours):
-    """Candidate 2-opt moves on the closed ``tour`` whose delta is below -1e-12,
+    """Candidate 2-opt moves on the closed ``tour`` whose delta is below the move threshold,
     over all n k (point, candidate) pairs and both sides, priced in numpy with
     find_move's ``np.hypot`` lengths and operand order: for a point a, its tour
     neighbour x on one side and a candidate c nearer than x, replace (a, x) and
@@ -1144,17 +1190,18 @@ def improving_two_opt_count(pts, tour, neighbours):
 
     a, c = np.repeat(np.arange(n), k), neighbours.ravel()
     dac = dist(a, c)
+    threshold = move_threshold(pts)
     found = 0
     for toward in (-1, 1):
         x, d = tour[(pos[a] + toward) % n], tour[(pos[c] + toward) % n]
         dax = dist(a, x)
         delta = dac + dist(x, d) - dax - dist(c, d)
-        found += int(np.count_nonzero((dac < dax) & (d != a) & (delta < -1e-12)))
+        found += int(np.count_nonzero((dac < dax) & (d != a) & (delta < threshold)))
     return found
 
 
 def improving_or_opt_count(pts, tour, neighbours):
-    """Candidate Or-opt moves on the closed ``tour`` whose delta is below -1e-12,
+    """Candidate Or-opt moves on the closed ``tour`` whose delta is below the move threshold,
     over all n k (point, candidate) pairs, both sides and both of the candidate's
     tour neighbours, priced in numpy as find_move prices them. For a point a, its
     tour neighbour x on one side and a candidate c nearer than x: the chain is a
@@ -1179,6 +1226,7 @@ def improving_or_opt_count(pts, tour, neighbours):
 
     a, c = np.repeat(np.arange(n), k), neighbours.ravel()
     dac = dist(a, c)
+    threshold = move_threshold(pts)
     found = 0
     for toward in (-1, 1):
         x = tour[(pos[a] + toward) % n]
@@ -1193,7 +1241,7 @@ def improving_or_opt_count(pts, tour, neighbours):
             limit = np.where(dac < dax, np.minimum(first_in_chain(chain, e, top), top), 0)
             for m in range(segs):
                 delta = dac + dist(chain[m], e) - dce - gains[m]
-                found += int(np.count_nonzero((m < limit) & (delta < -1e-12)))
+                found += int(np.count_nonzero((m < limit) & (delta < threshold)))
     return found
 
 
@@ -1251,8 +1299,9 @@ def test_each_layer_peak_memory_grows_at_most_linearly():
 # The planner reads only np.hypot distances and point indices. Swapping the axes,
 # negating one or both, and scaling by a power of two are exact in floats, so groups and
 # tours must not change (Chen, Cheung & Yiu 1998), while the grid's corner and
-# cells do. MEMBERSHIP_SLACK_M and the -1e-12 move threshold are absolute
-# lengths, so scales stay within 2^-4..2^4 of metre-scale fields.
+# cells do. The membership slack and the move threshold scale with the field, so
+# the relations hold from 2^-60 to 2^60, inside MAX_COORDINATE_M and away from
+# subnormal lengths.
 
 def metamorphic_field(kind, n, seed):
     """n nodes: uniform at the default density, an integer lattice with
@@ -1269,11 +1318,12 @@ def metamorphic_field(kind, n, seed):
     return NodeField(200.0, 200.0, rng.normal(100.0, 10.0, size=(n, 2)))
 
 
-@pytest.mark.parametrize("power", range(-4, 5))
+@pytest.mark.parametrize("power", [-60, -40, -30, -20, -10, *range(-4, 5), 10, 20, 30, 40, 60])
 def test_groups_and_tours_are_unchanged_by_axis_swap_scale_and_negation(power):
     scale, radius = 2.0**power, coverage_radius_m(10.0, 13.0)
     for i, kind in enumerate(["uniform", "lattice", "strip", "cluster"]):
-        field = metamorphic_field(kind, (30, 150, 600, 1500)[(power + i) % 4], seed=power + 4)
+        field = metamorphic_field(kind, (30, 150, 600, 1500)[(power + i) % 4],
+                                  seed=power % 97 + 4)
         pts, width, height = field.positions, field.width_m, field.height_m
         scaled = NodeField(width * scale, height * scale, pts * scale)
         swapped = NodeField(height * scale, width * scale, pts[:, ::-1] * scale)
